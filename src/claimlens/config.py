@@ -91,6 +91,9 @@ class PipelineConfig:
             "window": self.window,
             "embed_dim": self.embed_dim,
             "concurrency_cap": self.concurrency_cap,
+            "rank_mask": self.rank_mask,
+            "min_segment_sentences": self.min_segment_sentences,
+            "max_segments_per_doc": self.max_segments_per_doc,
         }
         for name, value in counts.items():
             if value < 1:

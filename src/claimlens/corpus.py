@@ -2,11 +2,12 @@
 
 Documents are split into sentences with a rule-based splitter, then each
 document is partitioned into contiguous topical segments. The main segmenter
-is a divisive one: it builds a sentence-pair cosine similarity matrix over
-stemmed term vectors, applies a local rank transform with a square mask, and
-greedily inserts boundaries that maximize inside density, stopping once the
-relative density gain drops below a threshold. A fixed-window segmenter is
-provided as a deterministic fallback.
+is a divisive one in the style of C99 (Choi 2000, "Advances in domain
+independent linear text segmentation", NAACL): it builds a sentence-pair
+cosine similarity matrix over stemmed term vectors, applies a local rank
+transform with a square mask, and greedily inserts boundaries that maximize
+inside density, stopping once the relative density gain drops below a
+threshold. A fixed-window segmenter is provided as a deterministic fallback.
 
 All functions here are pure: same document and parameters always produce the
 same segment list, so documents can be processed in parallel safely.
@@ -306,20 +307,32 @@ def _rank_transform(sim: np.ndarray, mask: int) -> np.ndarray:
     """Replace each cell by the fraction of its mask neighborhood it beats.
 
     The square mask is clipped at matrix edges; the center cell is excluded
-    from the neighbor count.
+    from the neighbor count. Each mask offset is one whole-matrix comparison
+    against a NaN-padded copy: NaN never compares below a cell, so offsets
+    that fall off the matrix count for nothing, and the clipped neighbor
+    count is ``span_i * span_j - 1`` with ``span`` the clipped window length.
     """
     n = sim.shape[0]
-    radius = mask // 2
-    rank = np.zeros_like(sim)
-    for i in range(n):
-        ilo, ihi = max(0, i - radius), min(n, i + radius + 1)
-        for j in range(n):
-            jlo, jhi = max(0, j - radius), min(n, j + radius + 1)
-            window = sim[ilo:ihi, jlo:jhi]
-            neighbors = window.size - 1
-            if neighbors <= 0:
+    radius = max(0, min(mask // 2, n - 1))
+    padded = np.pad(sim, radius, constant_values=np.nan)
+    # Counts and window sizes are at most (2r+1)^2, which fits a small
+    # unsigned type (uint8 for the default mask of 11); float64 counters
+    # would each take as much memory as the similarity matrix.
+    small = np.min_scalar_type((2 * radius + 1) ** 2)
+    lower = np.zeros((n, n), dtype=small)
+    beaten = np.empty((n, n), dtype=bool)
+    for di in range(2 * radius + 1):
+        for dj in range(2 * radius + 1):
+            if di == dj == radius:
                 continue
-            rank[i, j] = np.count_nonzero(window < sim[i, j]) / neighbors
+            np.less(padded[di : di + n, dj : dj + n], sim, out=beaten)
+            lower += beaten
+    del padded, beaten
+    idx = np.arange(n)
+    span = (np.minimum(n, idx + radius + 1) - np.maximum(0, idx - radius)).astype(small)
+    neighbors = span[:, None] * span[None, :] - 1
+    rank = np.zeros_like(sim)
+    np.divide(lower, neighbors, out=rank, where=neighbors > 0)
     return rank
 
 
@@ -387,8 +400,10 @@ def segment_document(doc: Document, params: C99Params | None = None) -> list[Seg
     params = params or C99Params()
     sentences = sentences_of(doc)
     n = len(sentences)
-    if n == 1:
-        return [_make_segment(doc, sentences, 0, 0)]
+    # No admissible cut: the segmenter would return the whole document, so
+    # skip the similarity and rank matrices altogether.
+    if n == 1 or n < 2 * params.min_segment_sentences or params.max_segments < 2:
+        return [_make_segment(doc, sentences, 0, n - 1)]
     sim = _similarity_matrix([s.terms for s in sentences])
     rank = _rank_transform(sim, params.rank_mask)
     boundaries = choose_boundaries(rank, params)

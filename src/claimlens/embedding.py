@@ -38,7 +38,9 @@ class HashedBowEmbedder:
 
     Tokens are hashed with keyed blake2b so the layout depends only on
     (token, seed); identical text always yields an identical vector, on any
-    platform. Intended for tests and offline runs, not semantic quality.
+    platform. Each distinct token is hashed once per instance and its bucket
+    remembered, so the memo grows with the vocabulary seen. Intended for tests
+    and offline runs, not semantic quality.
     """
 
     def __init__(self, dim: int = 256, seed: int = 0):
@@ -47,12 +49,16 @@ class HashedBowEmbedder:
         self.dim = dim
         self._key = struct.pack("<q", seed)
         self._token_re = re.compile(r"[a-z0-9]+")
+        self._buckets: dict[str, int] = {}
 
     def _bucket(self, token: str) -> int:
-        digest = hashlib.blake2b(
-            token.encode("utf-8"), digest_size=8, key=self._key
-        ).digest()
-        return int.from_bytes(digest, "little") % self.dim
+        bucket = self._buckets.get(token)
+        if bucket is None:
+            digest = hashlib.blake2b(
+                token.encode("utf-8"), digest_size=8, key=self._key
+            ).digest()
+            bucket = self._buckets[token] = int.from_bytes(digest, "little") % self.dim
+        return bucket
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
         out = []
@@ -179,14 +185,17 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class EmbeddingIndex:
-    """In-memory map of segment_id -> unit vector with exact top-k search."""
+    """In-memory map of segment_id -> unit vector with exact top-k search.
+
+    Vectors live in the first ``len(self)`` rows of one contiguous float64
+    matrix whose capacity doubles as rows are added.
+    """
 
     def __init__(self, dim: int):
         self.dim = dim
         self._ids: list[str] = []
         self._rows: dict[str, int] = {}
-        self._vectors: list[np.ndarray] = []
-        self._matrix: np.ndarray | None = None
+        self._matrix = np.zeros((0, dim))
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -199,69 +208,92 @@ class EmbeddingIndex:
         return list(self._ids)
 
     def add(self, segment_id: str, vector: np.ndarray) -> None:
-        if segment_id in self._rows:
-            raise ValueError(f"segment {segment_id!r} indexed twice")
-        vec = np.asarray(vector, dtype=np.float64)
-        if vec.shape != (self.dim,):
-            raise DimensionMismatch(
-                f"vector dim {vec.shape} does not match index dim {self.dim}"
-            )
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > _NORM_TOL:
-            vec = normalize(vec)
-        self._rows[segment_id] = len(self._ids)
-        self._ids.append(segment_id)
-        self._vectors.append(vec)
-        self._matrix = None
+        self.add_batch([segment_id], [vector])
 
     def add_batch(self, ids: Iterable[str], vectors: Iterable[np.ndarray]) -> None:
-        for segment_id, vec in zip(ids, vectors):
-            self.add(segment_id, vec)
+        """Append vectors, renormalizing any not of unit length. The batch is
+        checked whole before the index changes, so a bad row adds nothing."""
+        pairs = list(zip(ids, vectors))
+        block = np.empty((len(pairs), self.dim))
+        for row, (_, vector) in enumerate(pairs):
+            vec = np.asarray(vector, dtype=np.float64)
+            if vec.shape != (self.dim,):
+                raise DimensionMismatch(
+                    f"vector dim {vec.shape} does not match index dim {self.dim}"
+                )
+            block[row] = vec
+        _unit_rows(block)
+        start = len(self._ids)
+        self._register([segment_id for segment_id, _ in pairs])
+        end = len(self._ids)
+        if end > self._matrix.shape[0]:
+            grown = np.empty((max(end, 2 * self._matrix.shape[0]), self.dim))
+            grown[:start] = self._matrix[:start]
+            self._matrix = grown
+        self._matrix[start:end] = block
+
+    def _register(self, ids: list[str]) -> None:
+        """Give each id the next row, rejecting one already indexed or repeated."""
+        fresh: dict[str, int] = {}
+        for segment_id in ids:
+            if segment_id in self._rows or segment_id in fresh:
+                raise ValueError(f"segment {segment_id!r} indexed twice")
+            fresh[segment_id] = len(self._ids) + len(fresh)
+        self._rows.update(fresh)
+        self._ids.extend(ids)
 
     def get(self, segment_id: str) -> np.ndarray:
-        return self._vectors[self._rows[segment_id]]
+        return self._matrix[self._rows[segment_id]]
 
     def _dense(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = np.vstack(self._vectors) if self._vectors else np.zeros((0, self.dim))
-        return self._matrix
+        return self._matrix[: len(self._ids)]
 
     def similarities(self, query: np.ndarray) -> np.ndarray:
         """Cosine of the (unit) query against every stored vector, index order."""
         if len(self) == 0:
             raise EmptyIndex("index holds no vectors")
-        q = normalize(np.asarray(query, dtype=np.float64))
-        sims = self._dense() @ q
+        q = np.asarray(query, dtype=np.float64)
+        if q.shape != (self.dim,):
+            raise DimensionMismatch(
+                f"query dim {q.shape} does not match index dim {self.dim}"
+            )
+        sims = self._dense() @ normalize(q)
         return np.clip(sims, -1.0, 1.0)
 
     def top_k(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
-        """Top-k entries by descending similarity, ties by ascending id."""
+        """Top-k entries by descending similarity, ties by ascending id.
+
+        Only rows at or above the k-th largest similarity are sorted, so every
+        row tied with the k-th value competes on id.
+        """
         if k < 1:
             raise ValueError("k must be >= 1")
         sims = self.similarities(query)
-        ranked = sorted(
-            zip(self._ids, sims.tolist()), key=lambda item: (-item[1], item[0])
-        )
-        return ranked[: min(k, len(ranked))]
+        ids = self._ids
+        if k < len(sims):
+            kth = sims[np.argpartition(-sims, k - 1)[k - 1]]
+            rows = np.flatnonzero(sims >= kth)
+            ids = [ids[row] for row in rows.tolist()]
+            sims = sims[rows]
+        ranked = sorted(zip(ids, sims.tolist()), key=lambda item: (-item[1], item[0]))
+        return ranked[:k]
 
     # --- persistence: flat binary vectors + sidecar id manifest ---
 
     def save(self, directory: str, fingerprint: str = "") -> None:
         os.makedirs(directory, exist_ok=True)
-        vec_path = os.path.join(directory, "vectors.bin")
-        entries = []
-        with open(vec_path, "wb") as fh:
-            offset = 0
-            for segment_id, vec in zip(self._ids, self._vectors):
-                data = vec.astype("<f8").tobytes()
-                fh.write(data)
-                entries.append({"segment_id": segment_id, "offset": offset})
-                offset += len(data)
+        row_bytes = self.dim * 8
+        np.ascontiguousarray(self._dense(), dtype="<f8").tofile(
+            os.path.join(directory, "vectors.bin")
+        )
         manifest = {
             "dim": self.dim,
             "count": len(self._ids),
             "config_fingerprint": fingerprint,
-            "entries": entries,
+            "entries": [
+                {"segment_id": segment_id, "offset": row * row_bytes}
+                for row, segment_id in enumerate(self._ids)
+            ],
         }
         with open(os.path.join(directory, "index_manifest.json"), "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2)
@@ -280,7 +312,21 @@ class EmbeddingIndex:
             raise DimensionMismatch(
                 f"vectors.bin holds {raw.size} floats, expected {count * dim}"
             )
-        matrix = raw.reshape(count, dim)
-        for entry, row in zip(manifest["entries"], matrix):
-            index.add(entry["segment_id"], row)
+        ids = [entry["segment_id"] for entry in manifest["entries"]]
+        if len(ids) != count:
+            raise DimensionMismatch(
+                f"index manifest lists {len(ids)} entries, expected {count}"
+            )
+        index._register(ids)
+        index._matrix = _unit_rows(raw.reshape(count, dim).astype(np.float64, copy=False))
         return index, manifest.get("config_fingerprint", "")
+
+
+def _unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """Renormalize, in place, the rows whose L2 norm is off 1 by more than the
+    tolerance; rows already unit length are left bit-for-bit as they are.
+    ``einsum`` sums the squares without a matrix-sized temporary."""
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    for row in np.flatnonzero(np.abs(norms - 1.0) > _NORM_TOL):
+        matrix[row] = normalize(matrix[row])
+    return matrix

@@ -250,3 +250,15 @@ def test_partial_tree_persisted_on_failure(tmp_path, capsys):
     data = json.loads((out / "hierarchy.json").read_text())
     assert data["partial"] is True
     assert len(data["nodes"]) >= 4  # root and the coarse aspects survived
+
+
+@pytest.mark.parametrize(
+    "flag", ["--rank-mask", "--min-segment-sentences", "--max-segments-per-doc"]
+)
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_segmenter_knobs_below_one_rejected(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    cfg = write_config_file(tmp_path, out)
+    assert run_stage(["ingest", "--config", cfg, flag, value]) == 1
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()

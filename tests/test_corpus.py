@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from claimlens.corpus import (
@@ -8,6 +9,7 @@ from claimlens.corpus import (
     Document,
     _rank_transform,
     _similarity_matrix,
+    choose_boundaries,
     load_corpus,
     read_segments,
     segment_document,
@@ -186,11 +188,56 @@ def test_rank_transform_agrees_with_oracle():
     doc = make_two_topic_doc("d", rng)
     counts = [dict(s.terms) for s in sentences_of(doc)]
     sim = _similarity_matrix([s.terms for s in sentences_of(doc)])
-    rank = _rank_transform(sim, 11)
-    expected = oracles.rank_matrix(oracles.similarity_matrix(counts), 11)
-    for i in range(len(expected)):
-        for j in range(len(expected)):
-            assert rank[i, j] == pytest.approx(expected[i][j], abs=1e-12)
+    for mask in (1, 3, 5, 11):
+        expected = oracles.rank_matrix(oracles.similarity_matrix(counts), mask)
+        assert _rank_transform(sim, mask).tolist() == expected
+
+
+def _graded_similarity(rng, n):
+    """Symmetric matrix on a coarse grid of values, so the mask holds ties."""
+    values = [[rng.randint(0, 8) / 8 for _ in range(n)] for _ in range(n)]
+    return [[max(values[i][j], values[j][i]) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("mask", [1, 3, 5, 11])
+def test_rank_transform_exactly_equals_oracle(mask):
+    rng = random.Random(mask)
+    for n in list(range(1, 41)) + [150]:
+        sim = _graded_similarity(rng, n)
+        rank = _rank_transform(np.array(sim), mask)
+        assert rank.dtype == np.float64
+        assert rank.tolist() == oracles.rank_matrix(sim, mask)
+
+
+@pytest.mark.parametrize(
+    "n, params",
+    [
+        (3, C99Params(min_segment_sentences=2)),
+        (5, C99Params(min_segment_sentences=3)),
+        (9, C99Params(min_segment_sentences=5)),
+        (12, C99Params(max_segments=1)),
+    ],
+)
+def test_document_without_admissible_cut_is_one_segment(n, params):
+    rng = random.Random(n)
+    doc = make_two_topic_doc("d", rng, first=n - n // 2, second=n // 2)
+    sentences = sentences_of(doc)
+    assert len(sentences) == n
+    segs = segment_document(doc, params)
+    assert [(s.start, s.end) for s in segs] == [(0, n - 1)]
+    assert segs[0].text == " ".join(s.text for s in sentences)
+    # The short-circuit agrees with the full search on the full rank matrix.
+    sim = _similarity_matrix([s.terms for s in sentences])
+    assert choose_boundaries(_rank_transform(sim, params.rank_mask), params) == []
+
+
+@pytest.mark.parametrize("min_len", [2, 3, 5])
+def test_document_of_exactly_two_minimum_segments_is_still_cut(min_len):
+    # The short-circuit stops one sentence short: at n == 2 * min_len the
+    # single admissible cut is tried and taken at the topic shift.
+    doc = make_two_topic_doc("d", random.Random(min_len), first=min_len, second=min_len)
+    segs = segment_document(doc, C99Params(min_segment_sentences=min_len))
+    assert [(s.start, s.end) for s in segs] == [(0, min_len - 1), (min_len, 2 * min_len - 1)]
 
 
 def _assert_tiling(doc, segments):

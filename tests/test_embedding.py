@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -165,20 +166,126 @@ def test_top_k_matches_full_sort_oracle():
 
 
 def test_save_load_roundtrip_and_byte_identity(tmp_path, embedder):
-    texts = [f"text number {i} about magnets" for i in range(20)]
+    texts = [f"text number {i} about magnets {i % 7}" for i in range(150)]
     vectors = embedder.embed_texts(texts)
+    ids = [f"s{i}" for i in range(150)]
     index = EmbeddingIndex(dim=vectors[0].shape[0])
-    index.add_batch([f"s{i}" for i in range(20)], vectors)
+    for start in range(0, 150, 64):  # batches that make the matrix grow
+        index.add_batch(ids[start : start + 64], vectors[start : start + 64])
 
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"
     index.save(str(dir_a), fingerprint="abc123")
     loaded, fingerprint = EmbeddingIndex.load(str(dir_a))
     assert fingerprint == "abc123"
-    assert loaded.ids == index.ids
+    assert loaded.ids == index.ids == ids
+    for sid, vec in zip(ids, vectors):
+        assert loaded.get(sid).tobytes() == vec.tobytes()
+    query = embedder.embed_one("magnets 3")
+    assert loaded.top_k(query, 20) == index.top_k(query, 20)
     loaded.save(str(dir_b), fingerprint="abc123")
 
     assert (dir_a / "vectors.bin").read_bytes() == (dir_b / "vectors.bin").read_bytes()
     assert (dir_a / "index_manifest.json").read_text() == (
         dir_b / "index_manifest.json"
     ).read_text()
+
+
+def test_top_k_ties_straddling_kth_rank_come_by_id():
+    # Rows 0-3 beat the tied block; ten identical rows, added in scrambled id
+    # order, straddle every k from 5 to 13; two rows trail behind.
+    index = EmbeddingIndex(dim=2)
+    for i in range(4):
+        index.add(f"top{i}", _angled(0.9 - 0.01 * i))
+    tied = [f"tie{i:02d}" for i in range(10)]
+    random.Random(1).shuffle(tied)
+    for sid in tied:
+        index.add(sid, _angled(0.5))
+    index.add("low0", _angled(0.2))
+    index.add("low1", _angled(0.1))
+    query = np.array([1.0, 0.0])
+    full = [f"top{i}" for i in range(4)] + sorted(tied) + ["low0", "low1"]
+    for k in range(1, len(index) + 3):
+        got = index.top_k(query, k)
+        assert [sid for sid, _ in got] == full[:k]
+    assert index.top_k(query, len(index)) == index.top_k(query, len(index) + 5)
+
+
+def test_top_k_all_rows_identical():
+    index = EmbeddingIndex(dim=2)
+    ids = [f"s{i}" for i in (3, 1, 4, 0, 2)]
+    index.add_batch(ids, [_angled(0.7)] * len(ids))
+    for k in (1, 3, 5, 9):
+        got = index.top_k(np.array([1.0, 0.0]), k)
+        assert [sid for sid, _ in got] == sorted(ids)[:k]
+
+
+def test_query_dimension_mismatch_is_typed():
+    index = EmbeddingIndex(dim=2)
+    index.add("s1", _angled(0.9))
+    with pytest.raises(DimensionMismatch):
+        index.similarities(np.ones(3))
+    with pytest.raises(DimensionMismatch):
+        index.top_k(np.ones(3), 1)
+    with pytest.raises(DimensionMismatch):
+        index.top_k(np.ones((2, 1)), 1)
+
+
+def test_add_batch_with_bad_row_adds_nothing():
+    index = EmbeddingIndex(dim=2)
+    index.add("s0", _angled(0.9))
+    with pytest.raises(DimensionMismatch):
+        index.add_batch(["s1", "s2"], [_angled(0.5), np.ones(3)])
+    with pytest.raises(ValueError):
+        index.add_batch(["s3", "s3"], [_angled(0.5), _angled(0.4)])
+    with pytest.raises(ZeroVector):
+        index.add_batch(["s4", "s5"], [_angled(0.5), np.zeros(2)])
+    assert index.ids == ["s0"]
+    index.add_batch(["s1", "s2"], [_angled(0.5), np.array([3.0, 4.0])])
+    assert index.ids == ["s0", "s1", "s2"]
+    assert np.array_equal(index.get("s2"), np.array([0.6, 0.8]))
+
+
+def test_load_renormalizes_only_rows_off_unit_length(tmp_path):
+    index = EmbeddingIndex(dim=2)
+    index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
+    index.save(str(tmp_path))
+    raw = np.fromfile(tmp_path / "vectors.bin", dtype="<f8")
+    raw[2:4] *= 5.0  # row "b" no longer unit length
+    raw.tofile(tmp_path / "vectors.bin")
+    loaded, _ = EmbeddingIndex.load(str(tmp_path))
+    assert loaded.get("a").tobytes() == index.get("a").tobytes()
+    assert abs(np.linalg.norm(loaded.get("b")) - 1.0) <= 1e-12
+
+
+def _edit_manifest(directory, edit):
+    path = directory / "index_manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def test_load_rejects_duplicate_ids_in_manifest(tmp_path):
+    index = EmbeddingIndex(dim=2)
+    index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
+    index.save(str(tmp_path))
+    _edit_manifest(tmp_path, lambda m: m["entries"][1].update(segment_id="a"))
+    with pytest.raises(ValueError, match="'a'"):
+        EmbeddingIndex.load(str(tmp_path))
+
+
+def test_load_rejects_manifest_entry_count_mismatch(tmp_path):
+    index = EmbeddingIndex(dim=2)
+    index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
+    index.save(str(tmp_path))
+    _edit_manifest(tmp_path, lambda m: m["entries"].pop())
+    with pytest.raises(DimensionMismatch):
+        EmbeddingIndex.load(str(tmp_path))
+
+
+def test_memoized_embedder_matches_fresh_instance():
+    texts = [f"alpha beta token{i % 5} gamma alpha" for i in range(40)]
+    warm = HashedBowEmbedder(dim=64, seed=3)
+    warm.embed(texts)  # fill the memo
+    again = warm.embed(list(reversed(texts)))[::-1]
+    assert again == HashedBowEmbedder(dim=64, seed=3).embed(texts)
