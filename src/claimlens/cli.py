@@ -145,6 +145,7 @@ class Paths:
         self.consensus = self.root / "consensus.tsv"
         self.metrics_json = self.root / "metrics.json"
         self.metrics_table = self.root / "metrics.txt"
+        self.evaluate_log = self.root / "evaluate_log.jsonl"
         self.pairwise = self.root / "pairwise.json"
 
 
@@ -338,6 +339,7 @@ def cmd_evaluate(config: PipelineConfig, hierarchy_paths: list[str]) -> int:
         _write_json(paths.metrics_json, payload)
         table = render_metric_table(report)
         paths.metrics_table.write_text(table, encoding="utf-8")
+        log.write_jsonl(str(paths.evaluate_log))
         print(table, end="")
         return 0
 
@@ -354,6 +356,7 @@ def cmd_evaluate(config: PipelineConfig, hierarchy_paths: list[str]) -> int:
             "verdict": verdict,
         },
     )
+    log.write_jsonl(str(paths.evaluate_log))
     print(verdict)
     return 0
 

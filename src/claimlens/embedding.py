@@ -17,9 +17,16 @@ import struct
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
-import requests
 
-from .errors import DimensionMismatch, EmptyIndex, ProviderUnavailable, Timeout, ZeroVector
+from .errors import (
+    CorruptArtifact,
+    DimensionMismatch,
+    EmptyIndex,
+    ProviderUnavailable,
+    Timeout,
+    UnreadableFile,
+    ZeroVector,
+)
 
 _NORM_TOL = 1e-9
 
@@ -93,6 +100,9 @@ class HttpEmbeddingProvider:
         self.max_attempts = max_attempts
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
+        # Imported here so that runs with the local embedder never load it.
+        import requests
+
         payload: dict = {"texts": list(texts)}
         if self.model:
             payload["model"] = self.model
@@ -301,23 +311,49 @@ class EmbeddingIndex:
 
     @classmethod
     def load(cls, directory: str) -> tuple["EmbeddingIndex", str]:
+        """Read an index written by :meth:`save`. An unreadable file raises
+        ``UnreadableFile``; a manifest that is malformed or disagrees with
+        ``vectors.bin`` raises ``CorruptArtifact`` or ``DimensionMismatch``."""
         manifest_path = os.path.join(directory, "index_manifest.json")
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        dim = manifest["dim"]
-        index = cls(dim)
-        raw = np.fromfile(os.path.join(directory, "vectors.bin"), dtype="<f8")
-        count = manifest["count"]
+        vectors_path = os.path.join(directory, "vectors.bin")
+        try:
+            with open(manifest_path, "r", encoding="utf-8") as fh:
+                manifest = json.load(fh)
+        except OSError as exc:
+            raise UnreadableFile(f"cannot read index manifest {manifest_path}: {exc}") from exc
+        except ValueError as exc:
+            raise UnreadableFile(
+                f"index manifest {manifest_path} is not valid JSON: {exc}"
+            ) from exc
+        try:
+            dim = manifest["dim"]
+            count = manifest["count"]
+            ids = [entry["segment_id"] for entry in manifest["entries"]]
+        except (KeyError, TypeError) as exc:
+            raise CorruptArtifact(
+                f"index manifest {manifest_path} is malformed: missing or mistyped {exc}"
+            ) from exc
+        if not isinstance(dim, int) or not isinstance(count, int) or dim < 1 or count < 0:
+            raise CorruptArtifact(
+                f"index manifest {manifest_path} has dim {dim!r} and count {count!r}"
+            )
+        try:
+            raw = np.fromfile(vectors_path, dtype="<f8")
+        except OSError as exc:
+            raise UnreadableFile(f"cannot read index vectors {vectors_path}: {exc}") from exc
         if raw.size != count * dim:
             raise DimensionMismatch(
                 f"vectors.bin holds {raw.size} floats, expected {count * dim}"
             )
-        ids = [entry["segment_id"] for entry in manifest["entries"]]
         if len(ids) != count:
             raise DimensionMismatch(
                 f"index manifest lists {len(ids)} entries, expected {count}"
             )
-        index._register(ids)
+        index = cls(dim)
+        try:
+            index._register(ids)
+        except ValueError as exc:
+            raise CorruptArtifact(f"index manifest {manifest_path}: {exc}") from exc
         index._matrix = _unit_rows(raw.reshape(count, dim).astype(np.float64, copy=False))
         return index, manifest.get("config_fingerprint", "")
 

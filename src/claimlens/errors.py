@@ -105,3 +105,7 @@ class UnknownFormat(UsageError):
 
 class FingerprintMismatch(ClaimLensError):
     """Artifacts produced under a different effective configuration."""
+
+
+class CorruptArtifact(ClaimLensError):
+    """A stage artifact that is readable but malformed or self-contradictory."""

@@ -4,7 +4,9 @@ Everything that talks to a language model goes through :class:`LlmGateway`:
 prompt templates, per-task sampling parameters, JSON parsing with schema
 validation and bounded retries (the validation error is fed back into the
 retry prompt), and an operation log recording task name, prompt hash, and
-retry count for every outbound request.
+retry count for every outbound request. Each distinct response schema is
+checked against its meta-schema and compiled into a validator once per
+gateway; every response is then validated by that cached validator.
 
 Two providers ship with the package: a chat-completions-style HTTP provider
 and a scripted mock keyed by (task, prompt hash) with task-level default
@@ -22,7 +24,6 @@ from pathlib import Path
 from typing import Any, Protocol, Sequence
 
 import jsonschema
-import requests
 
 from .errors import ProviderUnavailable, SchemaViolation, Timeout, UnknownTask, UnreadableFile
 
@@ -135,6 +136,9 @@ class HttpChatProvider:
         self.max_attempts = max_attempts
 
     def complete(self, task: LlmTask, prompt: str, base_hash: str) -> str:
+        # Imported here so that mock runs never pay for loading it.
+        import requests
+
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -237,6 +241,24 @@ class LlmGateway:
         self.temperatures = dict(temperatures or {})
         self.max_retries = max_retries
         self._sem = threading.BoundedSemaphore(max(1, max_in_flight))
+        self._validators: dict[str, jsonschema.protocols.Validator] = {}
+
+    def _validator(self, schema: dict[str, Any]) -> jsonschema.protocols.Validator:
+        """The validator for ``schema``, checked against its meta-schema and
+        compiled on first use; a malformed schema raises
+        ``jsonschema.SchemaError`` each time. Schemas arrive as fresh dicts,
+        so the key is their JSON text, key order included: key order can
+        decide which error ``best_match`` reports. Threads racing on a new
+        schema may each compile it, but only finished validators are stored,
+        and ``setdefault`` hands every caller the first one.
+        """
+        key = json.dumps(schema)
+        validator = self._validators.get(key)
+        if validator is None:
+            cls = jsonschema.validators.validator_for(schema)
+            cls.check_schema(schema)
+            validator = self._validators.setdefault(key, cls(schema))
+        return validator
 
     def _effective_task(self, name: str) -> LlmTask:
         if name not in TASKS:
@@ -250,6 +272,7 @@ class LlmGateway:
 
     def complete_json(self, instance: PromptInstance) -> Any:
         task = self._effective_task(instance.task)
+        validator = self._validator(instance.expected_schema)
         base_hash = prompt_hash(instance.rendered_text)
         error_text: str | None = None
         for attempt in range(task.max_retries + 1):
@@ -268,12 +291,12 @@ class LlmGateway:
                 raise SchemaViolation(message) from exc
             try:
                 value = _parse_json(raw)
-                jsonschema.validate(instance=value, schema=instance.expected_schema)
             except json.JSONDecodeError as exc:
                 error_text = f"not valid JSON: {exc}"
                 continue
-            except jsonschema.ValidationError as exc:
-                error_text = f"schema violation: {exc.message}"
+            error = jsonschema.exceptions.best_match(validator.iter_errors(value))
+            if error is not None:
+                error_text = f"schema violation: {error.message}"
                 continue
             self._log_call(task, base_hash, attempt, "ok")
             return value

@@ -1,11 +1,16 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from claimlens.cli import main
 from claimlens.hierarchy import AspectHierarchy
+from claimlens.llm_gateway import MockChatProvider
 
 from .conftest import DATA_DIR
 from .fixture_config import make_fixture_config
@@ -262,3 +267,105 @@ def test_segmenter_knobs_below_one_rejected(tmp_path, capsys, flag, value):
     assert run_stage(["ingest", "--config", cfg, flag, value]) == 1
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_import_does_not_load_requests():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, claimlens.cli; print('requests' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_evaluate_log_records_every_judge_call(pipeline_run, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(pipeline_run / "segments.jsonl", out / "segments.jsonl")
+    cfg = write_config_file(tmp_path, out)
+    provider_calls: Counter = Counter()
+    complete = MockChatProvider.complete
+
+    def counting(self, task, prompt, base_hash):
+        provider_calls[task.name] += 1
+        return complete(self, task, prompt, base_hash)
+
+    monkeypatch.setattr(MockChatProvider, "complete", counting)
+    hierarchy = str(pipeline_run / "hierarchy_perspectives.json")
+    assert run_stage(["evaluate", "--config", cfg, hierarchy]) == 0
+    logged: Counter = Counter()
+    for line in (out / "evaluate_log.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        if record["kind"] == "llm_call":
+            assert record["status"] == "ok"
+            logged[record["task"]] += record["retries"] + 1
+    assert logged == provider_calls == Counter({"eval_judge": 173})
+    assert (pipeline_run / "evaluate_log.jsonl").read_bytes() == (
+        out / "evaluate_log.jsonl"
+    ).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def ingested(tmp_path_factory):
+    """Artifacts of one fixture ingest, copied by each test that corrupts them."""
+    tmp = tmp_path_factory.mktemp("ingested")
+    out = tmp / "out"
+    assert run_stage(["ingest", "--config", write_config_file(tmp, out)]) == 0
+    return out
+
+
+def _edit_manifest(edit):
+    def corrupt(out):
+        path = out / "index_manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+
+    return corrupt
+
+
+def _truncate_manifest(out):
+    path = out / "index_manifest.json"
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+
+def _repeat_first_id(manifest):
+    manifest["entries"][1]["segment_id"] = manifest["entries"][0]["segment_id"]
+
+
+@pytest.mark.parametrize(
+    "corrupt, code, message",
+    [
+        (_edit_manifest(_repeat_first_id), 3, "indexed twice"),
+        (_edit_manifest(lambda m: m.pop("dim")), 3, "'dim'"),
+        (_edit_manifest(lambda m: m.pop("count")), 3, "'count'"),
+        (_edit_manifest(lambda m: m.pop("entries")), 3, "'entries'"),
+        (_edit_manifest(lambda m: m["entries"][0].pop("segment_id")), 3, "'segment_id'"),
+        (_edit_manifest(lambda m: m.update(dim="256")), 3, "dim '256'"),
+        (lambda out: (out / "vectors.bin").unlink(), 1, "vectors.bin"),
+        (_truncate_manifest, 1, "not valid JSON"),
+    ],
+    ids=[
+        "duplicate_id",
+        "no_dim",
+        "no_count",
+        "no_entries",
+        "entry_without_id",
+        "string_dim",
+        "no_vectors_bin",
+        "truncated_manifest",
+    ],
+)
+def test_corrupt_index_is_a_typed_error(ingested, tmp_path, capsys, corrupt, code, message):
+    out = tmp_path / "out"
+    shutil.copytree(ingested, out)
+    corrupt(out)
+    cfg = write_config_file(tmp_path, out)
+    assert run_stage(["build", "--config", cfg]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err

@@ -12,7 +12,13 @@ from claimlens.embedding import (
     cosine_similarity,
     normalize,
 )
-from claimlens.errors import DimensionMismatch, EmptyIndex, ProviderUnavailable, ZeroVector
+from claimlens.errors import (
+    CorruptArtifact,
+    DimensionMismatch,
+    EmptyIndex,
+    ProviderUnavailable,
+    ZeroVector,
+)
 
 
 class ListProvider:
@@ -270,7 +276,7 @@ def test_load_rejects_duplicate_ids_in_manifest(tmp_path):
     index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
     index.save(str(tmp_path))
     _edit_manifest(tmp_path, lambda m: m["entries"][1].update(segment_id="a"))
-    with pytest.raises(ValueError, match="'a'"):
+    with pytest.raises(CorruptArtifact, match="'a'"):
         EmbeddingIndex.load(str(tmp_path))
 
 

@@ -1,19 +1,30 @@
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
+import jsonschema
 import pytest
 
 from claimlens.errors import SchemaViolation, UnknownTask
 from claimlens.llm_gateway import (
     STANCE_SCHEMA,
+    SUMMARY_SCHEMA,
+    WINNER_SCHEMA,
+    YES_NO_SCHEMA,
     LlmGateway,
     MockChatProvider,
     OperationLog,
     PromptInstance,
     aspects_schema,
+    keywords_schema,
     prompt_hash,
     render_coarse_aspects,
+    score_schema,
+    subaspects_schema,
     task_params,
 )
+
+from .conftest import rule_gateway
 
 
 def make_aspects(n=3, keywords=10):
@@ -193,3 +204,170 @@ def test_max_retries_override_zero():
 def test_aspects_schema_shape():
     schema = aspects_schema(4)
     assert schema["properties"]["aspects"]["maxItems"] == 4
+
+
+# --- compiled validators ---
+
+
+def _aspect(label="a", description="why", keywords=10):
+    return {
+        "label": label,
+        "description": description,
+        "keywords": [f"kw{j}" for j in range(keywords)],
+    }
+
+
+# (schema builder, bad instance): each kind of violation that applies.
+BAD_RESPONSES = [
+    (lambda: aspects_schema(3), {}),
+    (lambda: aspects_schema(3), {"aspects": "efficacy, safety"}),
+    (lambda: aspects_schema(3), {"aspects": [_aspect()] * 4}),
+    (lambda: aspects_schema(3), {"aspects": [_aspect(keywords=7)]}),
+    (lambda: aspects_schema(3), {"aspects": [_aspect(keywords=11)]}),
+    (lambda: aspects_schema(3), {"aspects": [_aspect(label="")]}),
+    (lambda: aspects_schema(3), {"aspects": [{"label": "a", "description": "b"}]}),
+    (lambda: aspects_schema(3), {"aspects": [_aspect(), {**_aspect(), "keywords": [1] * 10}]}),
+    (lambda: aspects_schema(3), "just text"),
+    (lambda: subaspects_schema(2), {"aspects": []}),
+    (lambda: subaspects_schema(2), {"subaspects": [_aspect()] * 3}),
+    (lambda: subaspects_schema(2), {"subaspects": [_aspect(description="")]}),
+    (lambda: subaspects_schema(2), {"subaspects": {"label": "a"}}),
+    (lambda: keywords_schema(2, 4), {}),
+    (lambda: keywords_schema(2, 4), {"keywords": ["a"]}),
+    (lambda: keywords_schema(2, 4), {"keywords": ["a", "b", "c", "d", "e"]}),
+    (lambda: keywords_schema(2, 4), {"keywords": ["a", ""]}),
+    (lambda: keywords_schema(2, 4), {"keywords": ["a", 2]}),
+    (lambda: keywords_schema(10, 10), {"keywords": "a, b"}),
+    (lambda: YES_NO_SCHEMA, {}),
+    (lambda: YES_NO_SCHEMA, {"answer": "Maybe"}),
+    (lambda: YES_NO_SCHEMA, {"answer": True}),
+    (lambda: YES_NO_SCHEMA, ["Yes"]),
+    (lambda: STANCE_SCHEMA, {}),
+    (lambda: STANCE_SCHEMA, {"stance": "supports"}),
+    (lambda: STANCE_SCHEMA, {"stance": ""}),
+    (lambda: SUMMARY_SCHEMA, {}),
+    (lambda: SUMMARY_SCHEMA, {"summary": 3}),
+    (lambda: SUMMARY_SCHEMA, {"summary": ["a", "b"]}),
+    (lambda: WINNER_SCHEMA, {}),
+    (lambda: WINNER_SCHEMA, {"winner": "C"}),
+    (lambda: WINNER_SCHEMA, {"winner": "A", "rationale": 5}),
+    (lambda: score_schema([1, 2, 3, 4]), {}),
+    (lambda: score_schema([1, 2, 3, 4]), {"score": 5}),
+    (lambda: score_schema([1, 2, 3, 4]), {"score": "3"}),
+    (lambda: score_schema([0, 1]), {"score": 1, "rationale": None}),
+    (lambda: score_schema([0, 1]), {"score": [0]}),
+]
+
+
+@pytest.mark.parametrize("make_schema, bad", BAD_RESPONSES)
+def test_retry_error_text_matches_jsonschema_validate(make_schema, bad):
+    with pytest.raises(jsonschema.ValidationError) as reference:
+        jsonschema.validate(instance=bad, schema=make_schema())
+    expected = f"schema violation: {reference.value.message}"
+    gateway = rule_gateway(lambda task, prompt: json.dumps(bad), max_retries=1)
+    instance = PromptInstance(
+        task="eval_judge", rendered_text="judge this", expected_schema=make_schema()
+    )
+    with pytest.raises(SchemaViolation) as raised:
+        gateway.complete_json(instance)
+    assert str(raised.value).endswith(f"after 1 retries: {expected}")
+    retry_prompt = gateway.provider.calls[1][1]
+    assert retry_prompt.startswith("judge this\n\nYour previous output was invalid: ")
+    assert f"invalid: {expected}\n" in retry_prompt
+
+
+def test_meta_schema_checked_once_per_distinct_schema(monkeypatch):
+    cls = jsonschema.validators.validator_for({})
+    check_schema = cls.check_schema
+    checked = []
+
+    def counting(klass, schema, *args, **kwargs):
+        checked.append(json.dumps(schema))
+        return check_schema(schema, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "check_schema", classmethod(counting))
+
+    def respond(task, prompt):
+        if task == "coarse_aspects":
+            return json.dumps(make_aspects())
+        return json.dumps({"stance": "supports_claim"})
+
+    gateway = rule_gateway(respond)
+    stance = PromptInstance(
+        task="stance_detect", rendered_text="judge this", expected_schema=STANCE_SCHEMA
+    )
+    for _ in range(3):
+        gateway.complete_json(render_coarse_aspects("claim text", 5))  # fresh dict
+        gateway.complete_json(render_coarse_aspects("claim text", 4))
+        gateway.complete_json(stance)
+    assert sorted(checked) == sorted(
+        json.dumps(schema) for schema in (aspects_schema(5), aspects_schema(4), STANCE_SCHEMA)
+    )
+
+
+def test_malformed_schema_raises_on_every_use():
+    gateway = rule_gateway(lambda task, prompt: json.dumps({"answer": "Yes"}))
+    instance = PromptInstance(
+        task="relevance_judge",
+        rendered_text="judge this",
+        expected_schema={"type": "object", "required": "answer"},
+    )
+    for _ in range(2):
+        with pytest.raises(jsonschema.SchemaError):
+            gateway.complete_json(instance)
+
+
+def _mixed_instances():
+    """Prompts over many distinct schemas; every third one is answered badly
+    first, so the retry path runs too."""
+    instances = []
+    for i in range(60):
+        kind = i % 4
+        if kind == 0:
+            schema, task = keywords_schema(1, 2 + i % 7), "keyword_extract"
+        elif kind == 1:
+            schema, task = aspects_schema(3 + i % 5), "coarse_aspects"
+        elif kind == 2:
+            schema, task = score_schema(range(i % 5 + 1)), "eval_judge"
+        else:
+            schema, task = STANCE_SCHEMA, "stance_detect"
+        instances.append(
+            PromptInstance(task=task, rendered_text=f"prompt {i}", expected_schema=schema)
+        )
+    return instances
+
+
+def _mixed_response(task, prompt):
+    n = int(prompt.split()[1])
+    if n % 3 == 0 and "previous output was invalid" not in prompt:
+        return json.dumps({"unexpected": n})
+    return json.dumps(
+        {
+            "keyword_extract": {"keywords": [f"k{n}"]},
+            "coarse_aspects": {"aspects": [_aspect(label=f"a{n}")]},
+            "eval_judge": {"score": n % 5, "rationale": f"r{n}"},
+            "stance_detect": {"stance": "neutral_to_claim"},
+        }[task]
+    )
+
+
+def test_concurrent_calls_match_sequential():
+    instances = _mixed_instances()
+    sequential = rule_gateway(_mixed_response)
+    expected = [sequential.complete_json(instance) for instance in instances]
+    concurrent = rule_gateway(_mixed_response, max_in_flight=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(concurrent.complete_json, i) for i in instances]
+            got = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+
+    def records(gateway):
+        return sorted(json.dumps(r, sort_keys=True) for r in gateway.log.records)
+
+    assert records(concurrent) == records(sequential)
+    assert sorted(concurrent.provider.calls) == sorted(sequential.provider.calls)
