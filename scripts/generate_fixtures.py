@@ -396,7 +396,7 @@ def main() -> None:
         segments = {
             s.segment_id: s for s in corpus_mod.read_segments(str(paths.segments))
         }
-        index, _ = EmbeddingIndex.load(str(paths.index_dir))
+        index, _ = EmbeddingIndex.load(str(paths.root))
         recorder = RecordingProvider(rule_llm)
         gateway = LlmGateway(recorder, log=OperationLog())
         embedder = Embedder(HashedBowEmbedder(dim=config.embed_dim, seed=config.seed))

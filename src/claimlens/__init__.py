@@ -1,10 +1,10 @@
 """Corpus-grounded claim deconstruction: aspect hierarchies with perspectives."""
 
 from .config import PipelineConfig
-from .corpus import Document, Segment, load_corpus, segment_document, segment_fixed_window
-from .embedding import Embedder, EmbeddingIndex, HashedBowEmbedder, cosine_similarity
-from .hierarchy import AspectHierarchy, AspectNode, HierarchyBuilder, build_hierarchy
-from .llm_gateway import LlmGateway, MockChatProvider, PromptInstance, task_params
+from .corpus import Document, Segment, load_corpus, segment_document
+from .embedding import Embedder, EmbeddingIndex, HashedBowEmbedder
+from .hierarchy import AspectHierarchy, AspectNode, HierarchyBuilder
+from .llm_gateway import LlmGateway, MockChatProvider, PromptInstance
 from .perspective import (
     FilterParams,
     PerspectiveSet,
@@ -44,10 +44,8 @@ __all__ = [
     "RankingParams",
     "ScoredSegment",
     "Segment",
-    "build_hierarchy",
     "claim_representation",
     "consensus_counts",
-    "cosine_similarity",
     "discover_perspectives",
     "discriminativeness",
     "distractor_score",
@@ -55,8 +53,6 @@ __all__ = [
     "rank_segments",
     "relevance_boundary",
     "segment_document",
-    "segment_fixed_window",
     "target_score",
-    "task_params",
     "zipf_weighted_mean",
 ]

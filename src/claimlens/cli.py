@@ -34,6 +34,7 @@ from .perspective import (
     STANCES,
     FilterParams,
     PerspectiveSet,
+    consensus_counts,
     discover_perspectives,
 )
 
@@ -78,7 +79,6 @@ _FLAG_FIELDS = [
     ("--mock-dir", "mock_dir", str, "scripted transcript directory"),
     ("--max-retries", "max_retries", int, "retries on invalid LLM JSON"),
     ("--classify-threshold", "classify_threshold", float, "descent threshold"),
-    ("--concurrency", "concurrency_cap", int, "in-flight request cap"),
     ("--seed", "seed", int, "random seed"),
 ]
 
@@ -126,7 +126,6 @@ def make_gateway(config: PipelineConfig, log: OperationLog) -> LlmGateway:
     return LlmGateway(
         provider,
         log=log,
-        max_in_flight=config.concurrency_cap,
         temperatures=config.temperatures,
         max_retries=config.max_retries,
     )
@@ -136,7 +135,6 @@ class Paths:
     def __init__(self, output_dir: str):
         self.root = Path(output_dir)
         self.segments = self.root / "segments.jsonl"
-        self.index_dir = self.root
         self.index_manifest = self.root / "index_manifest.json"
         self.hierarchy = self.root / "hierarchy.json"
         self.operation_log = self.root / "operation_log.jsonl"
@@ -164,7 +162,10 @@ def _load_hierarchy(path: str | Path) -> tuple[AspectHierarchy, dict]:
         raise errors.UsageError(f"cannot read hierarchy file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise errors.UnreadableFile(f"hierarchy file {path} is not valid JSON: {exc}") from exc
-    return AspectHierarchy.from_dict(data), data
+    try:
+        return AspectHierarchy.from_dict(data), data
+    except errors.CorruptArtifact as exc:
+        raise errors.CorruptArtifact(f"hierarchy file {path}: {exc}") from exc
 
 
 def _check_fingerprint(found: str, config: PipelineConfig, what: str) -> None:
@@ -190,7 +191,7 @@ def _load_index(paths: Paths, config: PipelineConfig) -> EmbeddingIndex:
             f"embedding index {paths.index_manifest} not found: "
             "run `claimlens ingest` first"
         )
-    index, fingerprint = EmbeddingIndex.load(str(paths.index_dir))
+    index, fingerprint = EmbeddingIndex.load(str(paths.root))
     _check_fingerprint(fingerprint, config, "embedding index")
     return index
 
@@ -225,7 +226,7 @@ def cmd_ingest(config: PipelineConfig) -> int:
         chunk = segments[i : i + batch]
         vectors = embedder.embed_texts([s.text for s in chunk])
         index.add_batch([s.segment_id for s in chunk], vectors)
-    index.save(str(paths.index_dir), fingerprint=config.fingerprint())
+    index.save(str(paths.root), fingerprint=config.fingerprint())
     print(
         f"ingested {len(documents)} documents into {len(segments)} segments; "
         f"index dim {index.dim} at {paths.root}"
@@ -305,11 +306,10 @@ def _write_consensus_table(tree: AspectHierarchy, path: Path) -> None:
         node = tree.node(node_id)
         if node.perspectives is None:
             continue
-        pset = PerspectiveSet.from_dict(node.perspectives)
+        counts = consensus_counts(PerspectiveSet.from_dict(node.perspectives))
         for stance in STANCES:
-            bucket = pset.bucket(stance)
             lines.append(
-                f"{node_id}\t{stance}\t{len(bucket.segment_ids)}\t{len(bucket.paper_ids)}"
+                f"{node_id}\t{stance}\t{counts.segments[stance]}\t{counts.papers[stance]}"
             )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -326,12 +326,7 @@ def cmd_evaluate(config: PipelineConfig, hierarchy_paths: list[str]) -> int:
 
     if len(hierarchy_paths) == 1:
         tree, _ = _load_hierarchy(hierarchy_paths[0])
-        segments: dict[str, Segment] = {}
-        if paths.segments.exists():
-            segments = {
-                s.segment_id: s
-                for s in corpus_mod.read_segments(str(paths.segments))
-            }
+        segments = _load_segments(paths) if paths.segments.exists() else {}
         report = evaluate_hierarchy(tree, gateway, segments)
         paths.root.mkdir(parents=True, exist_ok=True)
         payload = {"config_fingerprint": config.fingerprint()}
@@ -402,9 +397,8 @@ def render_markdown(tree: AspectHierarchy) -> str:
         if node.children:
             parts.append(f"subtree: {_subtree_segments(tree, node_id)}")
         if node.perspectives is not None:
-            pset = PerspectiveSet.from_dict(node.perspectives)
-            counts = "/".join(str(len(pset.bucket(s).paper_ids)) for s in STANCES)
-            parts.append(f"papers s/n/o: {counts}")
+            papers = consensus_counts(PerspectiveSet.from_dict(node.perspectives)).papers
+            parts.append(f"papers s/n/o: {'/'.join(str(papers[s]) for s in STANCES)}")
         indent = "  " * node.depth
         lines.append(f"{indent}- **{node.label}** [{'; '.join(parts)}]")
     return "\n".join(lines) + "\n"

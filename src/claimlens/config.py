@@ -1,10 +1,10 @@
 """Pipeline configuration: every tunable in one place, with a stable fingerprint.
 
 The fingerprint hashes all semantic parameters (everything that can change a
-result). Execution-level settings (output directory, concurrency cap) and
-provider pointers (endpoints, model names, transcript paths) are excluded:
-moving artifacts or swapping where a provider lives does not invalidate them,
-and what a provider actually answers is pinned by transcripts, not by config.
+result). The output directory and provider pointers (endpoints, model names,
+transcript paths) are excluded: moving artifacts or swapping where a provider
+lives does not invalidate them, and what a provider actually answers is pinned
+by transcripts, not by config.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ from typing import Any
 
 from .errors import UsageError
 
-# Execution-level and pointer fields, kept out of the fingerprint. Input
+# The output directory and pointer fields, kept out of the fingerprint. Input
 # locations (corpus, transcripts) are pointers too: their content shapes the
 # artifacts directly, and a path string would tie fingerprints to a machine.
 _NON_SEMANTIC_FIELDS = (
     "output_dir",
-    "concurrency_cap",
     "corpus_path",
     "embed_endpoint",
     "embed_model",
@@ -77,8 +76,7 @@ class PipelineConfig:
     # classification
     classify_threshold: float = 0.9
 
-    # execution
-    concurrency_cap: int = 4
+    # hashed embedder seed
     seed: int = 0
 
     def validate(self) -> None:
@@ -90,7 +88,6 @@ class PipelineConfig:
             "k_segments": self.k_segments,
             "window": self.window,
             "embed_dim": self.embed_dim,
-            "concurrency_cap": self.concurrency_cap,
             "rank_mask": self.rank_mask,
             "min_segment_sentences": self.min_segment_sentences,
             "max_segments_per_doc": self.max_segments_per_doc,

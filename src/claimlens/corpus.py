@@ -7,7 +7,7 @@ independent linear text segmentation", NAACL): it builds a sentence-pair
 cosine similarity matrix over stemmed term vectors, applies a local rank
 transform with a square mask, and greedily inserts boundaries that maximize
 inside density, stopping once the relative density gain drops below a
-threshold. A fixed-window segmenter is provided as a deterministic fallback.
+threshold.
 
 All functions here are pure: same document and parameters always produce the
 same segment list, so documents can be processed in parallel safely.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateDocId, EmptyDocument, MissingField, UnreadableFile
+from .errors import CorruptArtifact, DuplicateDocId, EmptyDocument, MissingField, UnreadableFile
 
 # ---------------------------------------------------------------------------
 # Domain types
@@ -116,39 +116,42 @@ def load_corpus(path: str) -> list[Document]:
     return documents
 
 
+# One segment store record per line, keys in this order.
+_SEGMENT_FIELDS = {"segment_id": str, "doc_id": str, "start": int, "end": int, "text": str}
+
+
 def write_segments(segments: list[Segment], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for seg in segments:
-            record = {
-                "segment_id": seg.segment_id,
-                "doc_id": seg.doc_id,
-                "start": seg.start,
-                "end": seg.end,
-                "text": seg.text,
-            }
+            record = {name: getattr(seg, name) for name in _SEGMENT_FIELDS}
             fh.write(json.dumps(record, ensure_ascii=True) + "\n")
 
 
 def read_segments(path: str) -> list[Segment]:
+    """Read a store written by :func:`write_segments`. A line that does not
+    parse raises ``UnreadableFile``; a record with a missing or mistyped key
+    raises ``CorruptArtifact``. Both name the line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise UnreadableFile(f"cannot read segment store {path}: {exc}") from exc
     segments = []
-    for line in lines:
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        rec = json.loads(line)
-        segments.append(
-            Segment(
-                segment_id=rec["segment_id"],
-                doc_id=rec["doc_id"],
-                start=rec["start"],
-                end=rec["end"],
-                text=rec["text"],
-            )
-        )
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise UnreadableFile(
+                f"segment store {path}: line {lineno} is not valid JSON: {exc}"
+            ) from exc
+        for name, kind in _SEGMENT_FIELDS.items():
+            if not isinstance(rec, dict) or not isinstance(rec.get(name), kind):
+                raise CorruptArtifact(
+                    f"segment store {path}: line {lineno} has a missing or mistyped {name!r}"
+                )
+        segments.append(Segment(**{name: rec[name] for name in _SEGMENT_FIELDS}))
     return segments
 
 
@@ -412,25 +415,6 @@ def segment_document(doc: Document, params: C99Params | None = None) -> list[Seg
         _make_segment(doc, sentences, edges[i], edges[i + 1] - 1)
         for i in range(len(edges) - 1)
     ]
-
-
-def segment_fixed_window(
-    doc: Document, window: int, stride: int | None = None
-) -> list[Segment]:
-    """Tile the document with consecutive windows of `window` sentences.
-
-    Only tiling is supported: stride, when given, must equal window.
-    """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if stride is not None and stride != window:
-        raise ValueError("stride must equal window (tiling only)")
-    sentences = sentences_of(doc)
-    out = []
-    for start in range(0, len(sentences), window):
-        end = min(start + window, len(sentences)) - 1
-        out.append(_make_segment(doc, sentences, start, end))
-    return out
 
 
 def _make_segment(

@@ -23,10 +23,10 @@ from .errors import (
     DimensionMismatch,
     EmptyIndex,
     ProviderUnavailable,
-    Timeout,
     UnreadableFile,
     ZeroVector,
 )
+from .http_provider import HttpJsonProvider
 
 _NORM_TOL = 1e-9
 
@@ -80,52 +80,22 @@ class HashedBowEmbedder:
         return out
 
 
-class HttpEmbeddingProvider:
+class HttpEmbeddingProvider(HttpJsonProvider):
     """Remote embeddings endpoint; token comes from the environment."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str = "",
-        api_key: str | None = None,
-        timeout: float = 30.0,
-        max_attempts: int = 3,
-    ):
-        self.endpoint = endpoint
-        self.model = model
-        self.api_key = api_key if api_key is not None else os.environ.get(
-            "CLAIMLENS_EMBED_API_KEY", ""
-        )
-        self.timeout = timeout
-        self.max_attempts = max_attempts
+    kind = "embedding"
+    api_key_env = "CLAIMLENS_EMBED_API_KEY"
+    reply_key = "vectors"
+
+    def __init__(self, endpoint: str, model: str = "", api_key: str | None = None,
+                 timeout: float = 30.0, max_attempts: int = 3):
+        super().__init__(endpoint, model, api_key, timeout, max_attempts)
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
-        # Imported here so that runs with the local embedder never load it.
-        import requests
-
         payload: dict = {"texts": list(texts)}
         if self.model:
             payload["model"] = self.model
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error: Exception | None = None
-        for _ in range(self.max_attempts):
-            try:
-                resp = requests.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
-                )
-                resp.raise_for_status()
-                return resp.json()["vectors"]
-            except requests.Timeout as exc:
-                last_error = exc
-            except (requests.RequestException, KeyError, ValueError) as exc:
-                last_error = exc
-        if isinstance(last_error, requests.Timeout):
-            raise Timeout(f"embedding endpoint timed out: {self.endpoint}")
-        raise ProviderUnavailable(
-            f"embedding endpoint failed after {self.max_attempts} attempts: {last_error}"
-        )
+        return self._post(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -176,17 +146,6 @@ def normalize(vec: np.ndarray) -> np.ndarray:
     if norm == 0.0:
         raise ZeroVector("cannot normalize a zero vector")
     return vec / norm
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"dims differ: {a.shape} vs {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ZeroVector("cosine similarity undefined for zero vectors")
-    value = float(np.dot(a, b)) / (norm_a * norm_b)
-    return max(-1.0, min(1.0, value))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,14 @@ from typing import Any, Sequence
 from .config import PipelineConfig
 from .corpus import Segment
 from .embedding import Embedder, EmbeddingIndex
-from .errors import EmptyAspectList, EmptyIndex, EmptyPool, SchemaViolation, TooFewSubaspects
+from .errors import (
+    CorruptArtifact,
+    EmptyAspectList,
+    EmptyIndex,
+    EmptyPool,
+    SchemaViolation,
+    TooFewSubaspects,
+)
 from .llm_gateway import (
     LlmGateway,
     OperationLog,
@@ -144,23 +151,33 @@ class AspectHierarchy:
         return " -> ".join(self.path_labels(node_id))
 
     def validate(self) -> None:
+        """Check that every node hangs off the root by exactly one path of
+        path-slug ids, with matching parent links and depths within
+        ``max_depth``; raises ``CorruptArtifact`` naming the first fault."""
         seen: set[str] = set()
-        queue = deque([self.root])
+        queue = deque([(self.root, 0)])
         while queue:
-            node_id = queue.popleft()
+            node_id, depth = queue.popleft()
             if node_id in seen:
-                raise ValueError(f"cycle through node {node_id}")
+                raise CorruptArtifact(f"node {node_id} is listed as a child twice")
             seen.add(node_id)
             node = self.nodes[node_id]
-            if node.depth > self.max_depth:
-                raise ValueError(f"node {node_id} exceeds max depth")
+            if node.depth != depth or depth > self.max_depth:
+                raise CorruptArtifact(
+                    f"node {node_id} has depth {node.depth!r}, expected {depth} "
+                    f"within max_depth {self.max_depth}"
+                )
             for child_id in node.children:
-                child = self.nodes[child_id]
-                if child.parent != node_id or child.depth != node.depth + 1:
-                    raise ValueError(f"bad link {node_id} -> {child_id}")
-                queue.append(child_id)
+                parent_id, _, last = str(child_id).rpartition(".")
+                if parent_id != node_id or not last.isdecimal() or child_id not in self.nodes:
+                    raise CorruptArtifact(
+                        f"node {node_id} lists child {child_id!r}, which is no node under it"
+                    )
+                if self.nodes[child_id].parent != node_id:
+                    raise CorruptArtifact(f"bad link {node_id} -> {child_id}")
+                queue.append((child_id, depth + 1))
         if seen != set(self.nodes):
-            raise ValueError("tree is not connected")
+            raise CorruptArtifact("tree is not connected")
 
     def to_dict(self, config_fingerprint: str = "", partial: bool = False) -> dict[str, Any]:
         return {
@@ -173,12 +190,18 @@ class AspectHierarchy:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "AspectHierarchy":
-        tree = cls(data["claim"], data.get("max_depth", 0))
-        tree.nodes = {}
-        for node_data in data["nodes"]:
-            node = AspectNode.from_dict(node_data)
-            tree.nodes[node.node_id] = node
-        tree.root = ROOT_ID
+        """Rebuild and :meth:`validate` a tree written by :meth:`to_dict`; a
+        missing or mistyped key (the root node's included) raises
+        ``CorruptArtifact`` too."""
+        try:
+            tree = cls(data["claim"], data.get("max_depth", 0))
+            tree.nodes = {}
+            for node_data in data["nodes"]:
+                node = AspectNode.from_dict(node_data)
+                tree.nodes[node.node_id] = node
+            tree.validate()
+        except (KeyError, TypeError) as exc:
+            raise CorruptArtifact(f"missing or mistyped value: {exc!r}") from exc
         return tree
 
 
@@ -408,14 +431,3 @@ def _dedupe(keywords: Sequence[str]) -> list[str]:
             seen.add(key)
             out.append(kw.strip())
     return out
-
-
-def build_hierarchy(
-    gateway: LlmGateway,
-    embedder: Embedder,
-    index: EmbeddingIndex,
-    segments: dict[str, Segment],
-    config: PipelineConfig,
-    log: OperationLog | None = None,
-) -> AspectHierarchy:
-    return HierarchyBuilder(gateway, embedder, index, segments, config, log).build()

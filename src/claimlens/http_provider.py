@@ -1,0 +1,60 @@
+"""The one HTTP retry loop, shared by the chat and embedding providers: POST a
+JSON payload, read one key of the JSON reply. Timeouts, connection errors,
+5xx, 408, 429 and malformed replies are retried; any other 4xx fails at once.
+"""
+
+from __future__ import annotations
+
+import os
+from typing import Any
+
+from .errors import ProviderUnavailable, Timeout
+
+
+class HttpJsonProvider:
+    """Base of the HTTP providers; each sets the three class attributes."""
+
+    kind = ""  # names the endpoint in error messages
+    api_key_env = ""  # environment variable read when no api_key is given
+    reply_key = ""  # the key of the JSON reply that holds the result
+
+    def __init__(
+        self,
+        endpoint: str,
+        model: str,
+        api_key: str | None,
+        timeout: float,
+        max_attempts: int,
+    ):
+        self.endpoint = endpoint
+        self.model = model
+        self.api_key = api_key if api_key is not None else os.environ.get(self.api_key_env, "")
+        self.timeout = timeout
+        self.max_attempts = max_attempts
+
+    def _post(self, payload: dict[str, Any]) -> Any:
+        # Imported here so that offline runs never pay for loading it.
+        import requests
+
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
+        last_error: Exception | None = None
+        for _ in range(self.max_attempts):
+            try:
+                resp = requests.post(
+                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
+                )
+                status = resp.status_code
+                if 400 <= status < 500 and status not in (408, 429):
+                    raise ProviderUnavailable(
+                        f"{self.kind} endpoint rejected the request with HTTP {status}: "
+                        f"{self.endpoint}"
+                    )
+                resp.raise_for_status()
+                return resp.json()[self.reply_key]
+            except (requests.RequestException, KeyError, TypeError, ValueError) as exc:
+                last_error = exc
+        if isinstance(last_error, requests.Timeout):
+            raise Timeout(f"{self.kind} endpoint timed out: {self.endpoint}")
+        raise ProviderUnavailable(
+            f"{self.kind} endpoint failed after {self.max_attempts} attempts: {last_error}"
+        )

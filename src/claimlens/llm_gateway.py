@@ -17,15 +17,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Protocol, Sequence
 
 import jsonschema
 
-from .errors import ProviderUnavailable, SchemaViolation, Timeout, UnknownTask, UnreadableFile
+from .errors import SchemaViolation, UnknownTask, UnreadableFile
+from .http_provider import HttpJsonProvider
 
 # ---------------------------------------------------------------------------
 # Task registry: creative discovery samples hot, everything else cold
@@ -54,14 +54,6 @@ TASKS: dict[str, LlmTask] = {
         LlmTask("pairwise_judge", 0.3),
     )
 }
-
-
-def task_params(name: str) -> tuple[float, float]:
-    """(temperature, top_p) registered for a task."""
-    if name not in TASKS:
-        raise UnknownTask(f"no such task: {name!r}")
-    task = TASKS[name]
-    return task.temperature, task.top_p
 
 
 @dataclass
@@ -116,54 +108,25 @@ class ChatProvider(Protocol):
     def complete(self, task: LlmTask, prompt: str, base_hash: str) -> str: ...
 
 
-class HttpChatProvider:
+class HttpChatProvider(HttpJsonProvider):
     """Chat-completions endpoint: POST {model, messages, temperature, top_p}."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key: str | None = None,
-        timeout: float = 60.0,
-        max_attempts: int = 3,
-    ):
-        self.endpoint = endpoint
-        self.model = model
-        self.api_key = api_key if api_key is not None else os.environ.get(
-            "CLAIMLENS_CHAT_API_KEY", ""
-        )
-        self.timeout = timeout
-        self.max_attempts = max_attempts
+    kind = "chat"
+    api_key_env = "CLAIMLENS_CHAT_API_KEY"
+    reply_key = "content"
+
+    def __init__(self, endpoint: str, model: str, api_key: str | None = None,
+                 timeout: float = 60.0, max_attempts: int = 3):
+        super().__init__(endpoint, model, api_key, timeout, max_attempts)
 
     def complete(self, task: LlmTask, prompt: str, base_hash: str) -> str:
-        # Imported here so that mock runs never pay for loading it.
-        import requests
-
-        payload = {
-            "model": self.model,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": task.temperature,
-            "top_p": task.top_p,
-        }
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error: Exception | None = None
-        for _ in range(self.max_attempts):
-            try:
-                resp = requests.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
-                )
-                resp.raise_for_status()
-                return resp.json()["content"]
-            except requests.Timeout as exc:
-                last_error = exc
-            except (requests.RequestException, KeyError, ValueError) as exc:
-                last_error = exc
-        if isinstance(last_error, requests.Timeout):
-            raise Timeout(f"chat endpoint timed out: {self.endpoint}")
-        raise ProviderUnavailable(
-            f"chat endpoint failed after {self.max_attempts} attempts: {last_error}"
+        return self._post(
+            {
+                "model": self.model,
+                "messages": [{"role": "user", "content": prompt}],
+                "temperature": task.temperature,
+                "top_p": task.top_p,
+            }
         )
 
 
@@ -232,7 +195,6 @@ class LlmGateway:
         self,
         provider: ChatProvider,
         log: OperationLog | None = None,
-        max_in_flight: int = 4,
         temperatures: dict[str, float] | None = None,
         max_retries: int | None = None,
     ):
@@ -240,7 +202,6 @@ class LlmGateway:
         self.log = log if log is not None else OperationLog()
         self.temperatures = dict(temperatures or {})
         self.max_retries = max_retries
-        self._sem = threading.BoundedSemaphore(max(1, max_in_flight))
         self._validators: dict[str, jsonschema.protocols.Validator] = {}
 
     def _validator(self, schema: dict[str, Any]) -> jsonschema.protocols.Validator:
@@ -280,8 +241,7 @@ class LlmGateway:
             if error_text is not None:
                 prompt += _RETRY_SUFFIX.format(error=error_text)
             try:
-                with self._sem:
-                    raw = self.provider.complete(task, prompt, base_hash)
+                raw = self.provider.complete(task, prompt, base_hash)
             except SchemaViolation as exc:
                 # Missing fixture in strict transcripts: annotate with locus.
                 message = str(exc)

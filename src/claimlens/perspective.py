@@ -30,6 +30,7 @@ from .embedding import Embedder, EmbeddingIndex, normalize
 from .errors import NoCoarseAspects
 from .hierarchy import AspectHierarchy
 from .llm_gateway import (
+    STANCE_LABELS,
     LlmGateway,
     render_perspective_summarize,
     render_relevance_judge,
@@ -38,11 +39,8 @@ from .llm_gateway import (
 
 STANCES = ("support", "neutral", "oppose")
 
-_STANCE_BY_LABEL = {
-    "supports_claim": "support",
-    "neutral_to_claim": "neutral",
-    "opposes_claim": "oppose",
-}
+# zip stops before "irrelevant_to_claim", which maps to no stance.
+_STANCE_BY_LABEL = dict(zip(STANCE_LABELS, STANCES))
 
 
 @dataclass(frozen=True)

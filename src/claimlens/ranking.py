@@ -80,12 +80,7 @@ def zipf_weighted_mean(values: Sequence[float]) -> float:
     """
     if len(values) == 0:
         raise EmptyList("cannot average an empty list")
-    num = 0.0
-    den = 0.0
-    for r, value in enumerate(values, start=1):
-        num += value / r
-        den += 1.0 / r
-    return num / den
+    return float(np.asarray(values, dtype=np.float64) @ _zipf_weights(len(values)))
 
 
 def _query_matrix(queries: Sequence[KeywordQuery]) -> np.ndarray:
@@ -137,14 +132,17 @@ def distractor_score(
 
 
 def discriminativeness(
-    target: float, distractor: float | None, params: RankingParams
-) -> float:
-    """Reward/penalty ratio; ``distractor=None`` marks a node with no siblings,
-    in which case the penalty term is dropped and the target stands alone.
+    target: float | np.ndarray,
+    distractor: float | np.ndarray | None,
+    params: RankingParams,
+) -> float | np.ndarray:
+    """Reward/penalty ratio, elementwise over arrays; ``distractor=None`` marks
+    a node with no siblings, in which case the penalty term is dropped and the
+    target stands alone.
     """
     if distractor is None:
         return target
-    return (params.beta * target) / (params.gamma * max(distractor, params.epsilon))
+    return (params.beta * target) / (params.gamma * np.maximum(distractor, params.epsilon))
 
 
 def rank_segments(
@@ -165,14 +163,8 @@ def rank_segments(
     ids = [segment_id for segment_id, _ in pool]
     matrix = np.vstack([index.get(segment_id) for segment_id in ids])
     targets = batch_target_scores(matrix, target_queries)
-    if sibling_sets:
-        distractors = batch_distractor_scores(matrix, sibling_sets)
-        scores = (params.beta * targets) / (
-            params.gamma * np.maximum(distractors, params.epsilon)
-        )
-    else:
-        distractors = np.zeros(len(ids))
-        scores = targets.copy()
+    distractors = batch_distractor_scores(matrix, sibling_sets)
+    scores = discriminativeness(targets, distractors if sibling_sets else None, params)
     scored = [
         ScoredSegment(
             segment_id=sid,

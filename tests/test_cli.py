@@ -255,6 +255,7 @@ def test_partial_tree_persisted_on_failure(tmp_path, capsys):
     data = json.loads((out / "hierarchy.json").read_text())
     assert data["partial"] is True
     assert len(data["nodes"]) >= 4  # root and the coarse aspects survived
+    assert run_stage(["report", str(out / "hierarchy.json")]) == 0  # and it loads
 
 
 @pytest.mark.parametrize(
@@ -368,4 +369,97 @@ def test_corrupt_index_is_a_typed_error(ingested, tmp_path, capsys, corrupt, cod
     assert run_stage(["build", "--config", cfg]) == code
     err = capsys.readouterr().err
     assert message in err
+    assert "Traceback" not in err
+
+
+def test_concurrency_cap_is_an_unknown_config_key(tmp_path, capsys):
+    cfg = write_config_file(tmp_path, tmp_path / "out", concurrency_cap=4)
+    assert run_stage(["ingest", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err and "concurrency_cap" in err
+    assert "Traceback" not in err
+
+
+def _rewrite_segment_line(edit):
+    def corrupt(out):
+        path = out / "segments.jsonl"
+        lines = path.read_text().splitlines()
+        lines[2] = edit(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+
+    return corrupt
+
+
+def _edit_record(edit):
+    def rewrite(line):
+        record = json.loads(line)
+        edit(record)
+        return json.dumps(record)
+
+    return _rewrite_segment_line(rewrite)
+
+
+@pytest.mark.parametrize(
+    "corrupt, code, message",
+    [
+        (_rewrite_segment_line(lambda line: line[:40]), 1, "line 3 is not valid JSON"),
+        (_edit_record(lambda r: r.pop("text")), 3, "line 3 has a missing or mistyped 'text'"),
+        (_edit_record(lambda r: r.update(start="0")), 3, "mistyped 'start'"),
+        (_rewrite_segment_line(lambda line: "[1, 2]"), 3, "line 3 has a missing or mistyped"),
+    ],
+    ids=["truncated_line", "no_text", "string_start", "not_an_object"],
+)
+def test_corrupt_segment_store_is_a_typed_error(
+    ingested, tmp_path, capsys, corrupt, code, message
+):
+    out = tmp_path / "out"
+    shutil.copytree(ingested, out)
+    corrupt(out)
+    cfg = write_config_file(tmp_path, out)
+    assert run_stage(["build", "--config", cfg]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def _node(data, node_id):
+    return next(n for n in data["nodes"] if n["node_id"] == node_id)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: _node(d, "0.1").pop("label"), "'label'"),
+        (lambda d: _node(d, "0.1")["children"].append("0.1.9"), "'0.1.9'"),
+        (lambda d: _node(d, "0.1")["children"].append("0"), "lists child '0'"),
+        (lambda d: _node(d, "0.1").update(depth=2), "depth 2"),
+        (lambda d: d.update(max_depth=1), "max_depth 1"),
+        (lambda d: d["nodes"].remove(_node(d, "0")), "KeyError('0')"),
+        (lambda d: _node(d, "0.2").update(parent="0.1"), "bad link 0 -> 0.2"),
+        (lambda d: d.pop("nodes"), "'nodes'"),
+    ],
+    ids=[
+        "no_label",
+        "dangling_child",
+        "cycle",
+        "bad_depth",
+        "deeper_than_max",
+        "no_root",
+        "wrong_parent",
+        "no_nodes",
+    ],
+)
+@pytest.mark.parametrize("command", ["report", "evaluate"])
+def test_corrupt_hierarchy_is_a_typed_error(tmp_path, capsys, edit, message, command):
+    data = json.loads((GOLDEN / "hierarchy.json").read_text())
+    edit(data)
+    path = tmp_path / "hierarchy.json"
+    path.write_text(json.dumps(data))
+    if command == "report":
+        argv = ["report", str(path)]
+    else:
+        argv = ["evaluate", "--config", write_config_file(tmp_path, tmp_path / "out"), str(path)]
+    assert run_stage(argv) == 3
+    err = capsys.readouterr().err
+    assert f"hierarchy file {path}" in err and message in err
     assert "Traceback" not in err

@@ -13,7 +13,6 @@ from claimlens.corpus import (
     load_corpus,
     read_segments,
     segment_document,
-    segment_fixed_window,
     sentences_of,
     split_sentences,
     write_segments,
@@ -81,8 +80,8 @@ def test_load_corpus_missing_file(tmp_path):
 
 
 def test_segment_store_roundtrip(tmp_path):
-    doc = Document("p1", "t", "One two three. Four five six. Seven eight.")
-    segs = segment_fixed_window(doc, 2)
+    segs = segment_document(make_two_topic_doc("p1", random.Random(5), first=7, second=6))
+    assert len(segs) > 1
     path = tmp_path / "segments.jsonl"
     write_segments(segs, str(path))
     assert read_segments(str(path)) == segs
@@ -108,34 +107,12 @@ def test_split_sentences_whitespace_normalized():
     assert split_sentences("One   two.\n\nThree  four.") == ["One two.", "Three four."]
 
 
-# --- fixed window ---
-
-
-def test_fixed_window_tiles_with_short_tail():
-    doc = Document("d", "t", " ".join(f"Sentence number {i}." for i in range(7)))
-    segs = segment_fixed_window(doc, 3)
-    assert [(s.start, s.end) for s in segs] == [(0, 2), (3, 5), (6, 6)]
-    assert segs[0].segment_id == "d#0-2"
-
-
-def test_fixed_window_exact_fit():
-    doc = Document("d", "t", "One one. Two two. Three three.")
-    segs = segment_fixed_window(doc, 3)
-    assert [(s.start, s.end) for s in segs] == [(0, 2)]
-
-
-def test_fixed_window_empty_document():
-    with pytest.raises(EmptyDocument):
-        segment_fixed_window(Document("d", "t", "   "), 3)
-
-
-def test_fixed_window_rejects_overlapping_stride():
-    doc = Document("d", "t", "One one. Two two.")
-    with pytest.raises(ValueError):
-        segment_fixed_window(doc, 3, stride=2)
-
-
 # --- topical segmentation ---
+
+
+def test_segment_document_rejects_empty_document():
+    with pytest.raises(EmptyDocument):
+        segment_document(Document("d", "t", "   "))
 
 
 def test_two_topic_document_splits_at_topic_shift():
@@ -258,7 +235,6 @@ def test_tiling_invariant_random_documents():
         text = " ".join(make_sentence(rng, vocab) for _ in range(n))
         doc = Document(f"d{trial}", "t", text)
         _assert_tiling(doc, segment_document(doc))
-        _assert_tiling(doc, segment_fixed_window(doc, rng.randint(1, 6)))
 
 
 def test_segmentation_deterministic():

@@ -9,7 +9,6 @@ from claimlens.embedding import (
     Embedder,
     EmbeddingIndex,
     HashedBowEmbedder,
-    cosine_similarity,
     normalize,
 )
 from claimlens.errors import (
@@ -41,7 +40,7 @@ def test_mock_provider_deterministic(embedder):
 
 def test_distinct_texts_not_identical(embedder):
     a, b = embedder.embed_texts(["aaa", "zzz"])
-    assert cosine_similarity(a, b) < 1.0
+    assert float(a @ b) < 1.0
 
 
 def test_vectors_unit_norm(embedder):
@@ -73,31 +72,32 @@ def test_seed_changes_layout():
     assert not np.array_equal(a, b)
 
 
-# --- cosine ---
+# --- cosine: EmbeddingIndex.similarities is the one implementation ---
+
+
+def _cosines(stored, query):
+    index = EmbeddingIndex(dim=len(query))
+    index.add_batch([f"s{i}" for i in range(len(stored))], stored)
+    return index.similarities(np.asarray(query, dtype=np.float64)).tolist()
 
 
 def test_cosine_identity():
-    v = normalize(np.array([1.0, 2.0, 3.0]))
-    assert cosine_similarity(v, v) == pytest.approx(1.0)
+    v = np.array([1.0, 2.0, 3.0])
+    assert _cosines([v], 2.5 * v) == [pytest.approx(1.0)]
 
 
 def test_cosine_orthogonal():
-    assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+    assert _cosines([np.array([1.0, 0.0])], [0.0, 1.0]) == [0.0]
 
 
 def test_cosine_antipodal():
     v = np.array([0.4, -0.3, 0.1])
-    assert cosine_similarity(v, -v) == pytest.approx(-1.0)
+    assert _cosines([v, -v], v) == [pytest.approx(1.0), pytest.approx(-1.0)]
 
 
 def test_cosine_zero_vector():
     with pytest.raises(ZeroVector):
-        cosine_similarity(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-
-
-def test_cosine_dim_mismatch():
-    with pytest.raises(DimensionMismatch):
-        cosine_similarity(np.ones(3), np.ones(4))
+        _cosines([np.array([1.0, 0.0, 0.0])], np.zeros(3))
 
 
 # --- index / top_k ---

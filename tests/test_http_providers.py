@@ -1,13 +1,14 @@
 """Wire-format tests for the HTTP providers against a local stub server."""
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from claimlens.embedding import Embedder, HttpEmbeddingProvider
-from claimlens.errors import ProviderUnavailable, UnreadableFile
+from claimlens.errors import ProviderUnavailable, Timeout, UnreadableFile
 from claimlens.llm_gateway import (
     TASKS,
     HttpChatProvider,
@@ -22,6 +23,7 @@ class StubHandler(BaseHTTPRequestHandler):
     requests_seen = []
     responses = {}
     fail_times = 0
+    fail_status = 503
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -31,7 +33,7 @@ class StubHandler(BaseHTTPRequestHandler):
         )
         if StubHandler.fail_times > 0:
             StubHandler.fail_times -= 1
-            self.send_response(503)
+            self.send_response(StubHandler.fail_status)
             self.end_headers()
             return
         payload = json.dumps(StubHandler.responses[self.path]).encode("utf-8")
@@ -50,11 +52,15 @@ def stub_server():
     StubHandler.requests_seen = []
     StubHandler.responses = {}
     StubHandler.fail_times = 0
+    StubHandler.fail_status = 503
     server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 
@@ -113,3 +119,50 @@ def test_chat_provider_unreachable_endpoint():
 def test_mock_transcript_dir_must_exist(tmp_path):
     with pytest.raises(UnreadableFile):
         MockChatProvider.from_dir(tmp_path / "missing")
+
+
+def _call(kind, base_url, **kwargs):
+    """One call through the chat or the embedding provider."""
+    if kind == "chat":
+        StubHandler.responses["/chat"] = {"content": "{}"}
+        provider = HttpChatProvider(base_url + "/chat", model="m", api_key="", **kwargs)
+        return provider.complete(TASKS["stance_detect"], "prompt", "hash")
+    StubHandler.responses["/embed"] = {"vectors": [[1.0, 0.0]]}
+    return HttpEmbeddingProvider(base_url + "/embed", api_key="", **kwargs).embed(["text"])
+
+
+@pytest.mark.parametrize("kind", ["chat", "embed"])
+@pytest.mark.parametrize("status", [400, 404])
+def test_client_error_fails_without_retry(stub_server, kind, status):
+    StubHandler.fail_times = 10
+    StubHandler.fail_status = status
+    with pytest.raises(ProviderUnavailable, match=f"HTTP {status}"):
+        _call(kind, stub_server, max_attempts=3)
+    assert len(StubHandler.requests_seen) == 1
+
+
+@pytest.mark.parametrize("kind", ["chat", "embed"])
+@pytest.mark.parametrize("status", [408, 429])
+def test_retryable_status_is_retried(stub_server, kind, status):
+    StubHandler.fail_times = 2
+    StubHandler.fail_status = status
+    assert _call(kind, stub_server, max_attempts=3) in ("{}", [[1.0, 0.0]])
+    assert len(StubHandler.requests_seen) == 3
+
+
+@pytest.mark.parametrize("body", [{"unexpected": 1}, [1, 2], "just text"])
+def test_malformed_body_is_retried_then_fails(stub_server, body):
+    StubHandler.responses["/embed"] = body
+    provider = HttpEmbeddingProvider(stub_server + "/embed", api_key="", max_attempts=2)
+    with pytest.raises(ProviderUnavailable, match="embedding endpoint failed after 2 attempts: "):
+        provider.embed(["text"])
+    assert len(StubHandler.requests_seen) == 2
+
+
+@pytest.mark.parametrize("kind, name", [("chat", "chat"), ("embed", "embedding")])
+def test_timeout_raises_typed_error(kind, name):
+    # A listening socket that never accepts: connections complete, no reply comes.
+    with socket.create_server(("127.0.0.1", 0)) as silent:
+        base_url = f"http://127.0.0.1:{silent.getsockname()[1]}"
+        with pytest.raises(Timeout, match=f"^{name} endpoint timed out: {base_url}/"):
+            _call(kind, base_url, timeout=0.05, max_attempts=2)

@@ -9,6 +9,7 @@ from claimlens.errors import SchemaViolation, UnknownTask
 from claimlens.llm_gateway import (
     STANCE_SCHEMA,
     SUMMARY_SCHEMA,
+    TASKS,
     WINNER_SCHEMA,
     YES_NO_SCHEMA,
     LlmGateway,
@@ -21,7 +22,6 @@ from claimlens.llm_gateway import (
     render_coarse_aspects,
     score_schema,
     subaspects_schema,
-    task_params,
 )
 
 from .conftest import rule_gateway
@@ -48,25 +48,31 @@ def gateway_with_default(task, response, **kwargs):
 # --- task params ---
 
 
+def _params(name):
+    return TASKS[name].temperature, TASKS[name].top_p
+
+
 def test_coarse_aspects_params():
-    assert task_params("coarse_aspects") == (0.3, 0.99)
+    assert _params("coarse_aspects") == (0.3, 0.99)
 
 
 def test_subaspect_discovery_params():
-    assert task_params("subaspect_discovery") == (0.7, 0.99)
+    assert _params("subaspect_discovery") == (0.7, 0.99)
 
 
 def test_keyword_and_judge_tasks_are_cold():
     for task in ("keyword_extract", "keyword_filter", "relevance_judge",
                  "stance_detect", "eval_judge", "pairwise_judge"):
-        temperature, top_p = task_params(task)
+        temperature, top_p = _params(task)
         assert temperature == 0.3
         assert top_p == 0.99
 
 
 def test_unknown_task():
+    instance = render_coarse_aspects("claim text", 5)
+    instance.task = "foo"
     with pytest.raises(UnknownTask):
-        task_params("foo")
+        gateway_with_default("coarse_aspects", "{}").complete_json(instance)
     with pytest.raises(UnknownTask):
         PromptInstance(task="foo", rendered_text="x", expected_schema={})
 
@@ -355,7 +361,7 @@ def test_concurrent_calls_match_sequential():
     instances = _mixed_instances()
     sequential = rule_gateway(_mixed_response)
     expected = [sequential.complete_json(instance) for instance in instances]
-    concurrent = rule_gateway(_mixed_response, max_in_flight=8)
+    concurrent = rule_gateway(_mixed_response)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
