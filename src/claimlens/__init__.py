@@ -14,7 +14,6 @@ from .perspective import (
     relevance_boundary,
 )
 from .ranking import (
-    KeywordQuery,
     RankingParams,
     ScoredSegment,
     discriminativeness,
@@ -35,7 +34,6 @@ __all__ = [
     "FilterParams",
     "HashedBowEmbedder",
     "HierarchyBuilder",
-    "KeywordQuery",
     "LlmGateway",
     "MockChatProvider",
     "PerspectiveSet",

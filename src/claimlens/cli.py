@@ -34,6 +34,7 @@ from .perspective import (
     STANCES,
     FilterParams,
     PerspectiveSet,
+    check_perspectives,
     consensus_counts,
     discover_perspectives,
 )
@@ -163,16 +164,18 @@ def _load_hierarchy(path: str | Path) -> tuple[AspectHierarchy, dict]:
     except json.JSONDecodeError as exc:
         raise errors.UnreadableFile(f"hierarchy file {path} is not valid JSON: {exc}") from exc
     try:
-        return AspectHierarchy.from_dict(data), data
+        tree = AspectHierarchy.from_dict(data)
+        check_perspectives(tree)
+        return tree, data
     except errors.CorruptArtifact as exc:
         raise errors.CorruptArtifact(f"hierarchy file {path}: {exc}") from exc
 
 
 def _check_fingerprint(found: str, config: PipelineConfig, what: str) -> None:
     expected = config.fingerprint()
-    if found and found != expected:
+    if found != expected:
         raise errors.FingerprintMismatch(
-            f"{what} was produced under config fingerprint {found}, "
+            f"{what} was produced under config fingerprint {found or '(none)'}, "
             f"current is {expected}; re-run earlier stages"
         )
 
@@ -220,7 +223,7 @@ def cmd_ingest(config: PipelineConfig) -> int:
     corpus_mod.write_segments(segments, str(paths.segments))
 
     embedder = make_embedder(config)
-    index = EmbeddingIndex(dim=_probe_dim(embedder))
+    index = EmbeddingIndex(dim=embedder.embed_one("dimension probe").shape[0])
     batch = 64
     for i in range(0, len(segments), batch):
         chunk = segments[i : i + batch]
@@ -234,10 +237,6 @@ def cmd_ingest(config: PipelineConfig) -> int:
     return 0
 
 
-def _probe_dim(embedder: Embedder) -> int:
-    return embedder.embed_one("dimension probe").shape[0]
-
-
 def cmd_build(config: PipelineConfig) -> int:
     if not config.claim:
         raise errors.UsageError("build requires --claim")
@@ -247,7 +246,7 @@ def cmd_build(config: PipelineConfig) -> int:
     log = OperationLog()
     gateway = make_gateway(config, log)
     embedder = make_embedder(config)
-    builder = HierarchyBuilder(gateway, embedder, index, segments, config, log)
+    builder = HierarchyBuilder(gateway, embedder, index, segments, config)
     try:
         tree = builder.build()
     except errors.ClaimLensError:

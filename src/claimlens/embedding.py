@@ -1,6 +1,7 @@
 """Text embeddings, a segment vector index, and cosine top-k queries.
 
-Vectors are float64 numpy arrays, L2-normalized on ingest. Two providers are
+A batch of vectors is one ``(n, dim)`` float64 matrix with unit-length rows,
+from the embedder through the index to ranking. Two providers are
 built in: an HTTP endpoint speaking ``{"texts": [...]} -> {"vectors": [...]}``
 and a deterministic local hashed bag-of-words embedder so the whole pipeline
 runs offline. The index is write-once / read-many; concurrent queries are
@@ -14,7 +15,7 @@ import json
 import os
 import re
 import struct
-from typing import Iterable, Protocol, Sequence
+from typing import Any, Protocol, Sequence
 
 import numpy as np
 
@@ -32,7 +33,8 @@ _NORM_TOL = 1e-9
 
 
 class EmbeddingProvider(Protocol):
-    def embed(self, texts: Sequence[str]) -> list[list[float]]: ...
+    def embed(self, texts: Sequence[str]) -> Any:
+        """One row of numbers per text: an ``(n, dim)`` matrix or nested lists."""
 
 
 # ---------------------------------------------------------------------------
@@ -67,16 +69,12 @@ class HashedBowEmbedder:
             bucket = self._buckets[token] = int.from_bytes(digest, "little") % self.dim
         return bucket
 
-    def embed(self, texts: Sequence[str]) -> list[list[float]]:
-        out = []
-        for text in texts:
-            tokens = self._token_re.findall(text.lower())
-            if not tokens:
-                tokens = [text]
-            vec = [0.0] * self.dim
-            for token in tokens:
-                vec[self._bucket(token)] += 1.0
-            out.append(vec)
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """Token counts, one ``dim``-wide row per text."""
+        out = np.empty((len(texts), self.dim))
+        for row, text in enumerate(texts):
+            tokens = self._token_re.findall(text.lower()) or [text]
+            out[row] = np.bincount([self._bucket(t) for t in tokens], minlength=self.dim)
         return out
 
 
@@ -109,33 +107,36 @@ class Embedder:
     def __init__(self, provider: EmbeddingProvider):
         self.provider = provider
 
-    def embed_texts(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
+        """Unit-length embeddings as one ``(len(texts), dim)`` matrix. A reply
+        that is not one finite, non-zero row of numbers per text raises a
+        typed error."""
         if not texts:
-            return []
+            return np.empty((0, 0))
         for t in texts:
             if not isinstance(t, str) or not t:
                 raise ValueError("texts must be non-empty strings")
         raw = self.provider.embed(texts)
-        if len(raw) != len(texts):
+        try:
+            matrix = np.asarray(raw, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            rows = raw if isinstance(raw, list) else []
+            if len({len(row) for row in rows if isinstance(row, (list, np.ndarray))}) > 1:
+                raise DimensionMismatch("provider returned rows of different dims") from exc
+            raise ProviderUnavailable(f"provider returned a non-number: {exc}") from exc
+        count = len(matrix) if matrix.ndim else 0
+        if count != len(texts):
             raise ProviderUnavailable(
-                f"provider returned {len(raw)} vectors for {len(texts)} texts"
+                f"provider returned {count} vectors for {len(texts)} texts"
             )
-        vectors = []
-        dim = None
-        for values in raw:
-            vec = np.asarray(values, dtype=np.float64)
-            if vec.ndim != 1:
-                raise DimensionMismatch("provider returned a non-flat vector")
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise DimensionMismatch(
-                    f"provider returned dims {dim} and {vec.shape[0]} in one batch"
-                )
-            if not np.all(np.isfinite(vec)):
-                raise ProviderUnavailable("provider returned non-finite values")
-            vectors.append(normalize(vec))
-        return vectors
+        if matrix.ndim != 2:
+            raise DimensionMismatch("provider returned a non-flat vector")
+        if not np.isfinite(matrix).all():
+            raise ProviderUnavailable("provider returned non-finite values")
+        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+        if not norms.all():
+            raise ZeroVector("cannot normalize a zero vector")
+        return matrix / norms
 
     def embed_one(self, text: str) -> np.ndarray:
         return self.embed_texts([text])[0]
@@ -179,21 +180,19 @@ class EmbeddingIndex:
     def add(self, segment_id: str, vector: np.ndarray) -> None:
         self.add_batch([segment_id], [vector])
 
-    def add_batch(self, ids: Iterable[str], vectors: Iterable[np.ndarray]) -> None:
-        """Append vectors, renormalizing any not of unit length. The batch is
-        checked whole before the index changes, so a bad row adds nothing."""
-        pairs = list(zip(ids, vectors))
-        block = np.empty((len(pairs), self.dim))
-        for row, (_, vector) in enumerate(pairs):
-            vec = np.asarray(vector, dtype=np.float64)
-            if vec.shape != (self.dim,):
-                raise DimensionMismatch(
-                    f"vector dim {vec.shape} does not match index dim {self.dim}"
-                )
-            block[row] = vec
+    def add_batch(self, ids: Sequence[str], vectors: Any) -> None:
+        """Append one row of ``vectors``, an ``(len(ids), dim)`` matrix, per id,
+        renormalizing any row not of unit length. The batch is checked whole
+        before the index changes, so a bad batch adds nothing."""
+        try:
+            block = np.array(vectors, dtype=np.float64)
+        except ValueError as exc:
+            raise DimensionMismatch(f"vectors do not form one matrix: {exc}") from exc
+        if block.shape != (len(ids), self.dim):
+            raise DimensionMismatch(f"vectors of shape {block.shape} for {len(ids)} ids")
         _unit_rows(block)
         start = len(self._ids)
-        self._register([segment_id for segment_id, _ in pairs])
+        self._register(ids)
         end = len(self._ids)
         if end > self._matrix.shape[0]:
             grown = np.empty((max(end, 2 * self._matrix.shape[0]), self.dim))
@@ -201,7 +200,7 @@ class EmbeddingIndex:
             self._matrix = grown
         self._matrix[start:end] = block
 
-    def _register(self, ids: list[str]) -> None:
+    def _register(self, ids: Sequence[str]) -> None:
         """Give each id the next row, rejecting one already indexed or repeated."""
         fresh: dict[str, int] = {}
         for segment_id in ids:

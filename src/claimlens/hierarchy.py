@@ -16,8 +16,10 @@ cleanly and sort deterministically.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
+
+import numpy as np
 
 from .config import PipelineConfig
 from .corpus import Segment
@@ -32,14 +34,12 @@ from .errors import (
 )
 from .llm_gateway import (
     LlmGateway,
-    OperationLog,
     render_coarse_aspects,
     render_keyword_extract,
     render_keyword_filter,
     render_subaspect_discovery,
 )
 from .ranking import (
-    KeywordQuery,
     RankingParams,
     ScoredSegment,
     keyword_query_text,
@@ -220,14 +220,13 @@ class HierarchyBuilder:
         index: EmbeddingIndex,
         segments: dict[str, Segment],
         config: PipelineConfig,
-        log: OperationLog | None = None,
     ):
         self.gateway = gateway
         self.embedder = embedder
         self.index = index
         self.segments = segments
         self.config = config
-        self.log = log if log is not None else gateway.log
+        self.log = gateway.log
         self.ranking_params = RankingParams(
             beta=config.beta,
             gamma=config.gamma,
@@ -236,7 +235,7 @@ class HierarchyBuilder:
             epsilon=config.epsilon,
         )
         self.tree: AspectHierarchy | None = None  # in-progress tree, for salvage
-        self._queries: dict[str, list[KeywordQuery]] = {}
+        self._queries: dict[str, np.ndarray] = {}
 
     # --- coarse aspects ---
 
@@ -305,23 +304,14 @@ class HierarchyBuilder:
         self.log.record("enrich", node_id=node_id)
         return keywords
 
-    def keyword_queries(self, tree: AspectHierarchy, node_id: str) -> list[KeywordQuery]:
-        """Ancestry-contextualized keyword queries, embedded, in significance order."""
+    def keyword_queries(self, tree: AspectHierarchy, node_id: str) -> np.ndarray:
+        """Ancestry-contextualized keyword queries, embedded as one
+        ``(keywords, dim)`` matrix in significance order."""
         if node_id not in self._queries:
-            node = tree.node(node_id)
             ancestors = tree.path_labels(node_id)
-            texts = [keyword_query_text(kw, ancestors) for kw in node.keywords]
-            vectors = self.embedder.embed_texts(texts)
-            self._queries[node_id] = [
-                KeywordQuery(
-                    keyword=kw,
-                    node_id=node_id,
-                    query_text=text,
-                    embedding=vec,
-                    rank=r,
-                )
-                for r, (kw, text, vec) in enumerate(zip(node.keywords, texts, vectors), 1)
-            ]
+            self._queries[node_id] = self.embedder.embed_texts(
+                [keyword_query_text(kw, ancestors) for kw in tree.node(node_id).keywords]
+            )
         return self._queries[node_id]
 
     # --- discriminative ranking ---
@@ -341,15 +331,7 @@ class HierarchyBuilder:
             "rank",
             node_id=node_id,
             kept=len(ranked),
-            scores=[
-                {
-                    "segment_id": s.segment_id,
-                    "target": s.target,
-                    "distractor": s.distractor,
-                    "score": s.score,
-                }
-                for s in ranked
-            ],
+            scores=[asdict(s) for s in ranked],
         )
         return ranked
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .corpus import Segment
 from .embedding import Embedder, EmbeddingIndex, normalize
-from .errors import NoCoarseAspects
+from .errors import CorruptArtifact, NoCoarseAspects
 from .hierarchy import AspectHierarchy
 from .llm_gateway import (
     STANCE_LABELS,
@@ -85,6 +85,23 @@ class PerspectiveSet:
             out.bucket(stance).segment_ids = list(raw.get("segment_ids", []))
             out.bucket(stance).paper_ids = list(raw.get("paper_ids", []))
         return out
+
+
+def check_perspectives(tree: AspectHierarchy) -> None:
+    """Raise ``CorruptArtifact`` naming the first node whose perspectives are
+    neither ``None`` (not yet discovered) nor stance -> bucket maps of the
+    types :meth:`PerspectiveSet.to_dict` writes; every key is optional."""
+    for node_id in tree.sorted_ids():
+        data = tree.node(node_id).perspectives
+        if data is not None and not (isinstance(data, dict) and set(data) <= set(STANCES)):
+            raise CorruptArtifact(f"node {node_id}: perspectives are not a stance map")
+        for stance, bucket in (data or {}).items():
+            if not isinstance(bucket, dict) or not isinstance(bucket.get("summary", ""), str):
+                raise CorruptArtifact(f"node {node_id}: {stance} bucket is malformed")
+            for key in ("segment_ids", "paper_ids"):
+                ids = bucket.get(key, [])
+                if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+                    raise CorruptArtifact(f"node {node_id}: {stance} {key} must list ids")
 
 
 @dataclass(frozen=True)
@@ -192,17 +209,12 @@ def classify_segments(
     explored. Leaves reached collect the segment. A tree with no aspects
     attaches everything at the root.
     """
-    profile_vec: dict[str, np.ndarray] = {}
     node_ids = [nid for nid in tree.sorted_ids() if nid != tree.root]
-    if node_ids:
-        texts = [
-            node_profile_text(
-                tree.node(nid).label, tree.node(nid).description, tree.node(nid).keywords
-            )
-            for nid in node_ids
-        ]
-        for nid, vec in zip(node_ids, embedder.embed_texts(texts)):
-            profile_vec[nid] = vec
+    nodes = [tree.node(nid) for nid in node_ids]
+    profiles = embedder.embed_texts(
+        [node_profile_text(n.label, n.description, n.keywords) for n in nodes]
+    )
+    profile_row = {nid: row for row, nid in enumerate(node_ids)}
 
     attachments: dict[str, list[str]] = {nid: [] for nid in tree.nodes}
     for segment_id in segment_ids:
@@ -216,7 +228,7 @@ def classify_segments(
                 terminals.append(node_id)
                 continue
             sims = {
-                child: max(0.0, float(np.dot(seg_vec, profile_vec[child])))
+                child: max(0.0, float(np.dot(seg_vec, profiles[profile_row[child]])))
                 for child in children
             }
             best = max(sims.values())

@@ -17,8 +17,9 @@ this:
 
 Keyword queries carry the node's ancestry ("<keyword> with respect to
 <labels root..node>") so a query rewards discussion anchored in the claim's
-context, not the bare keyword. Scoring is pure and data-parallel across
-segments.
+context, not the bare keyword. A node's keyword set is one ``(keywords, dim)``
+matrix of unit rows in significance order. Scoring is pure and data-parallel
+across segments.
 """
 
 from __future__ import annotations
@@ -30,15 +31,6 @@ import numpy as np
 
 from .embedding import EmbeddingIndex
 from .errors import EmptyKeywordSet, EmptyList, EmptyPool
-
-
-@dataclass(frozen=True)
-class KeywordQuery:
-    keyword: str
-    node_id: str
-    query_text: str
-    embedding: np.ndarray
-    rank: int  # 1-based significance index within the node's keyword list
 
 
 @dataclass(frozen=True)
@@ -83,35 +75,30 @@ def zipf_weighted_mean(values: Sequence[float]) -> float:
     return float(np.asarray(values, dtype=np.float64) @ _zipf_weights(len(values)))
 
 
-def _query_matrix(queries: Sequence[KeywordQuery]) -> np.ndarray:
-    return np.vstack([q.embedding for q in queries])
-
-
 def _zipf_weights(k: int) -> np.ndarray:
     w = 1.0 / np.arange(1, k + 1, dtype=np.float64)
     return w / w.sum()
 
 
-def batch_target_scores(
-    segment_matrix: np.ndarray, queries: Sequence[KeywordQuery]
-) -> np.ndarray:
-    """Target score of every segment row against one keyword set.
+def batch_target_scores(segment_matrix: np.ndarray, keywords: np.ndarray) -> np.ndarray:
+    """Target score of every segment row against one keyword set, a
+    ``(keywords, dim)`` matrix in significance order.
 
     Cosine similarities are clamped to [0, 1] before weighting so the scores
     behave as rewards and the downstream ratio stays sign-stable.
     """
-    if len(queries) == 0:
+    if len(keywords) == 0:
         raise EmptyKeywordSet("node has no keyword queries")
-    sims = np.clip(segment_matrix @ _query_matrix(queries).T, 0.0, 1.0)
-    return sims @ _zipf_weights(len(queries))
+    sims = np.clip(segment_matrix @ keywords.T, 0.0, 1.0)
+    return sims @ _zipf_weights(len(keywords))
 
 
-def target_score(segment: np.ndarray, queries: Sequence[KeywordQuery]) -> float:
-    return float(batch_target_scores(segment.reshape(1, -1), queries)[0])
+def target_score(segment: np.ndarray, keywords: np.ndarray) -> float:
+    return float(batch_target_scores(segment.reshape(1, -1), keywords)[0])
 
 
 def batch_distractor_scores(
-    segment_matrix: np.ndarray, sibling_sets: Sequence[Sequence[KeywordQuery]]
+    segment_matrix: np.ndarray, sibling_sets: Sequence[np.ndarray]
 ) -> np.ndarray:
     """Distractor score of every segment row: 0.5 * mean + 0.5 * max of the
     per-sibling target scores. No siblings means no distraction: all zeros.
@@ -120,14 +107,12 @@ def batch_distractor_scores(
     if not sibling_sets:
         return np.zeros(n)
     per_sibling = np.stack(
-        [batch_target_scores(segment_matrix, queries) for queries in sibling_sets]
+        [batch_target_scores(segment_matrix, keywords) for keywords in sibling_sets]
     )  # (n_siblings, n_segments)
     return 0.5 * per_sibling.mean(axis=0) + 0.5 * per_sibling.max(axis=0)
 
 
-def distractor_score(
-    segment: np.ndarray, sibling_sets: Sequence[Sequence[KeywordQuery]]
-) -> float:
+def distractor_score(segment: np.ndarray, sibling_sets: Sequence[np.ndarray]) -> float:
     return float(batch_distractor_scores(segment.reshape(1, -1), sibling_sets)[0])
 
 
@@ -148,8 +133,8 @@ def discriminativeness(
 def rank_segments(
     index: EmbeddingIndex,
     query_embedding: np.ndarray,
-    target_queries: Sequence[KeywordQuery],
-    sibling_sets: Sequence[Sequence[KeywordQuery]],
+    target_keywords: np.ndarray,
+    sibling_sets: Sequence[np.ndarray],
     params: RankingParams,
 ) -> list[ScoredSegment]:
     """Score the pool_size most query-similar segments, return the top k.
@@ -162,7 +147,7 @@ def rank_segments(
         raise EmptyPool("no candidate segments for node query")
     ids = [segment_id for segment_id, _ in pool]
     matrix = np.vstack([index.get(segment_id) for segment_id in ids])
-    targets = batch_target_scores(matrix, target_queries)
+    targets = batch_target_scores(matrix, target_keywords)
     distractors = batch_distractor_scores(matrix, sibling_sets)
     scores = discriminativeness(targets, distractors if sibling_sets else None, params)
     scored = [

@@ -22,7 +22,7 @@ from claimlens.embedding import EmbeddingIndex
 from claimlens.evaluation import evaluate_hierarchy, pairwise_compare, render_metric_table
 from claimlens.hierarchy import AspectHierarchy
 from claimlens.perspective import CachingJudge, FilterParams, PerspectiveSet, relevance_boundary
-from claimlens.ranking import KeywordQuery, RankingParams, rank_segments, zipf_weighted_mean
+from claimlens.ranking import RankingParams, rank_segments, zipf_weighted_mean
 
 from . import oracles
 from .conftest import DATA_DIR, make_two_topic_doc, rule_gateway
@@ -73,14 +73,11 @@ def _instance(rng: random.Random, n_segments: int, dim: int = 6):
     index.add_batch(ids, vectors)
     query = _unit(rng, dim)
 
-    def kwset(node_id: str, count: int):
-        return [
-            KeywordQuery(f"kw{r}", node_id, f"kw{r} q", _unit(rng, dim), r)
-            for r in range(1, count + 1)
-        ]
+    def kwset(count: int) -> np.ndarray:
+        return np.array([_unit(rng, dim) for _ in range(count)])
 
-    target = kwset("0.1", rng.randint(1, 10))
-    siblings = [kwset(f"0.{j + 2}", rng.randint(1, 10)) for j in range(rng.randint(0, 4))]
+    target = kwset(rng.randint(1, 10))
+    siblings = [kwset(rng.randint(1, 10)) for _ in range(rng.randint(0, 4))]
     params = RankingParams(
         beta=rng.choice([0.5, 1.0, 2.0]),
         gamma=rng.choice([0.5, 1.0, 3.0]),
@@ -115,8 +112,8 @@ def test_criterion_2_ranking_matches_oracle_on_1000_instances():
                 ids,
                 [v.tolist() for v in vectors],
                 query.tolist(),
-                [q.embedding.tolist() for q in target],
-                [[q.embedding.tolist() for q in sib] for sib in siblings],
+                target.tolist(),
+                [sib.tolist() for sib in siblings],
                 params.pool_size,
                 params.k_segments,
                 params.beta,

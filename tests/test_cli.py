@@ -349,6 +349,7 @@ def _repeat_first_id(manifest):
         (_edit_manifest(lambda m: m.update(dim="256")), 3, "dim '256'"),
         (lambda out: (out / "vectors.bin").unlink(), 1, "vectors.bin"),
         (_truncate_manifest, 1, "not valid JSON"),
+        (_edit_manifest(lambda m: m.pop("config_fingerprint")), 3, "fingerprint (none)"),
     ],
     ids=[
         "duplicate_id",
@@ -359,6 +360,7 @@ def _repeat_first_id(manifest):
         "string_dim",
         "no_vectors_bin",
         "truncated_manifest",
+        "no_fingerprint",
     ],
 )
 def test_corrupt_index_is_a_typed_error(ingested, tmp_path, capsys, corrupt, code, message):
@@ -370,6 +372,16 @@ def test_corrupt_index_is_a_typed_error(ingested, tmp_path, capsys, corrupt, cod
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def test_hierarchy_without_fingerprint_is_refused(ingested, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(ingested, out)
+    data = json.loads((GOLDEN / "hierarchy.json").read_text())
+    del data["config_fingerprint"]
+    (out / "hierarchy.json").write_text(json.dumps(data))
+    assert run_stage(["perspectives", "--config", write_config_file(tmp_path, out)]) == 3
+    assert "hierarchy was produced under config fingerprint (none)" in capsys.readouterr().err
 
 
 def test_concurrency_cap_is_an_unknown_config_key(tmp_path, capsys):
@@ -437,6 +449,11 @@ def _node(data, node_id):
         (lambda d: d["nodes"].remove(_node(d, "0")), "KeyError('0')"),
         (lambda d: _node(d, "0.2").update(parent="0.1"), "bad link 0 -> 0.2"),
         (lambda d: d.pop("nodes"), "'nodes'"),
+        (lambda d: _node(d, "0.1").update(perspectives=[]), "node 0.1: perspectives"),
+        (
+            lambda d: _node(d, "0.2").update(perspectives={"support": {"segment_ids": "s1"}}),
+            "node 0.2: support segment_ids",
+        ),
     ],
     ids=[
         "no_label",
@@ -447,6 +464,8 @@ def _node(data, node_id):
         "no_root",
         "wrong_parent",
         "no_nodes",
+        "perspectives_list",
+        "segment_ids_string",
     ],
 )
 @pytest.mark.parametrize("command", ["report", "evaluate"])

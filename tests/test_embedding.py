@@ -61,6 +61,60 @@ def test_wrong_count_rejected():
         embedder.embed_texts(["a", "b"])
 
 
+class ReplyProvider:
+    def __init__(self, reply):
+        self.reply = reply
+
+    def embed(self, texts):
+        return self.reply
+
+
+@pytest.mark.parametrize(
+    "reply, error",
+    [
+        ([[1.0, 0.0, 0.0], [1.0, 0.0]], DimensionMismatch),
+        ([[[1.0, 0.0]], [[0.0, 1.0]]], DimensionMismatch),
+        ([1.0, 0.0], DimensionMismatch),
+        ([[1.0, "abc"], [0.0, 1.0]], ProviderUnavailable),
+        ([[1.0, {"x": 1}], [0.0, 1.0]], ProviderUnavailable),
+        ([[1.0, [2.0]], [0.0, 1.0]], ProviderUnavailable),
+        ("abc", ProviderUnavailable),
+        (5, ProviderUnavailable),
+        ([[1.0, 0.0]], ProviderUnavailable),
+        ([[float("nan"), 1.0], [0.0, 1.0]], ProviderUnavailable),
+        ([[1.0, float("inf")], [0.0, 1.0]], ProviderUnavailable),
+        ([[None, 1.0], [0.0, 1.0]], ProviderUnavailable),
+        ([[0.0, 0.0], [0.0, 1.0]], ZeroVector),
+    ],
+    ids=[
+        "ragged",
+        "nested_rows",
+        "flat",
+        "string_value",
+        "object_value",
+        "list_value",
+        "string_reply",
+        "number_reply",
+        "too_few_rows",
+        "nan",
+        "inf",
+        "null",
+        "zero_row",
+    ],
+)
+def test_malformed_reply_is_a_typed_error(reply, error):
+    with pytest.raises(error):
+        Embedder(ReplyProvider(reply)).embed_texts(["a", "b"])
+
+
+def test_embed_texts_is_the_normalized_hashed_counts():
+    texts = [f"alpha beta token{i % 5} gamma alpha {'x' * i}" for i in range(40)] + ["?!"]
+    counts = HashedBowEmbedder(dim=64, seed=3).embed(texts)
+    matrix = Embedder(HashedBowEmbedder(dim=64, seed=3)).embed_texts(texts)
+    assert isinstance(counts, np.ndarray) and counts.shape == matrix.shape == (41, 64)
+    assert all(normalize(row).tobytes() == vec.tobytes() for row, vec in zip(counts, matrix))
+
+
 def test_empty_text_rejected(embedder):
     with pytest.raises(ValueError):
         embedder.embed_texts([""])
@@ -246,6 +300,12 @@ def test_add_batch_with_bad_row_adds_nothing():
         index.add_batch(["s3", "s3"], [_angled(0.5), _angled(0.4)])
     with pytest.raises(ZeroVector):
         index.add_batch(["s4", "s5"], [_angled(0.5), np.zeros(2)])
+    with pytest.raises(DimensionMismatch):  # three ids, one vector
+        index.add_batch(["s6", "s7", "s8"], [_angled(0.5)])
+    with pytest.raises(DimensionMismatch):  # one 4-dim vector is not two 2-dim rows
+        index.add_batch(["s6", "s7"], [np.array([0.6, 0.8, 1.0, 0.0])])
+    with pytest.raises(DimensionMismatch):
+        index.add_batch(["s6", "s7"], np.array([0.6, 0.8, 1.0, 0.0]))
     assert index.ids == ["s0"]
     index.add_batch(["s1", "s2"], [_angled(0.5), np.array([3.0, 4.0])])
     assert index.ids == ["s0", "s1", "s2"]
@@ -294,4 +354,4 @@ def test_memoized_embedder_matches_fresh_instance():
     warm = HashedBowEmbedder(dim=64, seed=3)
     warm.embed(texts)  # fill the memo
     again = warm.embed(list(reversed(texts)))[::-1]
-    assert again == HashedBowEmbedder(dim=64, seed=3).embed(texts)
+    assert np.array_equal(again, HashedBowEmbedder(dim=64, seed=3).embed(texts))

@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from claimlens.cli import main
 from claimlens.embedding import Embedder, HttpEmbeddingProvider
 from claimlens.errors import ProviderUnavailable, Timeout, UnreadableFile
 from claimlens.llm_gateway import (
@@ -17,6 +18,8 @@ from claimlens.llm_gateway import (
     OperationLog,
     PromptInstance,
 )
+
+from .conftest import DATA_DIR
 
 
 class StubHandler(BaseHTTPRequestHandler):
@@ -73,6 +76,15 @@ def test_embedding_provider_wire_format(stub_server):
     seen = StubHandler.requests_seen[-1]
     assert seen["body"] == {"texts": ["first text", "second text"]}
     assert seen["auth"] == "Bearer sekrit"
+
+
+def test_malformed_embedding_reply_exits_2(stub_server, tmp_path, capsys):
+    StubHandler.responses["/embed"] = {"vectors": [["abc", 1.0]]}
+    argv = ["ingest", "--corpus", str(DATA_DIR / "corpus.jsonl"), "--out", str(tmp_path),
+            "--embed-endpoint", stub_server + "/embed"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "non-number" in err and "Traceback" not in err
 
 
 def test_embedding_provider_retries_then_fails(stub_server):

@@ -7,7 +7,6 @@ import pytest
 from claimlens.embedding import EmbeddingIndex
 from claimlens.errors import EmptyKeywordSet, EmptyList
 from claimlens.ranking import (
-    KeywordQuery,
     RankingParams,
     discriminativeness,
     distractor_score,
@@ -25,18 +24,9 @@ def _angled(c: float) -> np.ndarray:
     return np.array([c, math.sqrt(1.0 - c * c)])
 
 
-def queries_at(cosines, node_id="0.1") -> list[KeywordQuery]:
-    """Keyword queries whose cosine against e1 is exactly the given value."""
-    return [
-        KeywordQuery(
-            keyword=f"kw{r}",
-            node_id=node_id,
-            query_text=f"kw{r} query",
-            embedding=_angled(c),
-            rank=r,
-        )
-        for r, c in enumerate(cosines, 1)
-    ]
+def queries_at(cosines) -> np.ndarray:
+    """Keyword query rows whose cosine against e1 is exactly the given value."""
+    return np.array([_angled(c) for c in cosines])
 
 
 E1 = np.array([1.0, 0.0])
@@ -82,11 +72,7 @@ def test_target_score_identity():
 
 
 def test_target_score_clamps_negative_similarity():
-    queries = queries_at([0.0])
-    queries = [
-        KeywordQuery("kw", "0.1", "q", np.array([-1.0, 0.0]), 1),
-        KeywordQuery("kw2", "0.1", "q2", np.array([0.0, 1.0]), 2),
-    ]
+    queries = np.array([[-1.0, 0.0], [0.0, 1.0]])
     assert target_score(E1, queries) == 0.0
 
 
@@ -99,12 +85,12 @@ def test_target_score_empty_keywords():
 
 
 def test_distractor_single_sibling_mean_equals_max():
-    sibling = [queries_at([0.4], node_id="0.2")]
+    sibling = [queries_at([0.4])]
     assert distractor_score(E1, sibling) == pytest.approx(0.4)
 
 
 def test_distractor_two_siblings():
-    siblings = [queries_at([0.2], "0.2"), queries_at([0.6], "0.3")]
+    siblings = [queries_at([0.2]), queries_at([0.6])]
     # 0.5 * mean(0.2, 0.6) + 0.5 * max(0.2, 0.6)
     assert distractor_score(E1, siblings) == pytest.approx(0.5)
 
@@ -163,16 +149,11 @@ def _random_instance(rng, dim=8, max_segments=60):
     index.add_batch(ids, vectors)
     query = _random_unit(rng, dim)
 
-    def kwset(node_id, count):
-        return [
-            KeywordQuery(f"kw{r}", node_id, f"kw{r} q", _random_unit(rng, dim), r)
-            for r in range(1, count + 1)
-        ]
+    def kwset(count):
+        return np.array([_random_unit(rng, dim) for _ in range(count)])
 
-    target = kwset("0.1", rng.randint(1, 10))
-    siblings = [
-        kwset(f"0.{j + 2}", rng.randint(1, 10)) for j in range(rng.randint(0, 4))
-    ]
+    target = kwset(rng.randint(1, 10))
+    siblings = [kwset(rng.randint(1, 10)) for _ in range(rng.randint(0, 4))]
     params = RankingParams(
         beta=rng.choice([0.5, 1.0, 2.0]),
         gamma=rng.choice([0.5, 1.0, 3.0]),
@@ -188,8 +169,8 @@ def _oracle_rows(ids, vectors, query, target, siblings, params):
         ids,
         [v.tolist() for v in vectors],
         query.tolist(),
-        [q.embedding.tolist() for q in target],
-        [[q.embedding.tolist() for q in sib] for sib in siblings],
+        target.tolist(),
+        [sib.tolist() for sib in siblings],
         params.pool_size,
         params.k_segments,
         params.beta,
@@ -222,8 +203,8 @@ def test_segment_matching_target_only_ranks_first():
     index.add("on", on_aspect)
     index.add("off", off_aspect)
     index.add("mixed", mixed)
-    target = [KeywordQuery("t", "0.1", "t q", np.array([1.0, 0.0, 0.0, 0.0]), 1)]
-    sibling = [[KeywordQuery("s", "0.2", "s q", np.array([0.0, 1.0, 0.0, 0.0]), 1)]]
+    target = np.array([[1.0, 0.0, 0.0, 0.0]])
+    sibling = [np.array([[0.0, 1.0, 0.0, 0.0]])]
     params = RankingParams(pool_size=3, k_segments=3)
     got = rank_segments(index, np.array([1.0, 1.0, 1.0, 1.0]) / 2.0, target, sibling, params)
     assert got[0].segment_id == "on"
@@ -248,11 +229,8 @@ def test_constant_distractor_preserves_target_order():
         sid = f"s{i:02d}"
         index.add(sid, vec / np.linalg.norm(vec))
         ids.append(sid)
-    target = [
-        KeywordQuery(f"kw{r}", "0.1", "q", _random_unit(rng, dim), r) for r in (1, 2)
-    ]
-    sibling_axis = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
-    siblings = [[KeywordQuery("s", "0.2", "sq", sibling_axis, 1)]]
+    target = np.array([_random_unit(rng, dim) for _ in (1, 2)])
+    siblings = [np.array([[0.0, 0.0, 0.0, 1.0, 0.0]])]
     params = RankingParams(pool_size=12, k_segments=12)
     with_sibling = rank_segments(index, _random_unit(rng, dim), target, siblings, params)
     # distractor is not exactly constant (unit renormalization), but close;
@@ -267,7 +245,7 @@ def test_pool_larger_than_corpus_uses_whole_corpus():
     for i in range(5):
         index.add(f"s{i}", _random_unit(rng, 4))
     params = RankingParams(pool_size=50, k_segments=50)
-    target = [KeywordQuery("kw", "0.1", "q", _random_unit(rng, 4), 1)]
+    target = np.array([_random_unit(rng, 4)])
     got = rank_segments(index, _random_unit(rng, 4), target, [], params)
     assert len(got) == 5
 
@@ -277,7 +255,7 @@ def test_argsort_invariance_under_beta_gamma_scaling():
     for _ in range(10):
         index, ids, vectors, query, target, siblings, params = _random_instance(rng)
         if not siblings:
-            siblings = [[KeywordQuery("s", "0.9", "sq", _random_unit(rng, 8), 1)]]
+            siblings = [np.array([_random_unit(rng, 8)])]
         base = rank_segments(index, query, target, siblings, params)
         for c in (0.01, 3.0, 250.0):
             scaled_beta = RankingParams(
@@ -308,8 +286,8 @@ def test_distractor_monotone_in_sibling_similarity():
     # coordinate raises exactly one sibling similarity.
     rng = random.Random(19)
     siblings = [
-        [KeywordQuery("s1", "0.2", "q1", np.array([1.0, 0.0, 0.0]), 1)],
-        [KeywordQuery("s2", "0.3", "q2", np.array([0.0, 1.0, 0.0]), 1)],
+        np.array([[1.0, 0.0, 0.0]]),
+        np.array([[0.0, 1.0, 0.0]]),
     ]
     for _ in range(100):
         seg = np.array([rng.random(), rng.random(), rng.random()])
