@@ -131,6 +131,10 @@ class Embedder:
             )
         if matrix.ndim != 2:
             raise DimensionMismatch("provider returned a non-flat vector")
+        # numpy reads "1.5" and True as numbers, but a JSON reply holding them is malformed.
+        for value in () if isinstance(raw, np.ndarray) else (v for row in raw for v in row):
+            if isinstance(value, (str, bool)):
+                raise ProviderUnavailable(f"provider returned a non-number: {value!r}")
         if not np.isfinite(matrix).all():
             raise ProviderUnavailable("provider returned non-finite values")
         norms = np.linalg.norm(matrix, axis=1, keepdims=True)

@@ -10,7 +10,7 @@ winner that flips with order is an implicit tie.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from .corpus import Segment
@@ -31,14 +31,7 @@ class MetricReport:
     per_node: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "node_relevance": self.node_relevance,
-            "path_granularity": self.path_granularity,
-            "sibling_granularity": self.sibling_granularity,
-            "uniqueness": self.uniqueness,
-            "segment_quality": self.segment_quality,
-            "per_node": self.per_node,
-        }
+        return asdict(self)
 
 
 def _judge(gateway: LlmGateway, text: str, allowed: list[int], context: str) -> int:

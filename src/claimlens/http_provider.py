@@ -6,9 +6,13 @@ JSON payload, read one key of the JSON reply. Timeouts, connection errors,
 from __future__ import annotations
 
 import os
+import time
 from typing import Any
 
 from .errors import ProviderUnavailable, Timeout
+
+# Seconds slept before the second, third, ... attempt; the last entry repeats.
+RETRY_BACKOFF_S = (0.5, 2.0)
 
 
 class HttpJsonProvider:
@@ -38,7 +42,9 @@ class HttpJsonProvider:
 
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         last_error: Exception | None = None
-        for _ in range(self.max_attempts):
+        for attempt in range(self.max_attempts):
+            if attempt:
+                time.sleep(RETRY_BACKOFF_S[min(attempt, len(RETRY_BACKOFF_S)) - 1])
             try:
                 resp = requests.post(
                     self.endpoint, json=payload, headers=headers, timeout=self.timeout

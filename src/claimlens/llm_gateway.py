@@ -4,9 +4,10 @@ Everything that talks to a language model goes through :class:`LlmGateway`:
 prompt templates, per-task sampling parameters, JSON parsing with schema
 validation and bounded retries (the validation error is fed back into the
 retry prompt), and an operation log recording task name, prompt hash, and
-retry count for every outbound request. Each distinct response schema is
-checked against its meta-schema and compiled into a validator once per
-gateway; every response is then validated by that cached validator.
+retry count for every outbound request. Response schemas use eight JSON
+Schema keywords, which this module checks itself: each schema is checked
+before its prompt is sent, and a reply that breaks it is reported with the
+message the reference Draft 2020-12 validator picks as its best match.
 
 Two providers ship with the package: a chat-completions-style HTTP provider
 and a scripted mock keyed by (task, prompt hash) with task-level default
@@ -20,9 +21,7 @@ import json
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Protocol, Sequence
-
-import jsonschema
+from typing import Any, Iterator, Protocol, Sequence
 
 from .errors import SchemaViolation, UnknownTask, UnreadableFile
 from .http_provider import HttpJsonProvider
@@ -202,24 +201,6 @@ class LlmGateway:
         self.log = log if log is not None else OperationLog()
         self.temperatures = dict(temperatures or {})
         self.max_retries = max_retries
-        self._validators: dict[str, jsonschema.protocols.Validator] = {}
-
-    def _validator(self, schema: dict[str, Any]) -> jsonschema.protocols.Validator:
-        """The validator for ``schema``, checked against its meta-schema and
-        compiled on first use; a malformed schema raises
-        ``jsonschema.SchemaError`` each time. Schemas arrive as fresh dicts,
-        so the key is their JSON text, key order included: key order can
-        decide which error ``best_match`` reports. Threads racing on a new
-        schema may each compile it, but only finished validators are stored,
-        and ``setdefault`` hands every caller the first one.
-        """
-        key = json.dumps(schema)
-        validator = self._validators.get(key)
-        if validator is None:
-            cls = jsonschema.validators.validator_for(schema)
-            cls.check_schema(schema)
-            validator = self._validators.setdefault(key, cls(schema))
-        return validator
 
     def _effective_task(self, name: str) -> LlmTask:
         if name not in TASKS:
@@ -233,7 +214,7 @@ class LlmGateway:
 
     def complete_json(self, instance: PromptInstance) -> Any:
         task = self._effective_task(instance.task)
-        validator = self._validator(instance.expected_schema)
+        check_schema(instance.expected_schema)
         base_hash = prompt_hash(instance.rendered_text)
         error_text: str | None = None
         for attempt in range(task.max_retries + 1):
@@ -254,9 +235,9 @@ class LlmGateway:
             except json.JSONDecodeError as exc:
                 error_text = f"not valid JSON: {exc}"
                 continue
-            error = jsonschema.exceptions.best_match(validator.iter_errors(value))
+            error = schema_error(instance.expected_schema, value)
             if error is not None:
-                error_text = f"schema violation: {error.message}"
+                error_text = f"schema violation: {error}"
                 continue
             self._log_call(task, base_hash, attempt, "ok")
             return value
@@ -291,50 +272,106 @@ def _parse_json(raw: str) -> Any:
 
 
 # ---------------------------------------------------------------------------
+# Response schema check
+# ---------------------------------------------------------------------------
+
+_TYPES = {"object": dict, "array": list, "string": str}
+
+
+def check_schema(schema: Any) -> None:
+    """Raise ``ValueError`` naming the keyword if ``schema`` uses one outside
+    the eight that :func:`schema_error` knows, or gives one a bad value."""
+    if not isinstance(schema, dict):
+        raise ValueError(f"a schema must be an object, not {schema!r}")
+    for key, rule in schema.items():
+        if key == "type":
+            ok = isinstance(rule, str) and rule in _TYPES
+        elif key == "enum":
+            ok = isinstance(rule, list)
+        elif key == "required":
+            ok = isinstance(rule, list) and all(isinstance(name, str) for name in rule)
+        elif key == "properties":
+            ok = isinstance(rule, dict)
+            for subschema in rule.values() if ok else ():
+                check_schema(subschema)
+        elif key == "items":
+            ok = True
+            check_schema(rule)
+        elif key in ("minItems", "maxItems", "minLength"):
+            ok = isinstance(rule, int) and not isinstance(rule, bool) and rule >= 0
+        else:
+            raise ValueError(f"unsupported schema keyword {key!r}")
+        if not ok:
+            raise ValueError(f"bad value for schema keyword {key!r}: {rule!r}")
+
+
+def _errors(schema: dict[str, Any], value: Any, path: tuple) -> Iterator[tuple[tuple, str]]:
+    """Yield ``(path, message)`` for each way ``value`` breaks ``schema``, in
+    the schema's key order, with the reference validator's message texts."""
+    for key, rule in schema.items():
+        if key == "type" and not isinstance(value, _TYPES[rule]):
+            yield path, f"{value!r} is not of type {rule!r}"
+        elif key == "enum" and not any(
+            # As in JSON Schema, True and False are not the numbers 1 and 0.
+            value == option and isinstance(value, bool) == isinstance(option, bool)
+            for option in rule
+        ):
+            yield path, f"{value!r} is not one of {rule!r}"
+        elif key == "required" and isinstance(value, dict):
+            for name in rule:
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif key == "properties" and isinstance(value, dict):
+            for name, subschema in rule.items():
+                if name in value:
+                    yield from _errors(subschema, value[name], path + (name,))
+        elif key == "items" and isinstance(value, list):
+            for index, item in enumerate(value):
+                yield from _errors(rule, item, path + (index,))
+        elif (key == "minItems" and isinstance(value, list)
+              or key == "minLength" and isinstance(value, str)) and len(value) < rule:
+            yield path, f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}"
+        elif key == "maxItems" and isinstance(value, list) and len(value) > rule:
+            yield path, f"{value!r} {'is expected to be empty' if rule == 0 else 'is too long'}"
+
+
+def schema_error(schema: dict[str, Any], value: Any) -> str | None:
+    """The message of the error in ``value`` that the reference validator's
+    ``best_match`` reports, or ``None`` if ``value`` satisfies ``schema``.
+    Without combinators, its relevance key reduces to the greatest
+    ``(-len(path), path)``, the first error reported winning a tie."""
+    best = max(_errors(schema, value, ()), key=lambda e: (-len(e[0]), e[0]), default=None)
+    return None if best is None else best[1]
+
+
+# ---------------------------------------------------------------------------
 # Prompt templates and response schemas
 # ---------------------------------------------------------------------------
 
 
-def _aspect_item_schema() -> dict[str, Any]:
+def aspects_schema(key: str, k_max: int) -> dict[str, Any]:
+    """Up to ``k_max`` aspects under ``key``: ``aspects`` or ``subaspects``."""
     return {
         "type": "object",
-        "required": ["label", "description", "keywords"],
+        "required": [key],
         "properties": {
-            "label": {"type": "string", "minLength": 1},
-            "description": {"type": "string", "minLength": 1},
-            "keywords": {
-                "type": "array",
-                "items": {"type": "string", "minLength": 1},
-                "minItems": 10,
-                "maxItems": 10,
-            },
-        },
-    }
-
-
-def aspects_schema(k_max: int) -> dict[str, Any]:
-    return {
-        "type": "object",
-        "required": ["aspects"],
-        "properties": {
-            "aspects": {
+            key: {
                 "type": "array",
                 "maxItems": k_max,
-                "items": _aspect_item_schema(),
-            }
-        },
-    }
-
-
-def subaspects_schema(k_max: int) -> dict[str, Any]:
-    return {
-        "type": "object",
-        "required": ["subaspects"],
-        "properties": {
-            "subaspects": {
-                "type": "array",
-                "maxItems": k_max,
-                "items": _aspect_item_schema(),
+                "items": {
+                    "type": "object",
+                    "required": ["label", "description", "keywords"],
+                    "properties": {
+                        "label": {"type": "string", "minLength": 1},
+                        "description": {"type": "string", "minLength": 1},
+                        "keywords": {
+                            "type": "array",
+                            "items": {"type": "string", "minLength": 1},
+                            "minItems": 10,
+                            "maxItems": 10,
+                        },
+                    },
+                },
             }
         },
     }
@@ -415,7 +452,7 @@ def render_coarse_aspects(claim: str, k_aspects: int) -> PromptInstance:
     return PromptInstance(
         task="coarse_aspects",
         rendered_text=_COARSE_TEMPLATE.format(claim=claim, k=k_aspects),
-        expected_schema=aspects_schema(k_aspects),
+        expected_schema=aspects_schema("aspects", k_aspects),
         context=f"claim={claim!r}",
     )
 
@@ -511,7 +548,7 @@ def render_subaspect_discovery(
             segments=segments_text,
             k=k_subaspects,
         ),
-        expected_schema=subaspects_schema(k_subaspects),
+        expected_schema=aspects_schema("subaspects", k_subaspects),
         context=f"aspect={aspect!r}",
     )
 

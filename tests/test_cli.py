@@ -274,12 +274,13 @@ def test_cli_import_does_not_load_requests():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys, claimlens.cli; print('requests' in sys.modules)"
+    modules = ("requests", "jsonschema")
+    probe = f"import sys, claimlens.cli; print([m in sys.modules for m in {modules!r}])"
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[False, False]"
 
 
 def test_evaluate_log_records_every_judge_call(pipeline_run, tmp_path, monkeypatch):

@@ -85,6 +85,9 @@ class ReplyProvider:
         ([[1.0, float("inf")], [0.0, 1.0]], ProviderUnavailable),
         ([[None, 1.0], [0.0, 1.0]], ProviderUnavailable),
         ([[0.0, 0.0], [0.0, 1.0]], ZeroVector),
+        ([["1.5", 2.0], [0.0, 1.0]], ProviderUnavailable),
+        ([[" 3 ", 4.0], [0.0, 1.0]], ProviderUnavailable),
+        ([[True, 1.0], [0.0, 1.0]], ProviderUnavailable),
     ],
     ids=[
         "ragged",
@@ -100,6 +103,9 @@ class ReplyProvider:
         "inf",
         "null",
         "zero_row",
+        "numeric_string",
+        "padded_numeric_string",
+        "boolean",
     ],
 )
 def test_malformed_reply_is_a_typed_error(reply, error):

@@ -4,9 +4,11 @@ import json
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
 
+from claimlens import http_provider
 from claimlens.cli import main
 from claimlens.embedding import Embedder, HttpEmbeddingProvider
 from claimlens.errors import ProviderUnavailable, Timeout, UnreadableFile
@@ -65,6 +67,14 @@ def stub_server():
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
+
+
+@pytest.fixture(autouse=True)
+def sleeps(monkeypatch):
+    """The backoff sleeps the retry loop asks for, recorded instead of slept."""
+    slept = []
+    monkeypatch.setattr(http_provider, "time", SimpleNamespace(sleep=slept.append))
+    return slept
 
 
 def test_embedding_provider_wire_format(stub_server):
@@ -145,12 +155,28 @@ def _call(kind, base_url, **kwargs):
 
 @pytest.mark.parametrize("kind", ["chat", "embed"])
 @pytest.mark.parametrize("status", [400, 404])
-def test_client_error_fails_without_retry(stub_server, kind, status):
+def test_client_error_fails_without_retry(stub_server, sleeps, kind, status):
     StubHandler.fail_times = 10
     StubHandler.fail_status = status
     with pytest.raises(ProviderUnavailable, match=f"HTTP {status}"):
         _call(kind, stub_server, max_attempts=3)
     assert len(StubHandler.requests_seen) == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize(
+    "failures, max_attempts, expected",
+    [(10, 3, [0.5, 2.0]), (10, 4, [0.5, 2.0, 2.0]), (1, 3, [0.5]), (0, 3, [])],
+)
+def test_retries_sleep_the_backoff_schedule(stub_server, sleeps, failures, max_attempts, expected):
+    StubHandler.fail_times = failures  # each failure is a 503
+    if failures < max_attempts:
+        assert _call("embed", stub_server, max_attempts=max_attempts) == [[1.0, 0.0]]
+    else:
+        with pytest.raises(ProviderUnavailable, match="503"):
+            _call("embed", stub_server, max_attempts=max_attempts)
+    assert len(StubHandler.requests_seen) == min(failures + 1, max_attempts)
+    assert sleeps == expected  # nothing after the last attempt
 
 
 @pytest.mark.parametrize("kind", ["chat", "embed"])

@@ -1,9 +1,12 @@
 import json
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimlens.errors import SchemaViolation, UnknownTask
 from claimlens.llm_gateway import (
@@ -17,11 +20,12 @@ from claimlens.llm_gateway import (
     OperationLog,
     PromptInstance,
     aspects_schema,
+    check_schema,
     keywords_schema,
     prompt_hash,
     render_coarse_aspects,
+    schema_error,
     score_schema,
-    subaspects_schema,
 )
 
 from .conftest import rule_gateway
@@ -208,11 +212,14 @@ def test_max_retries_override_zero():
 
 
 def test_aspects_schema_shape():
-    schema = aspects_schema(4)
+    schema = aspects_schema("aspects", 4)
     assert schema["properties"]["aspects"]["maxItems"] == 4
+    sub = aspects_schema("subaspects", 4)
+    assert sub["required"] == ["subaspects"] and list(sub["properties"]) == ["subaspects"]
+    assert sub["properties"]["subaspects"] == schema["properties"]["aspects"]
 
 
-# --- compiled validators ---
+# --- the owned schema check, against jsonschema as the reference ---
 
 
 def _aspect(label="a", description="why", keywords=10):
@@ -225,19 +232,22 @@ def _aspect(label="a", description="why", keywords=10):
 
 # (schema builder, bad instance): each kind of violation that applies.
 BAD_RESPONSES = [
-    (lambda: aspects_schema(3), {}),
-    (lambda: aspects_schema(3), {"aspects": "efficacy, safety"}),
-    (lambda: aspects_schema(3), {"aspects": [_aspect()] * 4}),
-    (lambda: aspects_schema(3), {"aspects": [_aspect(keywords=7)]}),
-    (lambda: aspects_schema(3), {"aspects": [_aspect(keywords=11)]}),
-    (lambda: aspects_schema(3), {"aspects": [_aspect(label="")]}),
-    (lambda: aspects_schema(3), {"aspects": [{"label": "a", "description": "b"}]}),
-    (lambda: aspects_schema(3), {"aspects": [_aspect(), {**_aspect(), "keywords": [1] * 10}]}),
-    (lambda: aspects_schema(3), "just text"),
-    (lambda: subaspects_schema(2), {"aspects": []}),
-    (lambda: subaspects_schema(2), {"subaspects": [_aspect()] * 3}),
-    (lambda: subaspects_schema(2), {"subaspects": [_aspect(description="")]}),
-    (lambda: subaspects_schema(2), {"subaspects": {"label": "a"}}),
+    (lambda: aspects_schema("aspects", 3), {}),
+    (lambda: aspects_schema("aspects", 3), {"aspects": "efficacy, safety"}),
+    (lambda: aspects_schema("aspects", 3), {"aspects": [_aspect()] * 4}),
+    (lambda: aspects_schema("aspects", 3), {"aspects": [_aspect(keywords=7)]}),
+    (lambda: aspects_schema("aspects", 3), {"aspects": [_aspect(keywords=11)]}),
+    (lambda: aspects_schema("aspects", 3), {"aspects": [_aspect(label="")]}),
+    (lambda: aspects_schema("aspects", 3), {"aspects": [{"label": "a", "description": "b"}]}),
+    (
+        lambda: aspects_schema("aspects", 3),
+        {"aspects": [_aspect(), {**_aspect(), "keywords": [1] * 10}]},
+    ),
+    (lambda: aspects_schema("aspects", 3), "just text"),
+    (lambda: aspects_schema("subaspects", 2), {"aspects": []}),
+    (lambda: aspects_schema("subaspects", 2), {"subaspects": [_aspect()] * 3}),
+    (lambda: aspects_schema("subaspects", 2), {"subaspects": [_aspect(description="")]}),
+    (lambda: aspects_schema("subaspects", 2), {"subaspects": {"label": "a"}}),
     (lambda: keywords_schema(2, 4), {}),
     (lambda: keywords_schema(2, 4), {"keywords": ["a"]}),
     (lambda: keywords_schema(2, 4), {"keywords": ["a", "b", "c", "d", "e"]}),
@@ -282,45 +292,142 @@ def test_retry_error_text_matches_jsonschema_validate(make_schema, bad):
     assert f"invalid: {expected}\n" in retry_prompt
 
 
-def test_meta_schema_checked_once_per_distinct_schema(monkeypatch):
-    cls = jsonschema.validators.validator_for({})
-    check_schema = cls.check_schema
-    checked = []
+# Every schema builder, plus the limits no builder uses yet (a minLength
+# above 1, a maxItems of 0), for the parity tests below.
+SCHEMAS = {
+    "aspects": aspects_schema("aspects", 3),
+    "subaspects": aspects_schema("subaspects", 2),
+    "keywords": keywords_schema(2, 4),
+    "one_keyword": keywords_schema(1, 1),
+    "yes_no": YES_NO_SCHEMA,
+    "stance": STANCE_SCHEMA,
+    "summary": SUMMARY_SCHEMA,
+    "winner": WINNER_SCHEMA,
+    "score": score_schema([1, 2, 3, 4]),
+    "binary_score": score_schema([0, 1]),
+    "limits": {
+        "type": "object",
+        "properties": {
+            "code": {"type": "string", "minLength": 3},
+            "none": {"type": "array", "maxItems": 0},
+        },
+    },
+}
 
-    def counting(klass, schema, *args, **kwargs):
-        checked.append(json.dumps(schema))
-        return check_schema(schema, *args, **kwargs)
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 5),
+    st.sampled_from([0.0, 1.0, 2.5]),
+    st.text(max_size=3),
+    st.sampled_from(["Yes", "No", "A", "tie", "supports_claim"]),
+)
+ANY_JSON = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
 
-    monkeypatch.setattr(cls, "check_schema", classmethod(counting))
 
-    def respond(task, prompt):
-        if task == "coarse_aspects":
-            return json.dumps(make_aspects())
-        return json.dumps({"stance": "supports_claim"})
+def valid_reply(schema):
+    """A strategy for replies that satisfy ``schema``."""
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    kind = schema.get("type")
+    if kind == "object":
+        properties = schema.get("properties", {})
+        required = schema.get("required", [])
+        return st.fixed_dictionaries(
+            {name: valid_reply(properties.get(name, {})) for name in required},
+            optional={n: valid_reply(s) for n, s in properties.items() if n not in required},
+        )
+    if kind == "array":
+        low = schema.get("minItems", 0)
+        return st.lists(
+            valid_reply(schema.get("items", {})),
+            min_size=low,
+            max_size=schema.get("maxItems", low + 3),
+        )
+    if kind == "string":
+        return st.text(min_size=schema.get("minLength", 0), max_size=4)
+    return ANY_JSON
 
-    gateway = rule_gateway(respond)
-    stance = PromptInstance(
-        task="stance_detect", rendered_text="judge this", expected_schema=STANCE_SCHEMA
-    )
-    for _ in range(3):
-        gateway.complete_json(render_coarse_aspects("claim text", 5))  # fresh dict
-        gateway.complete_json(render_coarse_aspects("claim text", 4))
-        gateway.complete_json(stance)
-    assert sorted(checked) == sorted(
-        json.dumps(schema) for schema in (aspects_schema(5), aspects_schema(4), STANCE_SCHEMA)
-    )
+
+@st.composite
+def edited(draw, value):
+    """``value`` with one edit somewhere inside it: a key dropped or added, a
+    value of another type, an emptied string, list items added or removed."""
+    if isinstance(value, (dict, list)) and value and draw(st.integers(0, 3)):
+        keys = list(value) if isinstance(value, dict) else range(len(value))
+        key = draw(st.sampled_from(keys))
+        copy = dict(value) if isinstance(value, dict) else list(value)
+        copy[key] = draw(edited(value[key]))
+        return copy
+    edits = [ANY_JSON]
+    if isinstance(value, dict):
+        added = st.tuples(st.text(max_size=3), ANY_JSON)
+        edits.append(added.map(lambda item: {**value, item[0]: item[1]}))
+        if value:
+            edits.append(
+                st.sampled_from(list(value)).map(
+                    lambda gone: {k: v for k, v in value.items() if k != gone}
+                )
+            )
+    if isinstance(value, list):
+        edits += [st.just([]), ANY_JSON.map(lambda extra: value + [extra])]
+        if value:
+            edits += [st.just(value[:-1]), st.just(value + value[:1])]
+    if isinstance(value, str):
+        edits.append(st.just(""))
+    return draw(st.one_of(edits))
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_schema_builders_pass_the_meta_schema(name):
+    jsonschema.Draft202012Validator.check_schema(SCHEMAS[name])
+    check_schema(SCHEMAS[name])
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_schema_error_matches_best_match_on_edited_replies(name, data):
+    schema = SCHEMAS[name]
+    value = data.draw(valid_reply(schema), label="valid")
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        value = data.draw(edited(value), label="edited")
+    validator = jsonschema.Draft202012Validator(schema)
+    reference = jsonschema.exceptions.best_match(validator.iter_errors(value))
+    assert schema_error(schema, value) == (None if reference is None else reference.message)
+
+
+# (malformed schema, the keyword the error names)
+MALFORMED_SCHEMAS = [
+    ({"type": "object", "required": "answer"}, "required"),
+    ({"type": "object", "required": ["answer", 2]}, "required"),
+    ({"properties": {"answer": {"type": "string", "pattern": "^Y"}}}, "pattern"),
+    ({"type": "integer"}, "type"),
+    ({"type": ["object", "null"]}, "type"),
+    ({"enum": "Yes"}, "enum"),
+    ({"properties": ["answer"]}, "properties"),
+    ({"items": {"type": "string", "minLength": -1}}, "minLength"),
+    ({"minItems": 1.5}, "minItems"),
+    ({"maxItems": True}, "maxItems"),
+    ({"$schema": "https://json-schema.org/draft/2020-12/schema"}, "$schema"),
+]
 
 
 def test_malformed_schema_raises_on_every_use():
     gateway = rule_gateway(lambda task, prompt: json.dumps({"answer": "Yes"}))
-    instance = PromptInstance(
-        task="relevance_judge",
-        rendered_text="judge this",
-        expected_schema={"type": "object", "required": "answer"},
-    )
-    for _ in range(2):
-        with pytest.raises(jsonschema.SchemaError):
-            gateway.complete_json(instance)
+    for schema, keyword in MALFORMED_SCHEMAS:
+        instance = PromptInstance(
+            task="relevance_judge", rendered_text="judge this", expected_schema=schema
+        )
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(f"schema keyword {keyword!r}")):
+                gateway.complete_json(instance)
+    assert gateway.provider.calls == []
 
 
 def _mixed_instances():
@@ -332,7 +439,7 @@ def _mixed_instances():
         if kind == 0:
             schema, task = keywords_schema(1, 2 + i % 7), "keyword_extract"
         elif kind == 1:
-            schema, task = aspects_schema(3 + i % 5), "coarse_aspects"
+            schema, task = aspects_schema("aspects", 3 + i % 5), "coarse_aspects"
         elif kind == 2:
             schema, task = score_schema(range(i % 5 + 1)), "eval_judge"
         else:
