@@ -1,0 +1,78 @@
+"""The one place where stage files are read and written: every write replaces
+its file whole or leaves the old one as it was, and every failure to read or
+decode a file raises ``UnreadableFile`` (exit 1) naming it."""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Any, BinaryIO, Iterable, Iterator, TextIO
+
+from .errors import UnreadableFile
+
+
+@contextmanager
+def replacing(path: str | Path) -> Iterator[BinaryIO]:
+    """Binary handle on ``<path>.tmp`` in the (created) parent, moved over ``path``
+    on success, removed on failure; plain ``open``, unlike ``mkstemp``, keeps the umask."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    with replacing(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+def write_json(path: str | Path, payload: Any) -> None:
+    with replacing(path) as fh, io.TextIOWrapper(fh, "utf-8", newline="\n") as text:
+        json.dump(payload, text, indent=2, ensure_ascii=True)
+        text.write("\n")
+
+
+def write_jsonl(path: str | Path, records: Iterable[Any]) -> None:
+    with replacing(path) as fh:
+        fh.writelines(json.dumps(r, ensure_ascii=True).encode("ascii") + b"\n" for r in records)
+
+
+@contextmanager
+def _reading(path: str | Path, what: str) -> Iterator[TextIO]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise UnreadableFile(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UnreadableFile(f"{what} {path} is not valid UTF-8: {exc}") from exc
+
+
+def _parse(text: str, where: str) -> Any:
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise UnreadableFile(f"{where} is not valid JSON: {exc}") from exc
+
+
+def read_json(path: str | Path, what: str) -> Any:
+    """The JSON value in ``path``; ``what`` names the file in errors."""
+    with _reading(path, what) as fh:
+        return _parse(fh.read(), f"{what} {path}")
+
+
+def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, Any]]:
+    """``(lineno, record)`` per non-blank line, streamed."""
+    with _reading(path, what) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno, _parse(line, f"{what} {path}: line {lineno}")

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import errors
+from .artifacts import read_json, write_json, write_jsonl, write_text
 from .config import PipelineConfig, load_config_file
 from .corpus import C99Params, Segment
 from .embedding import (
@@ -148,21 +148,8 @@ class Paths:
         self.pairwise = self.root / "pairwise.json"
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, ensure_ascii=True)
-        fh.write("\n")
-
-
 def _load_hierarchy(path: str | Path) -> tuple[AspectHierarchy, dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise errors.UsageError(f"cannot read hierarchy file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise errors.UnreadableFile(f"hierarchy file {path} is not valid JSON: {exc}") from exc
+    data = read_json(path, "hierarchy file")
     try:
         tree = AspectHierarchy.from_dict(data)
         check_perspectives(tree)
@@ -208,8 +195,6 @@ def cmd_ingest(config: PipelineConfig) -> int:
     if not config.corpus_path:
         raise errors.UsageError("ingest requires --corpus")
     paths = Paths(config.output_dir)
-    paths.root.mkdir(parents=True, exist_ok=True)
-
     documents = corpus_mod.load_corpus(config.corpus_path)
     params = C99Params(
         rank_mask=config.rank_mask,
@@ -251,15 +236,12 @@ def cmd_build(config: PipelineConfig) -> int:
         tree = builder.build()
     except errors.ClaimLensError:
         if builder.tree is not None:
-            _write_json(
-                paths.hierarchy,
-                builder.tree.to_dict(config.fingerprint(), partial=True),
-            )
-            log.write_jsonl(str(paths.operation_log))
+            write_json(paths.hierarchy, builder.tree.to_dict(config.fingerprint(), partial=True))
+            write_jsonl(paths.operation_log, log.records)
             print(f"partial hierarchy persisted to {paths.hierarchy}", file=sys.stderr)
         raise
-    _write_json(paths.hierarchy, tree.to_dict(config.fingerprint()))
-    log.write_jsonl(str(paths.operation_log))
+    write_json(paths.hierarchy, tree.to_dict(config.fingerprint()))
+    write_jsonl(paths.operation_log, log.records)
     print(f"hierarchy with {len(tree.nodes)} nodes at {paths.hierarchy}")
     return 0
 
@@ -289,9 +271,9 @@ def cmd_perspectives(config: PipelineConfig) -> int:
         params,
         relative_threshold=config.classify_threshold,
     )
-    _write_json(paths.perspectives, tree.to_dict(config.fingerprint()))
+    write_json(paths.perspectives, tree.to_dict(config.fingerprint()))
     _write_consensus_table(tree, paths.consensus)
-    log.write_jsonl(str(paths.perspectives_log))
+    write_jsonl(paths.perspectives_log, log.records)
     attached = sum(len(tree.node(n).attached_segments) for n in tree.nodes)
     if attached == 0:
         print("warning: no segments survived relevance filtering", file=sys.stderr)
@@ -310,7 +292,7 @@ def _write_consensus_table(tree: AspectHierarchy, path: Path) -> None:
             lines.append(
                 f"{node_id}\t{stance}\t{counts.segments[stance]}\t{counts.papers[stance]}"
             )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def cmd_evaluate(config: PipelineConfig, hierarchy_paths: list[str]) -> int:
@@ -327,37 +309,26 @@ def cmd_evaluate(config: PipelineConfig, hierarchy_paths: list[str]) -> int:
         tree, _ = _load_hierarchy(hierarchy_paths[0])
         segments = _load_segments(paths) if paths.segments.exists() else {}
         report = evaluate_hierarchy(tree, gateway, segments)
-        paths.root.mkdir(parents=True, exist_ok=True)
-        payload = {"config_fingerprint": config.fingerprint()}
-        payload.update(report.to_dict())
-        _write_json(paths.metrics_json, payload)
+        payload = {"config_fingerprint": config.fingerprint(), **report.to_dict()}
+        write_json(paths.metrics_json, payload)
         table = render_metric_table(report)
-        paths.metrics_table.write_text(table, encoding="utf-8")
-        log.write_jsonl(str(paths.evaluate_log))
+        write_text(paths.metrics_table, table)
+        write_jsonl(paths.evaluate_log, log.records)
         print(table, end="")
         return 0
 
     tree_a, _ = _load_hierarchy(hierarchy_paths[0])
     tree_b, _ = _load_hierarchy(hierarchy_paths[1])
     verdict = pairwise_compare(tree_a, tree_b, gateway)
-    paths.root.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        paths.pairwise,
-        {
-            "config_fingerprint": config.fingerprint(),
-            "a": hierarchy_paths[0],
-            "b": hierarchy_paths[1],
-            "verdict": verdict,
-        },
-    )
-    log.write_jsonl(str(paths.evaluate_log))
+    payload = {"config_fingerprint": config.fingerprint(), "a": hierarchy_paths[0],
+               "b": hierarchy_paths[1], "verdict": verdict}
+    write_json(paths.pairwise, payload)
+    write_jsonl(paths.evaluate_log, log.records)
     print(verdict)
     return 0
 
 
 def cmd_report(hierarchy_path: str, fmt: str, out: str | None = None) -> int:
-    if not Path(hierarchy_path).exists():
-        raise errors.UsageError(f"hierarchy file {hierarchy_path} not found")
     tree, _ = _load_hierarchy(hierarchy_path)
     if fmt == "markdown":
         rendered = render_markdown(tree)
@@ -366,8 +337,7 @@ def cmd_report(hierarchy_path: str, fmt: str, out: str | None = None) -> int:
     else:
         raise errors.UnknownFormat(f"unknown report format {fmt!r}")
     if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(rendered, encoding="utf-8")
+        write_text(out, rendered)
         print(f"report written to {out}")
     else:
         print(rendered, end="")

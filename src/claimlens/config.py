@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from .artifacts import read_json
 from .errors import UsageError
 
 # The output directory and pointer fields, kept out of the fingerprint. Input
@@ -29,6 +30,15 @@ _NON_SEMANTIC_FIELDS = (
     "chat_model",
     "mock_dir",
 )
+
+# Annotation -> types taken. A bool is refused; an int stays unconverted (same fingerprint).
+_TAKES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _takes(annotation: str, value: Any) -> bool:
+    if annotation == "dict[str, float]":
+        return isinstance(value, dict) and all(_takes("float", v) for v in value.values())
+    return isinstance(value, _TAKES[annotation]) and not isinstance(value, bool)
 
 
 @dataclass
@@ -95,8 +105,9 @@ class PipelineConfig:
         for name, value in counts.items():
             if value < 1:
                 raise UsageError(f"{name} must be >= 1, got {value}")
-        if self.max_depth < 0:
-            raise UsageError(f"max_depth must be >= 0, got {self.max_depth}")
+        for name in ("max_depth", "max_retries"):
+            if getattr(self, name) < 0:
+                raise UsageError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 < self.delta < 1.0:
             raise UsageError(f"delta must be in (0,1), got {self.delta}")
         if self.beta <= 0 or self.gamma <= 0:
@@ -109,10 +120,13 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "PipelineConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in data.items():
+            if not _takes(types[name], value):
+                raise UsageError(f"config key {name!r} must be {types[name]}, got {value!r}")
         return cls(**data)
 
     def fingerprint(self) -> str:
@@ -126,13 +140,7 @@ class PipelineConfig:
 
 def load_config_file(path: str) -> dict[str, Any]:
     """Read a JSON config file into a plain dict (flags override it later)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+    data = read_json(path, "config file")
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     return data

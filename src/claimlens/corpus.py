@@ -15,13 +15,13 @@ same segment list, so documents can be processed in parallel safely.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import read_jsonl, write_jsonl
 from .errors import CorruptArtifact, DuplicateDocId, EmptyDocument, MissingField, UnreadableFile
 
 # ---------------------------------------------------------------------------
@@ -80,25 +80,11 @@ def load_corpus(path: str) -> list[Document]:
     field, a repeated doc_id, or an unparseable line is rejected with an
     error naming the offending record.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UnreadableFile(f"cannot read corpus file {path}: {exc}") from exc
-
     documents: list[Document] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise UnreadableFile(
-                f"{path}: line {lineno} is not valid JSON: {exc}"
-            ) from exc
+    for lineno, record in read_jsonl(path, "corpus file"):
         if not isinstance(record, dict):
-            raise UnreadableFile(f"{path}: line {lineno} is not a JSON object")
+            raise UnreadableFile(f"corpus file {path}: line {lineno} is not a JSON object")
         doc_id = record.get("doc_id", "")
         for name in _REQUIRED_FIELDS:
             value = record.get(name)
@@ -110,9 +96,7 @@ def load_corpus(path: str) -> list[Document]:
         if doc_id in seen:
             raise DuplicateDocId(doc_id)
         seen.add(doc_id)
-        documents.append(
-            Document(doc_id=doc_id, title=record["title"], text=record["text"])
-        )
+        documents.append(Document(doc_id, record["title"], record["text"]))
     return documents
 
 
@@ -121,31 +105,16 @@ _SEGMENT_FIELDS = {"segment_id": str, "doc_id": str, "start": int, "end": int, "
 
 
 def write_segments(segments: list[Segment], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for seg in segments:
-            record = {name: getattr(seg, name) for name in _SEGMENT_FIELDS}
-            fh.write(json.dumps(record, ensure_ascii=True) + "\n")
+    records = ({name: getattr(seg, name) for name in _SEGMENT_FIELDS} for seg in segments)
+    write_jsonl(path, records)
 
 
 def read_segments(path: str) -> list[Segment]:
     """Read a store written by :func:`write_segments`. A line that does not
     parse raises ``UnreadableFile``; a record with a missing or mistyped key
     raises ``CorruptArtifact``. Both name the line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UnreadableFile(f"cannot read segment store {path}: {exc}") from exc
     segments = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise UnreadableFile(
-                f"segment store {path}: line {lineno} is not valid JSON: {exc}"
-            ) from exc
+    for lineno, rec in read_jsonl(path, "segment store"):
         for name, kind in _SEGMENT_FIELDS.items():
             if not isinstance(rec, dict) or not isinstance(rec.get(name), kind):
                 raise CorruptArtifact(

@@ -11,7 +11,6 @@ safe.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 import struct
@@ -19,6 +18,7 @@ from typing import Any, Protocol, Sequence
 
 import numpy as np
 
+from .artifacts import read_json, replacing, write_json
 from .errors import (
     CorruptArtifact,
     DimensionMismatch,
@@ -253,11 +253,10 @@ class EmbeddingIndex:
     # --- persistence: flat binary vectors + sidecar id manifest ---
 
     def save(self, directory: str, fingerprint: str = "") -> None:
-        os.makedirs(directory, exist_ok=True)
+        """Write ``vectors.bin``, streamed from the matrix, then the manifest."""
         row_bytes = self.dim * 8
-        np.ascontiguousarray(self._dense(), dtype="<f8").tofile(
-            os.path.join(directory, "vectors.bin")
-        )
+        with replacing(os.path.join(directory, "vectors.bin")) as fh:
+            np.ascontiguousarray(self._dense(), dtype="<f8").tofile(fh)
         manifest = {
             "dim": self.dim,
             "count": len(self._ids),
@@ -267,26 +266,16 @@ class EmbeddingIndex:
                 for row, segment_id in enumerate(self._ids)
             ],
         }
-        with open(os.path.join(directory, "index_manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        write_json(os.path.join(directory, "index_manifest.json"), manifest)
 
     @classmethod
     def load(cls, directory: str) -> tuple["EmbeddingIndex", str]:
         """Read an index written by :meth:`save`. An unreadable file raises
-        ``UnreadableFile``; a manifest that is malformed or disagrees with
-        ``vectors.bin`` raises ``CorruptArtifact`` or ``DimensionMismatch``."""
+        ``UnreadableFile``; a malformed manifest or vector, or a disagreement
+        between them, raises ``CorruptArtifact`` or ``DimensionMismatch``."""
         manifest_path = os.path.join(directory, "index_manifest.json")
         vectors_path = os.path.join(directory, "vectors.bin")
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except OSError as exc:
-            raise UnreadableFile(f"cannot read index manifest {manifest_path}: {exc}") from exc
-        except ValueError as exc:
-            raise UnreadableFile(
-                f"index manifest {manifest_path} is not valid JSON: {exc}"
-            ) from exc
+        manifest = read_json(manifest_path, "index manifest")
         try:
             dim = manifest["dim"]
             count = manifest["count"]
@@ -314,17 +303,19 @@ class EmbeddingIndex:
         index = cls(dim)
         try:
             index._register(ids)
+            index._matrix = _unit_rows(raw.reshape(count, dim).astype(np.float64, copy=False))
         except ValueError as exc:
-            raise CorruptArtifact(f"index manifest {manifest_path}: {exc}") from exc
-        index._matrix = _unit_rows(raw.reshape(count, dim).astype(np.float64, copy=False))
+            raise CorruptArtifact(f"index in {directory}: {exc}") from exc
         return index, manifest.get("config_fingerprint", "")
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     """Renormalize, in place, the rows whose L2 norm is off 1 by more than the
-    tolerance; rows already unit length are left bit-for-bit as they are.
-    ``einsum`` sums the squares without a matrix-sized temporary."""
+    tolerance (unit rows keep their bits); a non-finite norm is a ``ValueError``.
+    ``einsum`` sums the squares with no matrix-sized temporary and no warning."""
     norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    if not np.isfinite(norms).all():
+        raise ValueError(f"row {np.argmin(np.isfinite(norms))} has a non-finite norm")
     for row in np.flatnonzero(np.abs(norms - 1.0) > _NORM_TOL):
         matrix[row] = normalize(matrix[row])
     return matrix

@@ -63,17 +63,7 @@ class AspectNode:
     perspectives: dict[str, Any] | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "node_id": self.node_id,
-            "label": self.label,
-            "description": self.description,
-            "keywords": list(self.keywords),
-            "parent": self.parent,
-            "children": list(self.children),
-            "depth": self.depth,
-            "attached_segments": list(self.attached_segments),
-            "perspectives": self.perspectives,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "AspectNode":

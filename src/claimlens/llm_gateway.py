@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterator, Protocol, Sequence
 
+from .artifacts import read_json
 from .errors import SchemaViolation, UnknownTask, UnreadableFile
 from .http_provider import HttpJsonProvider
 
@@ -92,11 +93,6 @@ class OperationLog:
     def of_kind(self, kind: str) -> list[dict[str, Any]]:
         return [r for r in self.records if r["kind"] == kind]
 
-    def write_jsonl(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in self.records:
-                fh.write(json.dumps(record, ensure_ascii=True) + "\n")
-
 
 # ---------------------------------------------------------------------------
 # Providers
@@ -152,9 +148,9 @@ class MockChatProvider:
             raise UnreadableFile(f"mock transcript directory {directory} not found")
         script: dict[str, dict[str, Any]] = {}
         for path in sorted(directory.glob("*.json")):
-            task = path.stem
-            with open(path, "r", encoding="utf-8") as fh:
-                script[task] = json.load(fh)
+            entry = script[path.stem] = read_json(path, "mock transcript")
+            if not isinstance(entry, dict) or not isinstance(entry.get("responses", {}), dict):
+                raise UnreadableFile(f"mock transcript {path} must map 'responses' to an object")
         return cls(script)
 
     def complete(self, task: LlmTask, prompt: str, base_hash: str) -> str:

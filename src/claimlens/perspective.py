@@ -20,7 +20,7 @@ Stages, in order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -56,13 +56,6 @@ class StanceBucket:
     segment_ids: list[str] = field(default_factory=list)
     paper_ids: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "summary": self.summary,
-            "segment_ids": list(self.segment_ids),
-            "paper_ids": list(self.paper_ids),
-        }
-
 
 @dataclass
 class PerspectiveSet:
@@ -74,7 +67,7 @@ class PerspectiveSet:
         return getattr(self, stance)
 
     def to_dict(self) -> dict[str, Any]:
-        return {stance: self.bucket(stance).to_dict() for stance in STANCES}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "PerspectiveSet":

@@ -1,0 +1,127 @@
+"""The artifact contract: a write replaces its file whole or leaves the old one
+byte-identical with no temp file beside it, a new file gets the umask's mode,
+and every read failure is an ``UnreadableFile`` naming the file."""
+
+import errno
+import io
+import json
+import os
+
+import numpy as np
+import pytest
+
+from claimlens import artifacts
+from claimlens.artifacts import read_json, read_jsonl, write_json, write_jsonl, write_text
+from claimlens.embedding import EmbeddingIndex
+from claimlens.errors import UnreadableFile
+
+
+class _DiskFull(io.FileIO):
+    """A file that takes half of the first write, then reports a full disk."""
+
+    def write(self, data):
+        super().write(bytes(data)[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _fail_replace(src, dst):
+    raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+
+def _assert_untouched(path, before):
+    assert path.read_bytes() == before
+    assert list(path.parent.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("failure", ["disk_full", "unencodable", "replace_fails"])
+def test_failed_json_write_keeps_the_old_file(tmp_path, monkeypatch, failure):
+    path = tmp_path / "hierarchy.json"
+    write_json(path, {"nodes": ["old"]})
+    before = path.read_bytes()
+    payload = {"nodes": ["new"] * 100}
+    if failure == "disk_full":
+        monkeypatch.setattr(artifacts, "open", lambda p, mode: _DiskFull(p, "w"), raising=False)
+    elif failure == "unencodable":
+        payload["extra"] = object()
+    else:
+        monkeypatch.setattr(artifacts.os, "replace", _fail_replace)
+    with pytest.raises((OSError, TypeError)):
+        write_json(path, payload)
+    _assert_untouched(path, before)
+
+
+def test_failed_jsonl_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "operation_log.jsonl"
+    write_jsonl(path, [{"kind": "old"}])
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_jsonl(path, [{"kind": "new"}, {"kind": "new"}, {"kind": object()}])
+    _assert_untouched(path, before)
+
+
+class _HalfWritten(np.ndarray):
+    def tofile(self, fh, *args, **kwargs):
+        fh.write(self.tobytes()[: self.nbytes // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_index_save_keeps_the_old_index(tmp_path, monkeypatch):
+    old = EmbeddingIndex(dim=3)
+    old.add_batch(["a", "b"], np.eye(3)[:2])
+    old.save(str(tmp_path), fingerprint="old")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    new = EmbeddingIndex(dim=3)
+    new.add_batch(["c", "d", "e"], np.eye(3))
+    real = np.ascontiguousarray
+    monkeypatch.setattr(
+        np, "ascontiguousarray", lambda a, dtype=None: real(a, dtype=dtype).view(_HalfWritten)
+    )
+    with pytest.raises(OSError):
+        new.save(str(tmp_path), fingerprint="new")
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    loaded, fingerprint = EmbeddingIndex.load(str(tmp_path))
+    assert (loaded.ids, fingerprint) == (["a", "b"], "old")
+
+
+def test_new_artifact_mode_follows_the_umask(tmp_path):
+    path = tmp_path / "new_dir" / "metrics.txt"
+    old_umask = os.umask(0o027)
+    try:
+        write_text(path, "x\n")
+    finally:
+        os.umask(old_umask)
+    assert path.stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
+def test_json_artifact_is_indented_ascii_with_a_newline(tmp_path):
+    payload = {"claim": "café", "nodes": [1, {"a": None}]}
+    write_json(tmp_path / "h.json", payload)
+    expected = json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
+    assert (tmp_path / "h.json").read_bytes() == expected.encode("ascii")
+    assert read_json(tmp_path / "h.json", "hierarchy file") == payload
+
+
+def test_read_jsonl_numbers_lines_and_splits_only_at_newlines(tmp_path):
+    path = tmp_path / "segments.jsonl"
+    path.write_bytes(b'{"a": 1}\r\n\n  \n{"t": "x\xe2\x80\xa8y"}\n')
+    assert list(read_jsonl(path, "segment store")) == [(1, {"a": 1}), (4, {"t": "x\u2028y"})]
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read segment store"),
+        (b'{"a": 1}\n{"t": "caf\xe9"}\n', "segment store {path} is not valid UTF-8"),
+        (b'{"a": 1}\n\n{"a": \n', "segment store {path}: line 3 is not valid JSON"),
+        (b"[" * 100_000 + b"\n", "segment store {path}: line 1 is not valid JSON"),
+    ],
+    ids=["missing", "not_utf8", "bad_line", "nested_too_deep"],
+)
+def test_unreadable_jsonl_names_the_file(tmp_path, content, message):
+    path = tmp_path / "segments.jsonl"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(UnreadableFile) as info:
+        list(read_jsonl(path, "segment store"))
+    assert message.format(path=path) in str(info.value)

@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from claimlens.cli import main
+from claimlens.config import PipelineConfig
 from claimlens.hierarchy import AspectHierarchy
 from claimlens.llm_gateway import MockChatProvider
 
@@ -393,6 +399,36 @@ def test_concurrency_cap_is_an_unknown_config_key(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+BAD_CONFIG_VALUES = [
+    ("k_aspects", "5", "config key 'k_aspects' must be int, got '5'"),
+    ("k_aspects", True, "config key 'k_aspects' must be int, got True"),
+    ("embed_dim", 2.5, "config key 'embed_dim' must be int, got 2.5"),
+    ("beta", "1.0", "config key 'beta' must be float"),
+    ("beta", False, "config key 'beta' must be float"),
+    ("claim", 5, "config key 'claim' must be str"),
+    ("temperatures", [0.3], "config key 'temperatures' must be dict[str, float]"),
+    ("temperatures", {"coarse_aspects": "hot"}, "config key 'temperatures'"),
+    ("temperatures", {"coarse_aspects": True}, "config key 'temperatures'"),
+    ("max_retries", -1, "max_retries must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, message", BAD_CONFIG_VALUES, ids=[f"{k}={v!r}" for k, v, _ in BAD_CONFIG_VALUES]
+)
+def test_mistyped_config_value_is_a_usage_error(tmp_path, capsys, key, value, message):
+    cfg = write_config_file(tmp_path, tmp_path / "out", **{key: value})
+    assert run_stage(["ingest", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_float_field_keeps_an_int_unconverted():
+    config = PipelineConfig.from_dict({"beta": 2, "temperatures": {"eval_judge": 0}})
+    assert type(config.beta) is int and type(config.temperatures["eval_judge"]) is int
+
+
 def _rewrite_segment_line(edit):
     def corrupt(out):
         path = out / "segments.jsonl"
@@ -483,3 +519,79 @@ def test_corrupt_hierarchy_is_a_typed_error(tmp_path, capsys, edit, message, com
     err = capsys.readouterr().err
     assert f"hierarchy file {path}" in err and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["corpus", "config"])
+def test_non_utf8_input_is_a_usage_error(tmp_path, capsys, target):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes((DATA_DIR / "corpus.jsonl").read_bytes())
+    cfg = Path(write_config_file(tmp_path, tmp_path / "out", corpus_path=str(corpus)))
+    path = corpus if target == "corpus" else cfg
+    path.write_bytes(path.read_bytes().replace(b"Vaccine", b"Vacc\xe9ine", 1))
+    assert run_stage(["ingest", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path} is not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content", ["{oops", "[1, 2]", '{"responses": [1]}'],
+    ids=["not_json", "not_an_object", "responses_not_an_object"],
+)
+def test_malformed_mock_transcript_is_a_usage_error(ingested, tmp_path, capsys, content):
+    out, transcript = tmp_path / "out", tmp_path / "transcript"
+    shutil.copytree(ingested, out)
+    transcript.mkdir()
+    (transcript / "coarse_aspects.json").write_text(content)
+    cfg = write_config_file(tmp_path, out, mock_dir=str(transcript))
+    assert run_stage(["build", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"mock transcript {transcript / 'coarse_aspects.json'}" in err
+    assert "Traceback" not in err
+
+
+# Truncate at, overwrite from, or delete a run starting at an offset taken
+# modulo the file's length.
+MUTATIONS = st.tuples(
+    st.sampled_from(["truncate", "overwrite", "delete"]),
+    st.integers(min_value=0, max_value=2**32),
+    st.binary(min_size=1, max_size=8),
+)
+
+
+def _mutate(data: bytes, mutation) -> bytes:
+    kind, at, run = mutation
+    at %= len(data)
+    if kind == "truncate":
+        return data[:at]
+    tail = data[at + len(run):]
+    return data[:at] + (run if kind == "overwrite" else b"") + tail
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        ("segments.jsonl", "build"),
+        ("index_manifest.json", "build"),
+        ("vectors.bin", "build"),
+        ("hierarchy.json", "perspectives"),
+    ],
+)
+@settings(max_examples=30, deadline=None)
+@given(mutation=MUTATIONS)
+@example(mutation=("overwrite", 30, b"\xe9"))
+@example(mutation=("overwrite", 0, b"\xff\xfe"))
+def test_mutated_artifact_exits_with_a_code(ingested, name, command, mutation):
+    """A byte-mutated artifact ends in exit 0, 1 or 3, never an uncaught
+    exception; flipped bytes in ``vectors.bin`` may still exit 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        shutil.copytree(ingested, out)
+        if name == "hierarchy.json":
+            shutil.copy(GOLDEN / name, out / name)
+        path = out / name
+        path.write_bytes(_mutate(path.read_bytes(), mutation))
+        argv = [command, "--config", write_config_file(tmp, out)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 3)

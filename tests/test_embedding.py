@@ -330,6 +330,20 @@ def test_load_renormalizes_only_rows_off_unit_length(tmp_path):
     assert abs(np.linalg.norm(loaded.get("b")) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+def test_load_rejects_a_row_with_a_non_finite_norm(tmp_path, value):
+    index = EmbeddingIndex(dim=2)
+    index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
+    index.save(str(tmp_path))
+    raw = np.fromfile(tmp_path / "vectors.bin", dtype="<f8")
+    raw[2] = value
+    raw.tofile(tmp_path / "vectors.bin")
+    with pytest.raises(CorruptArtifact, match="row 1 has a non-finite norm"):
+        EmbeddingIndex.load(str(tmp_path))
+    with pytest.raises(ValueError, match="row 0 has a non-finite norm"):
+        EmbeddingIndex(dim=2).add_batch(["b"], [raw[2:4]])
+
+
 def _edit_manifest(directory, edit):
     path = directory / "index_manifest.json"
     manifest = json.loads(path.read_text())
