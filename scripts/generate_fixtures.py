@@ -36,7 +36,7 @@ from claimlens.embedding import Embedder, EmbeddingIndex, HashedBowEmbedder
 from claimlens.evaluation import evaluate_hierarchy
 from claimlens.hierarchy import HierarchyBuilder
 from claimlens.llm_gateway import LlmGateway, OperationLog
-from claimlens.perspective import FilterParams, PerspectiveSet, discover_perspectives
+from claimlens.perspective import FilterParams, discover_perspectives
 from tests.fixture_config import make_fixture_config
 
 DATA_DIR = REPO_ROOT / "tests" / "data"
@@ -422,7 +422,7 @@ def main() -> None:
         dropped = 0
         for node_id in tree.sorted_ids():
             node = tree.node(node_id)
-            pset = PerspectiveSet.from_dict(node.perspectives)
+            pset = node.perspectives
             for stance in ("support", "neutral", "oppose"):
                 if pset.bucket(stance).segment_ids:
                     stances_seen.add(stance)

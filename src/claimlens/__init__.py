@@ -14,7 +14,6 @@ from .perspective import (
     relevance_boundary,
 )
 from .ranking import (
-    RankingParams,
     ScoredSegment,
     discriminativeness,
     distractor_score,
@@ -39,7 +38,6 @@ __all__ = [
     "PerspectiveSet",
     "PipelineConfig",
     "PromptInstance",
-    "RankingParams",
     "ScoredSegment",
     "Segment",
     "claim_representation",

@@ -30,6 +30,15 @@ def replacing(path: str | Path) -> Iterator[BinaryIO]:
         raise
 
 
+def is_utf8(text: str) -> bool:
+    """False when ``text`` holds a lone surrogate, which UTF-8 cannot encode."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def write_text(path: str | Path, text: str) -> None:
     with replacing(path) as fh:
         fh.write(text.encode("utf-8"))

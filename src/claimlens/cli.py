@@ -20,7 +20,7 @@ from . import corpus as corpus_mod
 from . import errors
 from .artifacts import read_json, write_json, write_jsonl, write_text
 from .config import PipelineConfig, load_config_file
-from .corpus import C99Params, Segment
+from .corpus import Segment
 from .embedding import (
     Embedder,
     EmbeddingIndex,
@@ -28,24 +28,9 @@ from .embedding import (
     HttpEmbeddingProvider,
 )
 from .evaluation import evaluate_hierarchy, pairwise_compare, render_metric_table
-from .hierarchy import AspectHierarchy, HierarchyBuilder
+from .hierarchy import STANCES, AspectHierarchy, HierarchyBuilder
 from .llm_gateway import HttpChatProvider, LlmGateway, MockChatProvider, OperationLog
-from .perspective import (
-    STANCES,
-    FilterParams,
-    PerspectiveSet,
-    check_perspectives,
-    consensus_counts,
-    discover_perspectives,
-)
-
-_USAGE_ERRORS = (
-    errors.UsageError,
-    errors.MissingField,
-    errors.DuplicateDocId,
-    errors.EmptyDocument,
-)
-_PROVIDER_ERRORS = (errors.ProviderUnavailable, errors.JudgeFailure)
+from .perspective import FilterParams, consensus_counts, discover_perspectives
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +136,7 @@ class Paths:
 def _load_hierarchy(path: str | Path) -> tuple[AspectHierarchy, dict]:
     data = read_json(path, "hierarchy file")
     try:
-        tree = AspectHierarchy.from_dict(data)
-        check_perspectives(tree)
-        return tree, data
+        return AspectHierarchy.from_dict(data), data
     except errors.CorruptArtifact as exc:
         raise errors.CorruptArtifact(f"hierarchy file {path}: {exc}") from exc
 
@@ -196,15 +179,9 @@ def cmd_ingest(config: PipelineConfig) -> int:
         raise errors.UsageError("ingest requires --corpus")
     paths = Paths(config.output_dir)
     documents = corpus_mod.load_corpus(config.corpus_path)
-    params = C99Params(
-        rank_mask=config.rank_mask,
-        min_density_gain=config.min_density_gain,
-        min_segment_sentences=config.min_segment_sentences,
-        max_segments=config.max_segments_per_doc,
-    )
     segments: list[Segment] = []
     for doc in documents:
-        segments.extend(corpus_mod.segment_document(doc, params))
+        segments.extend(corpus_mod.segment_document(doc, config))
     corpus_mod.write_segments(segments, str(paths.segments))
 
     embedder = make_embedder(config)
@@ -259,16 +236,9 @@ def cmd_perspectives(config: PipelineConfig) -> int:
     log = OperationLog()
     gateway = make_gateway(config, log)
     embedder = make_embedder(config)
-    params = FilterParams(
-        delta=config.delta, window=config.window, min_chars=config.min_chars
-    )
+    params = FilterParams(config.delta, config.window, config.min_chars)
     tree = discover_perspectives(
-        gateway,
-        embedder,
-        index,
-        segments,
-        tree,
-        params,
+        gateway, embedder, index, segments, tree, params,
         relative_threshold=config.classify_threshold,
     )
     write_json(paths.perspectives, tree.to_dict(config.fingerprint()))
@@ -287,7 +257,7 @@ def _write_consensus_table(tree: AspectHierarchy, path: Path) -> None:
         node = tree.node(node_id)
         if node.perspectives is None:
             continue
-        counts = consensus_counts(PerspectiveSet.from_dict(node.perspectives))
+        counts = consensus_counts(node.perspectives)
         for stance in STANCES:
             lines.append(
                 f"{node_id}\t{stance}\t{counts.segments[stance]}\t{counts.papers[stance]}"
@@ -366,7 +336,7 @@ def render_markdown(tree: AspectHierarchy) -> str:
         if node.children:
             parts.append(f"subtree: {_subtree_segments(tree, node_id)}")
         if node.perspectives is not None:
-            papers = consensus_counts(PerspectiveSet.from_dict(node.perspectives)).papers
+            papers = consensus_counts(node.perspectives).papers
             parts.append(f"papers s/n/o: {'/'.join(str(papers[s]) for s in STANCES)}")
         indent = "  " * node.depth
         lines.append(f"{indent}- **{node.label}** [{'; '.join(parts)}]")
@@ -445,10 +415,10 @@ def run(argv: list[str] | None = None) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         return run(argv)
-    except _USAGE_ERRORS as exc:
+    except errors.UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _PROVIDER_ERRORS as exc:
+    except errors.ProviderUnavailable as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return 2
     except errors.ClaimLensError as exc:

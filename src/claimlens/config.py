@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .artifacts import read_json
+from .artifacts import is_utf8, read_json
 from .errors import UsageError
 
 # The output directory and pointer fields, kept out of the fingerprint. Input
@@ -114,6 +114,9 @@ class PipelineConfig:
             raise UsageError("beta and gamma must be positive")
         if self.epsilon <= 0:
             raise UsageError("epsilon must be positive")
+        for name, value in self.to_dict().items():
+            if isinstance(value, str) and not is_utf8(value):
+                raise UsageError(f"{name} is not valid UTF-8 text")
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)

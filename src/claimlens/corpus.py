@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_jsonl, write_jsonl
+from .artifacts import is_utf8, read_jsonl, write_jsonl
+from .config import PipelineConfig
 from .errors import CorruptArtifact, DuplicateDocId, EmptyDocument, MissingField, UnreadableFile
 
 # ---------------------------------------------------------------------------
@@ -56,16 +57,6 @@ class Segment:
     text: str
 
 
-@dataclass(frozen=True)
-class C99Params:
-    """Divisive segmenter knobs: square rank mask, stop threshold, floors."""
-
-    rank_mask: int = 11
-    min_density_gain: float = 0.05
-    min_segment_sentences: int = 2
-    max_segments: int = 50
-
-
 # ---------------------------------------------------------------------------
 # Corpus loading
 # ---------------------------------------------------------------------------
@@ -76,9 +67,9 @@ _REQUIRED_FIELDS = ("doc_id", "title", "text")
 def load_corpus(path: str) -> list[Document]:
     """Read a JSONL corpus file (doc_id / title / text per line).
 
-    Documents come back in file order. A record with a missing or blank
-    field, a repeated doc_id, or an unparseable line is rejected with an
-    error naming the offending record.
+    Documents come back in file order. A record with a missing, blank or
+    non-UTF-8 field, a repeated doc_id, or an unparseable line is rejected
+    with an error naming the offending record.
     """
     documents: list[Document] = []
     seen: set[str] = set()
@@ -92,6 +83,10 @@ def load_corpus(path: str) -> list[Document]:
                 raise MissingField(
                     f"record at line {lineno} (doc_id={doc_id!r}) "
                     f"is missing field {name!r}"
+                )
+            if not is_utf8(value):
+                raise UnreadableFile(
+                    f"corpus file {path}: line {lineno} field {name!r} is not valid UTF-8 text"
                 )
         if doc_id in seen:
             raise DuplicateDocId(doc_id)
@@ -322,7 +317,7 @@ def _inside(prefix: np.ndarray, a: int, b: int) -> float:
     )
 
 
-def choose_boundaries(rank: np.ndarray, params: C99Params) -> list[int]:
+def choose_boundaries(rank: np.ndarray, config: PipelineConfig) -> list[int]:
     """Greedy divisive boundary placement maximizing inside density.
 
     Density is the total rank mass inside the diagonal segment blocks divided
@@ -332,7 +327,7 @@ def choose_boundaries(rank: np.ndarray, params: C99Params) -> list[int]:
     Returns the sorted list of boundary start indices (excluding 0).
     """
     n = rank.shape[0]
-    min_len = params.min_segment_sentences
+    min_len = config.min_segment_sentences
     prefix = _block_sums(rank)
     segments: list[tuple[int, int]] = [(0, n - 1)]
 
@@ -342,7 +337,7 @@ def choose_boundaries(rank: np.ndarray, params: C99Params) -> list[int]:
         return mass / area if area else 0.0
 
     current = density(segments)
-    while len(segments) < params.max_segments:
+    while len(segments) < config.max_segments_per_doc:
         best_density = None
         best_split: tuple[int, int] | None = None
         for idx, (a, b) in enumerate(segments):
@@ -358,7 +353,7 @@ def choose_boundaries(rank: np.ndarray, params: C99Params) -> list[int]:
             gain = (best_density - current) / current
         else:
             gain = float("inf") if best_density > 0 else 0.0
-        if gain < params.min_density_gain:
+        if gain < config.min_density_gain:
             break
         idx, cut = best_split
         a, b = segments[idx]
@@ -367,18 +362,19 @@ def choose_boundaries(rank: np.ndarray, params: C99Params) -> list[int]:
     return [a for a, _ in segments[1:]]
 
 
-def segment_document(doc: Document, params: C99Params | None = None) -> list[Segment]:
-    """Partition a document into topical segments that tile its sentences."""
-    params = params or C99Params()
+def segment_document(doc: Document, config: PipelineConfig | None = None) -> list[Segment]:
+    """Partition a document into topical segments that tile its sentences,
+    under the segmentation fields of ``config`` (default ``PipelineConfig()``)."""
+    config = config or PipelineConfig()
     sentences = sentences_of(doc)
     n = len(sentences)
     # No admissible cut: the segmenter would return the whole document, so
     # skip the similarity and rank matrices altogether.
-    if n == 1 or n < 2 * params.min_segment_sentences or params.max_segments < 2:
+    if n == 1 or n < 2 * config.min_segment_sentences or config.max_segments_per_doc < 2:
         return [_make_segment(doc, sentences, 0, n - 1)]
     sim = _similarity_matrix([s.terms for s in sentences])
-    rank = _rank_transform(sim, params.rank_mask)
-    boundaries = choose_boundaries(rank, params)
+    rank = _rank_transform(sim, config.rank_mask)
+    boundaries = choose_boundaries(rank, config)
     edges = [0] + boundaries + [n]
     return [
         _make_segment(doc, sentences, edges[i], edges[i + 1] - 1)

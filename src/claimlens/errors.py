@@ -1,14 +1,14 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Exception hierarchy shared across the pipeline; the CLI's exit code follows it."""
 
 from __future__ import annotations
 
 
 class ClaimLensError(Exception):
-    """Base class for all pipeline errors."""
+    """Base class for all pipeline errors; exit 3 unless a subclass says otherwise."""
 
 
 class UsageError(ClaimLensError):
-    """Bad invocation: missing files, invalid flag combinations."""
+    """Bad invocation or input (exit 1): missing files, invalid flags, malformed corpus."""
 
 
 # --- corpus ---
@@ -17,22 +17,22 @@ class UnreadableFile(UsageError):
     pass
 
 
-class MissingField(ClaimLensError):
+class MissingField(UsageError):
     pass
 
 
-class DuplicateDocId(ClaimLensError):
+class DuplicateDocId(UsageError):
     pass
 
 
-class EmptyDocument(ClaimLensError):
+class EmptyDocument(UsageError):
     pass
 
 
 # --- embedding ---
 
 class ProviderUnavailable(ClaimLensError):
-    pass
+    """An embedding or chat provider could not answer (exit 2)."""
 
 
 class Timeout(ProviderUnavailable):
@@ -93,7 +93,7 @@ class NoCoarseAspects(ClaimLensError):
 
 # --- evaluation ---
 
-class JudgeFailure(ClaimLensError):
+class JudgeFailure(ProviderUnavailable):
     pass
 
 

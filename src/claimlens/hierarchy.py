@@ -10,7 +10,8 @@ enriched or expanded; a node whose retrieval pool comes back empty is marked
 a leaf rather than inventing children the corpus cannot ground.
 
 Node ids are path slugs ("0", "0.1", "0.1.2") so serialized trees diff
-cleanly and sort deterministically.
+cleanly and sort deterministically. A node's stance buckets (``PerspectiveSet``)
+are defined here, beside the tree that serializes them; ``perspective`` fills them.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .llm_gateway import (
     render_subaspect_discovery,
 )
 from .ranking import (
-    RankingParams,
     ScoredSegment,
     keyword_query_text,
     node_query_text,
@@ -48,6 +48,43 @@ from .ranking import (
 )
 
 ROOT_ID = "0"
+STANCES = ("support", "neutral", "oppose")
+
+
+@dataclass
+class StanceBucket:
+    summary: str = ""
+    segment_ids: list[str] = field(default_factory=list)
+    paper_ids: list[str] = field(default_factory=list)
+
+
+@dataclass
+class PerspectiveSet:
+    support: StanceBucket = field(default_factory=StanceBucket)
+    neutral: StanceBucket = field(default_factory=StanceBucket)
+    oppose: StanceBucket = field(default_factory=StanceBucket)
+
+    def bucket(self, stance: str) -> StanceBucket:
+        return getattr(self, stance)
+
+    @classmethod
+    def from_dict(cls, data: Any) -> "PerspectiveSet":
+        """Parse a stance -> bucket map of the types ``asdict`` writes; every
+        key is optional. Anything else raises ``CorruptArtifact``."""
+        if not (isinstance(data, dict) and set(data) <= set(STANCES)):
+            raise CorruptArtifact("perspectives are not a stance map")
+        out = cls()
+        for stance, raw in data.items():
+            if not isinstance(raw, dict) or not isinstance(raw.get("summary", ""), str):
+                raise CorruptArtifact(f"{stance} bucket is malformed")
+            bucket = out.bucket(stance)
+            bucket.summary = raw.get("summary", "")
+            for key in ("segment_ids", "paper_ids"):
+                ids = raw.get(key, [])
+                if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+                    raise CorruptArtifact(f"{stance} {key} must list ids")
+                setattr(bucket, key, list(ids))
+        return out
 
 
 @dataclass
@@ -60,13 +97,19 @@ class AspectNode:
     children: list[str] = field(default_factory=list)
     depth: int = 0
     attached_segments: list[str] = field(default_factory=list)
-    perspectives: dict[str, Any] | None = None
+    perspectives: PerspectiveSet | None = None
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "AspectNode":
+        perspectives = data.get("perspectives")
+        if perspectives is not None:
+            try:
+                perspectives = PerspectiveSet.from_dict(perspectives)
+            except CorruptArtifact as exc:
+                raise CorruptArtifact(f"node {data['node_id']}: {exc}") from exc
         return cls(
             node_id=data["node_id"],
             label=data["label"],
@@ -76,7 +119,7 @@ class AspectNode:
             children=list(data.get("children", [])),
             depth=data["depth"],
             attached_segments=list(data.get("attached_segments", [])),
-            perspectives=data.get("perspectives"),
+            perspectives=perspectives,
         )
 
 
@@ -217,13 +260,6 @@ class HierarchyBuilder:
         self.segments = segments
         self.config = config
         self.log = gateway.log
-        self.ranking_params = RankingParams(
-            beta=config.beta,
-            gamma=config.gamma,
-            pool_size=config.pool_size,
-            k_segments=config.k_segments,
-            epsilon=config.epsilon,
-        )
         self.tree: AspectHierarchy | None = None  # in-progress tree, for salvage
         self._queries: dict[str, np.ndarray] = {}
 
@@ -314,9 +350,7 @@ class HierarchyBuilder:
             for sid in tree.sibling_ids(node_id)
             if tree.node(sid).keywords
         ]
-        ranked = rank_segments(
-            self.index, query_vec, target, siblings, self.ranking_params
-        )
+        ranked = rank_segments(self.index, query_vec, target, siblings, self.config)
         self.log.record(
             "rank",
             node_id=node_id,

@@ -151,6 +151,8 @@ class MockChatProvider:
             entry = script[path.stem] = read_json(path, "mock transcript")
             if not isinstance(entry, dict) or not isinstance(entry.get("responses", {}), dict):
                 raise UnreadableFile(f"mock transcript {path} must map 'responses' to an object")
+            if [] in [entry.get("default"), *entry.get("responses", {}).values()]:
+                raise UnreadableFile(f"mock transcript {path} holds an empty response list")
         return cls(script)
 
     def complete(self, task: LlmTask, prompt: str, base_hash: str) -> str:

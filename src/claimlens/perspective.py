@@ -20,15 +20,15 @@ Stages, in order:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .corpus import Segment
 from .embedding import Embedder, EmbeddingIndex, normalize
-from .errors import CorruptArtifact, NoCoarseAspects
-from .hierarchy import AspectHierarchy
+from .errors import NoCoarseAspects
+from .hierarchy import STANCES, AspectHierarchy, PerspectiveSet
 from .llm_gateway import (
     STANCE_LABELS,
     LlmGateway,
@@ -37,64 +37,15 @@ from .llm_gateway import (
     render_stance_detect,
 )
 
-STANCES = ("support", "neutral", "oppose")
-
 # zip stops before "irrelevant_to_claim", which maps to no stance.
 _STANCE_BY_LABEL = dict(zip(STANCE_LABELS, STANCES))
 
 
 @dataclass(frozen=True)
 class FilterParams:
-    delta: float = 0.5
-    window: int = 10
-    min_chars: int = 500
-
-
-@dataclass
-class StanceBucket:
-    summary: str = ""
-    segment_ids: list[str] = field(default_factory=list)
-    paper_ids: list[str] = field(default_factory=list)
-
-
-@dataclass
-class PerspectiveSet:
-    support: StanceBucket = field(default_factory=StanceBucket)
-    neutral: StanceBucket = field(default_factory=StanceBucket)
-    oppose: StanceBucket = field(default_factory=StanceBucket)
-
-    def bucket(self, stance: str) -> StanceBucket:
-        return getattr(self, stance)
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "PerspectiveSet":
-        out = cls()
-        for stance in STANCES:
-            raw = data.get(stance, {})
-            out.bucket(stance).summary = raw.get("summary", "")
-            out.bucket(stance).segment_ids = list(raw.get("segment_ids", []))
-            out.bucket(stance).paper_ids = list(raw.get("paper_ids", []))
-        return out
-
-
-def check_perspectives(tree: AspectHierarchy) -> None:
-    """Raise ``CorruptArtifact`` naming the first node whose perspectives are
-    neither ``None`` (not yet discovered) nor stance -> bucket maps of the
-    types :meth:`PerspectiveSet.to_dict` writes; every key is optional."""
-    for node_id in tree.sorted_ids():
-        data = tree.node(node_id).perspectives
-        if data is not None and not (isinstance(data, dict) and set(data) <= set(STANCES)):
-            raise CorruptArtifact(f"node {node_id}: perspectives are not a stance map")
-        for stance, bucket in (data or {}).items():
-            if not isinstance(bucket, dict) or not isinstance(bucket.get("summary", ""), str):
-                raise CorruptArtifact(f"node {node_id}: {stance} bucket is malformed")
-            for key in ("segment_ids", "paper_ids"):
-                ids = bucket.get(key, [])
-                if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-                    raise CorruptArtifact(f"node {node_id}: {stance} {key} must list ids")
+    delta: float
+    window: int
+    min_chars: int
 
 
 @dataclass(frozen=True)
@@ -193,7 +144,8 @@ def classify_segments(
     tree: AspectHierarchy,
     embedder: Embedder,
     index: EmbeddingIndex,
-    relative_threshold: float = 0.9,
+    *,
+    relative_threshold: float,
 ) -> dict[str, list[str]]:
     """Attach each segment to the node(s) where its top-down descent ends.
 
@@ -309,7 +261,8 @@ def discover_perspectives(
     segments: dict[str, Segment],
     tree: AspectHierarchy,
     params: FilterParams,
-    relative_threshold: float = 0.9,
+    *,
+    relative_threshold: float,
 ) -> AspectHierarchy:
     """Run filtering, classification, stance detection, and summarization.
 
@@ -353,7 +306,8 @@ def discover_perspectives(
         )
 
     attachments = classify_segments(
-        [s.segment_id for s in retained], tree, embedder, index, relative_threshold
+        [s.segment_id for s in retained], tree, embedder, index,
+        relative_threshold=relative_threshold,
     )
 
     for node_id in tree.sorted_ids():
@@ -366,7 +320,5 @@ def discover_perspectives(
             stance = _STANCE_BY_LABEL.get(label)
             if stance is not None:  # irrelevant_to_claim drops the segment
                 buckets[stance].append(segment)
-        node.perspectives = summarize_perspectives(
-            gateway, tree, node_id, buckets
-        ).to_dict()
+        node.perspectives = summarize_perspectives(gateway, tree, node_id, buckets)
     return tree

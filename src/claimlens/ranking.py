@@ -29,17 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import PipelineConfig
 from .embedding import EmbeddingIndex
 from .errors import EmptyKeywordSet, EmptyList, EmptyPool
-
-
-@dataclass(frozen=True)
-class RankingParams:
-    beta: float = 1.0
-    gamma: float = 1.0
-    pool_size: int = 100
-    k_segments: int = 10
-    epsilon: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -119,7 +111,7 @@ def distractor_score(segment: np.ndarray, sibling_sets: Sequence[np.ndarray]) ->
 def discriminativeness(
     target: float | np.ndarray,
     distractor: float | np.ndarray | None,
-    params: RankingParams,
+    config: PipelineConfig,
 ) -> float | np.ndarray:
     """Reward/penalty ratio, elementwise over arrays; ``distractor=None`` marks
     a node with no siblings, in which case the penalty term is dropped and the
@@ -127,7 +119,7 @@ def discriminativeness(
     """
     if distractor is None:
         return target
-    return (params.beta * target) / (params.gamma * np.maximum(distractor, params.epsilon))
+    return (config.beta * target) / (config.gamma * np.maximum(distractor, config.epsilon))
 
 
 def rank_segments(
@@ -135,21 +127,21 @@ def rank_segments(
     query_embedding: np.ndarray,
     target_keywords: np.ndarray,
     sibling_sets: Sequence[np.ndarray],
-    params: RankingParams,
+    config: PipelineConfig,
 ) -> list[ScoredSegment]:
     """Score the pool_size most query-similar segments, return the top k.
 
     Ordering is by descending discriminativeness, ties broken by ascending
     segment_id.
     """
-    pool = index.top_k(query_embedding, params.pool_size)
+    pool = index.top_k(query_embedding, config.pool_size)
     if not pool:
         raise EmptyPool("no candidate segments for node query")
     ids = [segment_id for segment_id, _ in pool]
     matrix = np.vstack([index.get(segment_id) for segment_id in ids])
     targets = batch_target_scores(matrix, target_keywords)
     distractors = batch_distractor_scores(matrix, sibling_sets)
-    scores = discriminativeness(targets, distractors if sibling_sets else None, params)
+    scores = discriminativeness(targets, distractors if sibling_sets else None, config)
     scored = [
         ScoredSegment(
             segment_id=sid,
@@ -160,4 +152,4 @@ def rank_segments(
         for sid, t, d, s in zip(ids, targets, distractors, scores)
     ]
     scored.sort(key=lambda item: (-item.score, item.segment_id))
-    return scored[: params.k_segments]
+    return scored[: config.k_segments]

@@ -17,12 +17,13 @@ import numpy as np
 import pytest
 
 from claimlens.cli import main
-from claimlens.corpus import C99Params, sentences_of, segment_document
+from claimlens.config import PipelineConfig
+from claimlens.corpus import sentences_of, segment_document
 from claimlens.embedding import EmbeddingIndex
 from claimlens.evaluation import evaluate_hierarchy, pairwise_compare, render_metric_table
 from claimlens.hierarchy import AspectHierarchy
 from claimlens.perspective import CachingJudge, FilterParams, PerspectiveSet, relevance_boundary
-from claimlens.ranking import RankingParams, rank_segments, zipf_weighted_mean
+from claimlens.ranking import rank_segments, zipf_weighted_mean
 
 from . import oracles
 from .conftest import DATA_DIR, make_two_topic_doc, rule_gateway
@@ -78,7 +79,7 @@ def _instance(rng: random.Random, n_segments: int, dim: int = 6):
 
     target = kwset(rng.randint(1, 10))
     siblings = [kwset(rng.randint(1, 10)) for _ in range(rng.randint(0, 4))]
-    params = RankingParams(
+    params = PipelineConfig(
         beta=rng.choice([0.5, 1.0, 2.0]),
         gamma=rng.choice([0.5, 1.0, 3.0]),
         pool_size=rng.randint(2, n_segments + 5),
@@ -142,13 +143,13 @@ def test_criterion_3_argsort_invariance():
             base = rank_segments(index, query, target, siblings, params)
             c = rng.choice([1e-3, 0.5, 2.0, 17.0, 4096.0])
             if trial % 2 == 0:
-                scaled = RankingParams(
+                scaled = PipelineConfig(
                     beta=params.beta * c, gamma=params.gamma,
                     pool_size=params.pool_size, k_segments=params.k_segments,
                     epsilon=params.epsilon,
                 )
             else:
-                scaled = RankingParams(
+                scaled = PipelineConfig(
                     beta=params.beta, gamma=params.gamma * c,
                     pool_size=params.pool_size, k_segments=params.k_segments,
                     epsilon=params.epsilon,
@@ -170,7 +171,7 @@ def test_criterion_4_relevance_boundary_oracle_and_call_bound():
             cutoff = rng.randint(0, size)
             window = rng.choice([5, 10, 15])
             delta = rng.choice([0.3, 0.5, 0.7])
-            params = FilterParams(delta=delta, window=window)
+            params = FilterParams(delta=delta, window=window, min_chars=500)
             judge = CachingJudge(lambda i, cutoff=cutoff: i < cutoff)
             got = relevance_boundary(size, judge, params)
             expected = oracles.window_scan_boundary(
@@ -342,7 +343,7 @@ def test_criterion_7_metrics_and_pairwise(tmp_path, capsys):
 def test_criterion_8_segmenter_boundary_oracle():
     with criterion(8, "two-topic boundary matches exhaustive oracle >= 19/20", budget_s=10.0):
         rng = random.Random(88)
-        params = C99Params(max_segments=2)
+        params = PipelineConfig(max_segments_per_doc=2)
         hits = 0
         for trial in range(20):
             doc = make_two_topic_doc(

@@ -3,16 +3,19 @@ import io
 import json
 import os
 import shutil
+import socket
 import subprocess
 import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from claimlens import http_provider
 from claimlens.cli import main
 from claimlens.config import PipelineConfig
 from claimlens.hierarchy import AspectHierarchy
@@ -535,8 +538,15 @@ def test_non_utf8_input_is_a_usage_error(tmp_path, capsys, target):
 
 
 @pytest.mark.parametrize(
-    "content", ["{oops", "[1, 2]", '{"responses": [1]}'],
-    ids=["not_json", "not_an_object", "responses_not_an_object"],
+    "content",
+    ["{oops", "[1, 2]", '{"responses": [1]}', '{"default": []}', '{"responses": {"h": []}}'],
+    ids=[
+        "not_json",
+        "not_an_object",
+        "responses_not_an_object",
+        "empty_default_list",
+        "empty_response_list",
+    ],
 )
 def test_malformed_mock_transcript_is_a_usage_error(ingested, tmp_path, capsys, content):
     out, transcript = tmp_path / "out", tmp_path / "transcript"
@@ -548,6 +558,49 @@ def test_malformed_mock_transcript_is_a_usage_error(ingested, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert f"mock transcript {transcript / 'coarse_aspects.json'}" in err
     assert "Traceback" not in err
+
+
+DOC = {"doc_id": "p1", "title": "t", "text": "One sentence. Two sentences."}
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ([{**DOC, "title": "  "}], "line 1 (doc_id='p1') is missing field 'title'"),
+        ([DOC, {**DOC, "text": "Other text."}], "p1"),
+        ([DOC, {**DOC, "doc_id": "p2", "text": "Alpha \ud800 beta."}],
+         "line 2 field 'text' is not valid UTF-8"),
+    ],
+    ids=["blank_field", "repeated_doc_id", "lone_surrogate"],
+)
+def test_bad_corpus_record_exits_1(tmp_path, capsys, records, message):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+    cfg = write_config_file(tmp_path, tmp_path / "out", corpus_path=str(corpus))
+    assert run_stage(["ingest", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out" / "segments.jsonl").exists()
+
+
+def test_claim_that_is_not_utf8_exits_1(ingested, tmp_path, capsys):
+    # A command-line byte 0xff reaches Python as the lone surrogate U+DCFF.
+    out = tmp_path / "out"
+    shutil.copytree(ingested, out)
+    cfg = write_config_file(tmp_path, out)
+    assert run_stage(["build", "--config", cfg, "--claim", "Vaccine \udcff"]) == 1
+    assert capsys.readouterr().err == "error: claim is not valid UTF-8 text\n"
+    assert not (out / "hierarchy.json").exists()
+
+
+def test_refused_judge_endpoint_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(http_provider, "time", SimpleNamespace(sleep=lambda seconds: None))
+    with socket.create_server(("127.0.0.1", 0)) as probe:
+        port = probe.getsockname()[1]  # closed on exit, so connections are refused
+    argv = ["evaluate", "--chat-endpoint", f"http://127.0.0.1:{port}/chat",
+            "--out", str(tmp_path / "out"), str(GOLDEN / "hierarchy_perspectives.json")]
+    assert run_stage(argv) == 2
+    assert capsys.readouterr().err.startswith("provider error: judge unavailable")
 
 
 # Truncate at, overwrite from, or delete a run starting at an offset taken

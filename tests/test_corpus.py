@@ -4,8 +4,8 @@ import random
 import numpy as np
 import pytest
 
+from claimlens.config import PipelineConfig
 from claimlens.corpus import (
-    C99Params,
     Document,
     _rank_transform,
     _similarity_matrix,
@@ -146,12 +146,12 @@ def test_first_boundary_matches_oracle_on_random_two_topic_docs():
     # The first greedy insertion ranges over exactly the single-boundary
     # candidates the oracle enumerates, so capping at two segments isolates it.
     rng = random.Random(11)
-    params = C99Params(max_segments=2)
+    config = PipelineConfig(max_segments_per_doc=2)
     for trial in range(5):
         first = rng.randint(4, 9)
         second = rng.randint(4, 9)
         doc = make_two_topic_doc(f"d{trial}", rng, first=first, second=second)
-        segs = segment_document(doc, params)
+        segs = segment_document(doc, config)
         sentences = sentences_of(doc)
         counts = [dict(s.terms) for s in sentences]
         rank = oracles.rank_matrix(oracles.similarity_matrix(counts), 11)
@@ -189,10 +189,10 @@ def test_rank_transform_exactly_equals_oracle(mask):
 @pytest.mark.parametrize(
     "n, params",
     [
-        (3, C99Params(min_segment_sentences=2)),
-        (5, C99Params(min_segment_sentences=3)),
-        (9, C99Params(min_segment_sentences=5)),
-        (12, C99Params(max_segments=1)),
+        (3, PipelineConfig(min_segment_sentences=2)),
+        (5, PipelineConfig(min_segment_sentences=3)),
+        (9, PipelineConfig(min_segment_sentences=5)),
+        (12, PipelineConfig(max_segments_per_doc=1)),
     ],
 )
 def test_document_without_admissible_cut_is_one_segment(n, params):
@@ -213,7 +213,7 @@ def test_document_of_exactly_two_minimum_segments_is_still_cut(min_len):
     # The short-circuit stops one sentence short: at n == 2 * min_len the
     # single admissible cut is tried and taken at the topic shift.
     doc = make_two_topic_doc("d", random.Random(min_len), first=min_len, second=min_len)
-    segs = segment_document(doc, C99Params(min_segment_sentences=min_len))
+    segs = segment_document(doc, PipelineConfig(min_segment_sentences=min_len))
     assert [(s.start, s.end) for s in segs] == [(0, min_len - 1), (min_len, 2 * min_len - 1)]
 
 
@@ -240,5 +240,5 @@ def test_tiling_invariant_random_documents():
 def test_segmentation_deterministic():
     rng = random.Random(5)
     doc = make_two_topic_doc("d", rng, first=7, second=6)
-    params = C99Params()
-    assert segment_document(doc, params) == segment_document(doc, params)
+    config = PipelineConfig()
+    assert segment_document(doc, config) == segment_document(doc, config)

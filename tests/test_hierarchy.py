@@ -8,10 +8,10 @@ from claimlens.errors import (
     SchemaViolation,
     TooFewSubaspects,
 )
-from claimlens.hierarchy import AspectHierarchy, HierarchyBuilder
+from claimlens.hierarchy import AspectHierarchy, HierarchyBuilder, PerspectiveSet
 from claimlens.llm_gateway import LlmGateway, MockChatProvider, OperationLog
 
-from .conftest import build_index, make_segments
+from .conftest import DATA_DIR, build_index, make_segments
 
 CLAIM = "Vaccine Alpha is better than Vaccine Beta"
 
@@ -284,6 +284,11 @@ def test_roundtrip_and_sorted_ids():
     data = tree.to_dict("fp")
     clone = AspectHierarchy.from_dict(data)
     assert clone.to_dict("fp") == data
+    # A tree with perspectives parses them into typed sets and writes them back.
+    golden = json.loads((DATA_DIR / "golden" / "hierarchy_perspectives.json").read_text())
+    clone = AspectHierarchy.from_dict(golden)
+    assert all(isinstance(n.perspectives, PerspectiveSet) for n in clone.nodes.values())
+    assert clone.to_dict(golden["config_fingerprint"]) == golden
 
 
 def test_path_helpers():

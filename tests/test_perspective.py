@@ -83,7 +83,7 @@ def step_profile(n_relevant):
 
 
 def test_boundary_matches_linear_scan_on_step_profile():
-    params = FilterParams(delta=0.5, window=10)
+    params = FilterParams(delta=0.5, window=10, min_chars=500)
     judge = CachingJudge(step_profile(120))
     got = relevance_boundary(200, judge, params)
     expected = oracles.window_scan_boundary(200, step_profile(120), 0.5, 10)
@@ -92,17 +92,18 @@ def test_boundary_matches_linear_scan_on_step_profile():
 
 
 def test_boundary_all_irrelevant():
-    params = FilterParams(delta=0.5, window=10)
+    params = FilterParams(delta=0.5, window=10, min_chars=500)
     assert relevance_boundary(50, CachingJudge(lambda i: False), params) == 0
 
 
 def test_boundary_all_relevant():
-    params = FilterParams(delta=0.5, window=10)
+    params = FilterParams(delta=0.5, window=10, min_chars=500)
     assert relevance_boundary(50, CachingJudge(lambda i: True), params) == 50
 
 
 def test_boundary_zero_segments():
-    assert relevance_boundary(0, CachingJudge(lambda i: True), FilterParams()) == 0
+    params = FilterParams(delta=0.5, window=10, min_chars=500)
+    assert relevance_boundary(0, CachingJudge(lambda i: True), params) == 0
 
 
 def test_boundary_oracle_agreement_random_monotone_profiles():
@@ -112,7 +113,7 @@ def test_boundary_oracle_agreement_random_monotone_profiles():
         cutoff = rng.randint(0, count)
         window = rng.choice([3, 5, 10])
         delta = rng.choice([0.3, 0.5, 0.7])
-        params = FilterParams(delta=delta, window=window)
+        params = FilterParams(delta=delta, window=window, min_chars=500)
         judge = CachingJudge(step_profile(cutoff))
         got = relevance_boundary(count, judge, params)
         expected = oracles.window_scan_boundary(
@@ -122,7 +123,7 @@ def test_boundary_oracle_agreement_random_monotone_profiles():
 
 
 def test_judgment_economy_and_caching():
-    params = FilterParams(delta=0.5, window=10)
+    params = FilterParams(delta=0.5, window=10, min_chars=500)
     count = 1500
     judge = CachingJudge(step_profile(700))
     relevance_boundary(count, judge, params)
@@ -162,7 +163,7 @@ def test_segment_with_single_branch_vocabulary_attaches_in_that_subtree(fixture_
     index = EmbeddingIndex(dim=6)
     vec = 0.9 * basis(0) + 0.436 * basis(2)  # strongly alpha, leaf one flavored
     index.add("s1", vec / np.linalg.norm(vec))
-    got = classify_segments(["s1"], tree, embedder, index)
+    got = classify_segments(["s1"], tree, embedder, index, relative_threshold=0.9)
     attached_at = [nid for nid, segs in got.items() if segs]
     assert attached_at == [nodes["a1"].node_id]
     # brute force: the most similar leaf is the attachment point
@@ -179,7 +180,7 @@ def test_segment_equally_similar_to_both_branches_attaches_twice(fixture_tree_en
     index = EmbeddingIndex(dim=6)
     vec = basis(2) + basis(4)  # alpha leaf one + beta leaf one, nothing else
     index.add("s1", vec / np.linalg.norm(vec))
-    got = classify_segments(["s1"], tree, embedder, index)
+    got = classify_segments(["s1"], tree, embedder, index, relative_threshold=0.9)
     attached_at = sorted(nid for nid, segs in got.items() if segs)
     assert attached_at == [nodes["a1"].node_id, nodes["b1"].node_id]
 
@@ -188,7 +189,7 @@ def test_empty_retained_set_attaches_nothing(fixture_tree_env):
     tree, embedder, _ = fixture_tree_env
     index = EmbeddingIndex(dim=6)
     index.add("s1", basis(0))
-    got = classify_segments([], tree, embedder, index)
+    got = classify_segments([], tree, embedder, index, relative_threshold=0.9)
     assert all(not segs for segs in got.values())
 
 
@@ -197,7 +198,7 @@ def test_rootonly_tree_attaches_at_root():
     embedder = Embedder(DictEmbedderProvider({}, 4))
     index = EmbeddingIndex(dim=4)
     index.add("s1", np.array([1.0, 0.0, 0.0, 0.0]))
-    got = classify_segments(["s1"], tree, embedder, index)
+    got = classify_segments(["s1"], tree, embedder, index, relative_threshold=0.9)
     assert got["0"] == ["s1"]
 
 
@@ -354,12 +355,14 @@ def test_discover_perspectives_partitions_stances(perspective_env, embedder):
     tree, segments, index = perspective_env
     gateway = rule_gateway(perspective_rules)
     params = FilterParams(delta=0.5, window=2, min_chars=0)
-    tree = discover_perspectives(gateway, embedder, index, segments, tree, params)
+    tree = discover_perspectives(
+        gateway, embedder, index, segments, tree, params, relative_threshold=0.9
+    )
 
     for node_id in tree.sorted_ids():
         node = tree.node(node_id)
         assert node.perspectives is not None
-        pset = PerspectiveSet.from_dict(node.perspectives)
+        pset = node.perspectives
         buckets = [set(pset.bucket(s).segment_ids) for s in ("support", "neutral", "oppose")]
         # pairwise disjoint
         assert not (buckets[0] & buckets[1])
@@ -377,7 +380,9 @@ def test_discover_perspectives_each_pair_judged_once(perspective_env, embedder):
     tree, segments, index = perspective_env
     gateway = rule_gateway(perspective_rules)
     params = FilterParams(delta=0.5, window=2, min_chars=0)
-    tree = discover_perspectives(gateway, embedder, index, segments, tree, params)
+    tree = discover_perspectives(
+        gateway, embedder, index, segments, tree, params, relative_threshold=0.9
+    )
     stance_calls = [
         r for r in gateway.log.of_kind("llm_call") if r["task"] == "stance_detect"
     ]
@@ -397,11 +402,13 @@ def test_discover_perspectives_all_irrelevant_leaves_empty_sets(perspective_env,
 
     gateway = rule_gateway(all_no)
     params = FilterParams(delta=0.5, window=2, min_chars=0)
-    tree = discover_perspectives(gateway, embedder, index, segments, tree, params)
+    tree = discover_perspectives(
+        gateway, embedder, index, segments, tree, params, relative_threshold=0.9
+    )
     for node_id in tree.sorted_ids():
         node = tree.node(node_id)
         assert node.attached_segments == []
-        pset = PerspectiveSet.from_dict(node.perspectives)
+        pset = node.perspectives
         for stance in ("support", "neutral", "oppose"):
             assert pset.bucket(stance).segment_ids == []
             assert pset.bucket(stance).summary == ""
@@ -411,6 +418,8 @@ def test_min_chars_floor_excludes_short_segments(perspective_env, embedder):
     tree, segments, index = perspective_env
     gateway = rule_gateway(perspective_rules)
     params = FilterParams(delta=0.5, window=2, min_chars=10_000)
-    tree = discover_perspectives(gateway, embedder, index, segments, tree, params)
+    tree = discover_perspectives(
+        gateway, embedder, index, segments, tree, params, relative_threshold=0.9
+    )
     assert all(not tree.node(n).attached_segments for n in tree.sorted_ids())
     assert gateway.log.of_kind("llm_call") == []

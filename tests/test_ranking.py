@@ -4,10 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from claimlens.config import PipelineConfig
 from claimlens.embedding import EmbeddingIndex
 from claimlens.errors import EmptyKeywordSet, EmptyList
 from claimlens.ranking import (
-    RankingParams,
     discriminativeness,
     distractor_score,
     keyword_query_text,
@@ -103,21 +103,21 @@ def test_distractor_no_siblings():
 
 
 def test_discriminativeness_ratio():
-    assert discriminativeness(0.8, 0.4, RankingParams()) == pytest.approx(2.0)
+    assert discriminativeness(0.8, 0.4, PipelineConfig()) == pytest.approx(2.0)
 
 
 def test_discriminativeness_epsilon_floor():
-    score = discriminativeness(0.5, 0.0, RankingParams(epsilon=1e-6))
+    score = discriminativeness(0.5, 0.0, PipelineConfig(epsilon=1e-6))
     assert score == pytest.approx(5e5)
     assert math.isfinite(score)
 
 
 def test_discriminativeness_scaling():
-    assert discriminativeness(0.3, 0.3, RankingParams(beta=2.0)) == pytest.approx(2.0)
+    assert discriminativeness(0.3, 0.3, PipelineConfig(beta=2.0)) == pytest.approx(2.0)
 
 
 def test_discriminativeness_no_sibling_is_target():
-    assert discriminativeness(0.73, None, RankingParams(beta=9.0)) == 0.73
+    assert discriminativeness(0.73, None, PipelineConfig(beta=9.0)) == 0.73
 
 
 # --- query text construction ---
@@ -154,7 +154,7 @@ def _random_instance(rng, dim=8, max_segments=60):
 
     target = kwset(rng.randint(1, 10))
     siblings = [kwset(rng.randint(1, 10)) for _ in range(rng.randint(0, 4))]
-    params = RankingParams(
+    params = PipelineConfig(
         beta=rng.choice([0.5, 1.0, 2.0]),
         gamma=rng.choice([0.5, 1.0, 3.0]),
         pool_size=rng.randint(2, n + 10),
@@ -205,7 +205,7 @@ def test_segment_matching_target_only_ranks_first():
     index.add("mixed", mixed)
     target = np.array([[1.0, 0.0, 0.0, 0.0]])
     sibling = [np.array([[0.0, 1.0, 0.0, 0.0]])]
-    params = RankingParams(pool_size=3, k_segments=3)
+    params = PipelineConfig(pool_size=3, k_segments=3)
     got = rank_segments(index, np.array([1.0, 1.0, 1.0, 1.0]) / 2.0, target, sibling, params)
     assert got[0].segment_id == "on"
     rows = _oracle_rows(
@@ -231,7 +231,7 @@ def test_constant_distractor_preserves_target_order():
         ids.append(sid)
     target = np.array([_random_unit(rng, dim) for _ in (1, 2)])
     siblings = [np.array([[0.0, 0.0, 0.0, 1.0, 0.0]])]
-    params = RankingParams(pool_size=12, k_segments=12)
+    params = PipelineConfig(pool_size=12, k_segments=12)
     with_sibling = rank_segments(index, _random_unit(rng, dim), target, siblings, params)
     # distractor is not exactly constant (unit renormalization), but close;
     # compare against target ordering instead
@@ -244,7 +244,7 @@ def test_pool_larger_than_corpus_uses_whole_corpus():
     index = EmbeddingIndex(dim=4)
     for i in range(5):
         index.add(f"s{i}", _random_unit(rng, 4))
-    params = RankingParams(pool_size=50, k_segments=50)
+    params = PipelineConfig(pool_size=50, k_segments=50)
     target = np.array([_random_unit(rng, 4)])
     got = rank_segments(index, _random_unit(rng, 4), target, [], params)
     assert len(got) == 5
@@ -258,7 +258,7 @@ def test_argsort_invariance_under_beta_gamma_scaling():
             siblings = [np.array([_random_unit(rng, 8)])]
         base = rank_segments(index, query, target, siblings, params)
         for c in (0.01, 3.0, 250.0):
-            scaled_beta = RankingParams(
+            scaled_beta = PipelineConfig(
                 beta=params.beta * c, gamma=params.gamma,
                 pool_size=params.pool_size, k_segments=params.k_segments,
                 epsilon=params.epsilon,
