@@ -30,15 +30,6 @@ def replacing(path: str | Path) -> Iterator[BinaryIO]:
         raise
 
 
-def is_utf8(text: str) -> bool:
-    """False when ``text`` holds a lone surrogate, which UTF-8 cannot encode."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 def write_text(path: str | Path, text: str) -> None:
     with replacing(path) as fh:
         fh.write(text.encode("utf-8"))
@@ -66,10 +57,22 @@ def _reading(path: str | Path, what: str) -> Iterator[TextIO]:
         raise UnreadableFile(f"{what} {path} is not valid UTF-8: {exc}") from exc
 
 
+def parse_json(text: str) -> Any:
+    """``json.loads`` that also refuses the escape of a lone surrogate (``"\\ud800"``),
+    which no later UTF-8 write or prompt hash could encode; both raise ``ValueError``."""
+    value = json.loads(text)
+    if "\\ud" in text or "\\uD" in text:
+        try:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("it escapes a lone surrogate, which UTF-8 cannot encode") from None
+    return value
+
+
 def _parse(text: str, where: str) -> Any:
     try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        return parse_json(text)
+    except (ValueError, RecursionError) as exc:
         raise UnreadableFile(f"{where} is not valid JSON: {exc}") from exc
 
 

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .artifacts import is_utf8, read_json
+from .artifacts import read_json
 from .errors import UsageError
 
 # The output directory and pointer fields, kept out of the fingerprint. Input
@@ -115,8 +115,10 @@ class PipelineConfig:
         if self.epsilon <= 0:
             raise UsageError("epsilon must be positive")
         for name, value in self.to_dict().items():
-            if isinstance(value, str) and not is_utf8(value):
-                raise UsageError(f"{name} is not valid UTF-8 text")
+            try:
+                str(value).encode("utf-8")  # a command-line byte 0xff arrives as U+DCFF
+            except UnicodeEncodeError:
+                raise UsageError(f"{name} is not valid UTF-8 text") from None
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)

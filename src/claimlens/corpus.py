@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import is_utf8, read_jsonl, write_jsonl
+from .artifacts import read_jsonl, write_jsonl
 from .config import PipelineConfig
 from .errors import CorruptArtifact, DuplicateDocId, EmptyDocument, MissingField, UnreadableFile
 
@@ -67,9 +67,9 @@ _REQUIRED_FIELDS = ("doc_id", "title", "text")
 def load_corpus(path: str) -> list[Document]:
     """Read a JSONL corpus file (doc_id / title / text per line).
 
-    Documents come back in file order. A record with a missing, blank or
-    non-UTF-8 field, a repeated doc_id, or an unparseable line is rejected
-    with an error naming the offending record.
+    Documents come back in file order. A record with a missing or blank
+    field, a repeated doc_id, or an unparseable line is rejected with an
+    error naming the offending record.
     """
     documents: list[Document] = []
     seen: set[str] = set()
@@ -83,10 +83,6 @@ def load_corpus(path: str) -> list[Document]:
                 raise MissingField(
                     f"record at line {lineno} (doc_id={doc_id!r}) "
                     f"is missing field {name!r}"
-                )
-            if not is_utf8(value):
-                raise UnreadableFile(
-                    f"corpus file {path}: line {lineno} field {name!r} is not valid UTF-8 text"
                 )
         if doc_id in seen:
             raise DuplicateDocId(doc_id)

@@ -104,14 +104,15 @@ class AspectNode:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "AspectNode":
+        node_id = data["node_id"]  # TypeError first when ``data`` is not an object
         perspectives = data.get("perspectives")
         if perspectives is not None:
             try:
                 perspectives = PerspectiveSet.from_dict(perspectives)
             except CorruptArtifact as exc:
-                raise CorruptArtifact(f"node {data['node_id']}: {exc}") from exc
+                raise CorruptArtifact(f"node {node_id}: {exc}") from exc
         return cls(
-            node_id=data["node_id"],
+            node_id=node_id,
             label=data["label"],
             description=data["description"],
             keywords=list(data.get("keywords", [])),

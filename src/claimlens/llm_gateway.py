@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterator, Protocol, Sequence
 
-from .artifacts import read_json
+from .artifacts import parse_json, read_json
 from .errors import SchemaViolation, UnknownTask, UnreadableFile
 from .http_provider import HttpJsonProvider
 
@@ -230,7 +230,7 @@ class LlmGateway:
                 raise SchemaViolation(message) from exc
             try:
                 value = _parse_json(raw)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 error_text = f"not valid JSON: {exc}"
                 continue
             error = schema_error(instance.expected_schema, value)
@@ -266,7 +266,7 @@ def _parse_json(raw: str) -> Any:
         if lines and lines[-1].strip().startswith("```"):
             lines = lines[:-1]
         text = "\n".join(lines).strip()
-    return json.loads(text)
+    return parse_json(text)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,13 @@ def test_read_jsonl_numbers_lines_and_splits_only_at_newlines(tmp_path):
     assert list(read_jsonl(path, "segment store")) == [(1, {"a": 1}), (4, {"t": "x\u2028y"})]
 
 
+def test_read_json_keeps_escaped_surrogate_pairs(tmp_path):
+    payload = {"label": "efficacy \U0001f600", "\U0001f600": ["\ud7ff \ue000"]}
+    write_json(tmp_path / "h.json", payload)
+    assert b"\\ud83d\\ude00" in (tmp_path / "h.json").read_bytes()
+    assert read_json(tmp_path / "h.json", "hierarchy file") == payload
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -115,8 +122,19 @@ def test_read_jsonl_numbers_lines_and_splits_only_at_newlines(tmp_path):
         (b'{"a": 1}\n{"t": "caf\xe9"}\n', "segment store {path} is not valid UTF-8"),
         (b'{"a": 1}\n\n{"a": \n', "segment store {path}: line 3 is not valid JSON"),
         (b"[" * 100_000 + b"\n", "segment store {path}: line 1 is not valid JSON"),
+        (b'{"a": 1}\n{"t": "x \\ud800 y"}\n', "segment store {path}: line 2 is not valid JSON: it escapes a lone surrogate"),
+        (b'{"t": "x \\uDC00"}\n', "segment store {path}: line 1 is not valid JSON: it escapes a lone surrogate"),
+        (b'{"\\ude00\\ud83d": 1}\n', "segment store {path}: line 1 is not valid JSON: it escapes a lone surrogate"),
     ],
-    ids=["missing", "not_utf8", "bad_line", "nested_too_deep"],
+    ids=[
+        "missing",
+        "not_utf8",
+        "bad_line",
+        "nested_too_deep",
+        "lone_high_surrogate",
+        "lone_low_surrogate_upper_hex",
+        "reversed_pair_in_key",
+    ],
 )
 def test_unreadable_jsonl_names_the_file(tmp_path, content, message):
     path = tmp_path / "segments.jsonl"

@@ -494,6 +494,8 @@ def _node(data, node_id):
             lambda d: _node(d, "0.2").update(perspectives={"support": {"segment_ids": "s1"}}),
             "node 0.2: support segment_ids",
         ),
+        (lambda d: d["nodes"].append(1), "not subscriptable"),
+        (lambda d: d.update(nodes="ab"), "string indices"),
     ],
     ids=[
         "no_label",
@@ -506,6 +508,8 @@ def _node(data, node_id):
         "no_nodes",
         "perspectives_list",
         "segment_ids_string",
+        "node_not_object",
+        "nodes_string",
     ],
 )
 @pytest.mark.parametrize("command", ["report", "evaluate"])
@@ -521,6 +525,22 @@ def test_corrupt_hierarchy_is_a_typed_error(tmp_path, capsys, edit, message, com
     assert run_stage(argv) == 3
     err = capsys.readouterr().err
     assert f"hierarchy file {path}" in err and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["report", "evaluate"])
+def test_hierarchy_with_lone_surrogate_exits_1(tmp_path, capsys, command):
+    data = json.loads((GOLDEN / "hierarchy_perspectives.json").read_text())
+    _node(data, "0.1")["label"] = "efficacy \ud800"
+    path = tmp_path / "hierarchy.json"
+    path.write_text(json.dumps(data))
+    if command == "report":
+        argv = ["report", str(path), "--out-file", str(tmp_path / "report.md")]
+    else:
+        argv = ["evaluate", "--config", write_config_file(tmp_path, tmp_path / "out"), str(path)]
+    assert run_stage(argv) == 1
+    err = capsys.readouterr().err
+    assert f"hierarchy file {path} is not valid JSON: it escapes a lone surrogate" in err
     assert "Traceback" not in err
 
 
@@ -569,7 +589,7 @@ DOC = {"doc_id": "p1", "title": "t", "text": "One sentence. Two sentences."}
         ([{**DOC, "title": "  "}], "line 1 (doc_id='p1') is missing field 'title'"),
         ([DOC, {**DOC, "text": "Other text."}], "p1"),
         ([DOC, {**DOC, "doc_id": "p2", "text": "Alpha \ud800 beta."}],
-         "line 2 field 'text' is not valid UTF-8"),
+         "line 2 is not valid JSON: it escapes a lone surrogate"),
     ],
     ids=["blank_field", "repeated_doc_id", "lone_surrogate"],
 )

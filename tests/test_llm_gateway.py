@@ -101,6 +101,20 @@ def test_retry_after_malformed_json():
     assert record["status"] == "ok"
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [json.dumps(make_aspects()).replace('"aspect 0"', '"aspect \\ud800"'), "[" * 100_000],
+    ids=["lone_surrogate", "nested_too_deep"],
+)
+def test_retry_after_reply_that_parses_to_no_usable_json(bad):
+    replies = iter([bad, json.dumps(make_aspects())])
+    gateway = rule_gateway(lambda task, prompt: next(replies))
+    got = gateway.complete_json(render_coarse_aspects("claim text", 5))
+    assert got["aspects"][0]["label"] == "aspect 0"
+    assert gateway.log.of_kind("llm_call")[-1]["retries"] == 1
+    assert "Your previous output was invalid: not valid JSON: " in gateway.provider.calls[1][1]
+
+
 def test_schema_violation_after_retry_budget():
     gateway = gateway_with_default("coarse_aspects", "never json")
     with pytest.raises(SchemaViolation):
