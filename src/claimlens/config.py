@@ -17,6 +17,7 @@ from typing import Any
 
 from .artifacts import read_json
 from .errors import UsageError
+from .llm_gateway import TASKS
 
 # The output directory and pointer fields, kept out of the fingerprint. Input
 # locations (corpus, transcripts) are pointers too: their content shapes the
@@ -114,6 +115,9 @@ class PipelineConfig:
             raise UsageError("beta and gamma must be positive")
         if self.epsilon <= 0:
             raise UsageError("epsilon must be positive")
+        unknown = sorted(set(self.temperatures) - set(TASKS))
+        if unknown:
+            raise UsageError(f"temperatures name no LLM task: {unknown}")
         for name, value in self.to_dict().items():
             try:
                 str(value).encode("utf-8")  # a command-line byte 0xff arrives as U+DCFF

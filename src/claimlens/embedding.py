@@ -279,7 +279,7 @@ class EmbeddingIndex:
         try:
             dim = manifest["dim"]
             count = manifest["count"]
-            ids = [entry["segment_id"] for entry in manifest["entries"]]
+            entries = [(entry["segment_id"], entry["offset"]) for entry in manifest["entries"]]
         except (KeyError, TypeError) as exc:
             raise CorruptArtifact(
                 f"index manifest {manifest_path} is malformed: missing or mistyped {exc}"
@@ -288,6 +288,14 @@ class EmbeddingIndex:
             raise CorruptArtifact(
                 f"index manifest {manifest_path} has dim {dim!r} and count {count!r}"
             )
+        # A reordered manifest would pin vectors to the wrong ids.
+        for row, (segment_id, offset) in enumerate(entries):
+            if not isinstance(segment_id, str) or offset != row * dim * 8:
+                raise CorruptArtifact(
+                    f"index manifest {manifest_path} entry {row} is not a segment id "
+                    f"at offset {row * dim * 8}"
+                )
+        ids = [segment_id for segment_id, _ in entries]
         try:
             raw = np.fromfile(vectors_path, dtype="<f8")
         except OSError as exc:

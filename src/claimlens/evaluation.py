@@ -11,14 +11,34 @@ winner that flips with order is an implicit tie.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from .corpus import Segment
 from .errors import JudgeFailure, ProviderUnavailable, UsageError
 from .hierarchy import AspectHierarchy
-from .llm_gateway import WINNER_SCHEMA, LlmGateway, PromptInstance, score_schema
+from .llm_gateway import LlmGateway, PromptInstance
 
 VERDICTS = ("A_wins", "B_wins", "explicit_tie", "implicit_tie")
+
+WINNER_SCHEMA: dict[str, Any] = {
+    "type": "object",
+    "required": ["winner"],
+    "properties": {
+        "winner": {"enum": ["A", "B", "tie"]},
+        "rationale": {"type": "string"},
+    },
+}
+
+
+def score_schema(allowed: Sequence[int]) -> dict[str, Any]:
+    return {
+        "type": "object",
+        "required": ["score"],
+        "properties": {
+            "score": {"enum": list(allowed)},
+            "rationale": {"type": "string"},
+        },
+    }
 
 
 @dataclass

@@ -12,13 +12,15 @@ a leaf rather than inventing children the corpus cannot ground.
 Node ids are path slugs ("0", "0.1", "0.1.2") so serialized trees diff
 cleanly and sort deterministically. A node's stance buckets (``PerspectiveSet``)
 are defined here, beside the tree that serializes them; ``perspective`` fills them.
+The coarse-aspect, keyword and subaspect prompts and their reply schemas live
+here too, beside the builder that reads the replies.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -33,13 +35,7 @@ from .errors import (
     SchemaViolation,
     TooFewSubaspects,
 )
-from .llm_gateway import (
-    LlmGateway,
-    render_coarse_aspects,
-    render_keyword_extract,
-    render_keyword_filter,
-    render_subaspect_discovery,
-)
+from .llm_gateway import LlmGateway, PromptInstance
 from .ranking import (
     ScoredSegment,
     keyword_query_text,
@@ -49,6 +45,10 @@ from .ranking import (
 
 ROOT_ID = "0"
 STANCES = ("support", "neutral", "oppose")
+
+
+def _strings(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
 @dataclass
@@ -81,7 +81,7 @@ class PerspectiveSet:
             bucket.summary = raw.get("summary", "")
             for key in ("segment_ids", "paper_ids"):
                 ids = raw.get(key, [])
-                if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+                if not _strings(ids):
                     raise CorruptArtifact(f"{stance} {key} must list ids")
                 setattr(bucket, key, list(ids))
         return out
@@ -105,6 +105,12 @@ class AspectNode:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "AspectNode":
         node_id = data["node_id"]  # TypeError first when ``data`` is not an object
+        for key in ("label", "description"):
+            if not isinstance(data[key], str):
+                raise CorruptArtifact(f"node {node_id}: {key} must be a string")
+        for key in ("keywords", "attached_segments"):
+            if not _strings(data.get(key, [])):
+                raise CorruptArtifact(f"node {node_id}: {key} must list strings")
         perspectives = data.get("perspectives")
         if perspectives is not None:
             try:
@@ -225,9 +231,12 @@ class AspectHierarchy:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "AspectHierarchy":
         """Rebuild and :meth:`validate` a tree written by :meth:`to_dict`; a
-        missing or mistyped key (the root node's included) raises
-        ``CorruptArtifact`` too."""
+        missing or mistyped key (the root node's included), or a text field
+        that is not a string or a list of strings, raises ``CorruptArtifact``
+        too."""
         try:
+            if not isinstance(data["claim"], str):
+                raise CorruptArtifact("claim must be a string")
             tree = cls(data["claim"], data.get("max_depth", 0))
             tree.nodes = {}
             for node_data in data["nodes"]:
@@ -237,6 +246,103 @@ class AspectHierarchy:
         except (KeyError, TypeError) as exc:
             raise CorruptArtifact(f"missing or mistyped value: {exc!r}") from exc
         return tree
+
+
+# ---------------------------------------------------------------------------
+# Prompts and reply schemas
+# ---------------------------------------------------------------------------
+
+
+def aspects_schema(key: str, k_max: int) -> dict[str, Any]:
+    """Up to ``k_max`` aspects under ``key``: ``aspects`` or ``subaspects``."""
+    return {
+        "type": "object",
+        "required": [key],
+        "properties": {
+            key: {
+                "type": "array",
+                "maxItems": k_max,
+                "items": {
+                    "type": "object",
+                    "required": ["label", "description", "keywords"],
+                    "properties": {
+                        "label": {"type": "string", "minLength": 1},
+                        "description": {"type": "string", "minLength": 1},
+                        "keywords": {
+                            "type": "array",
+                            "items": {"type": "string", "minLength": 1},
+                            "minItems": 10,
+                            "maxItems": 10,
+                        },
+                    },
+                },
+            }
+        },
+    }
+
+
+def keywords_schema(min_items: int, max_items: int) -> dict[str, Any]:
+    return {
+        "type": "object",
+        "required": ["keywords"],
+        "properties": {
+            "keywords": {
+                "type": "array",
+                "items": {"type": "string", "minLength": 1},
+                "minItems": min_items,
+                "maxItems": max_items,
+            }
+        },
+    }
+
+
+_COARSE_TEMPLATE = """\
+For the claim, {claim}, output the list of up to {k} aspects that would be \
+considered when evaluating it. These should be the high-level dimensions along \
+which the claim could be validated. For each aspect, provide its label, a \
+description of its significance to the claim, and exactly 10 relevant keywords \
+ordered from most to least significant.
+Your output should be in JSON format:
+{{"aspects": [{{"label": "...", "description": "...", "keywords": ["...", "..."]}}]}}"""
+
+
+_EXTRACT_TEMPLATE = """\
+The claim is: {claim}. You are analyzing it with a focus on the aspect \
+{aspect}. The aspect, {aspect}, can be described as the following: {description}
+
+Please extract at most {n} keywords related to the aspect {aspect} from the \
+following documents:
+{contents}
+Ensure that the extracted keywords are diverse, specific, and highly relevant \
+to the given aspect, ordered from most to least significant. Only output the \
+keywords.
+Your output should be in JSON format: {{"keywords": ["...", "..."]}}"""
+
+
+_FILTER_TEMPLATE = """\
+Our claim is '{claim}'. With respect to the target aspect '{aspect}', identify \
+exactly {k} relevant keywords from the provided list: {candidates}.
+
+{aspect}: {description}
+
+Merge terms with similar meanings, exclude relatively irrelevant ones, and \
+output only the {k} final keywords ordered from most to least significant.
+Your output should be in JSON format: {{"keywords": ["...", "..."]}}"""
+
+
+_SUBASPECT_TEMPLATE = """\
+Output the list of at minimum 2 and up to {k} subaspects of parent aspect \
+{aspect} that would be considered when evaluating the claim, {claim}.
+claim: {claim}
+parent_aspect: {aspect}; {description}
+path_to_parent_aspect: {path}
+Ground your subaspects in the following corpus segments:
+{segments}
+Each subaspect should be a more granular component of the parent aspect, with \
+its label, a description of its significance, and exactly 10 relevant keywords \
+ordered from most to least significant.
+Provide your output in the following JSON format:
+{{"subaspects": [{{"label": "...", "description": "...", "keywords": ["...", "..."]}}]}}"""
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +370,21 @@ class HierarchyBuilder:
         self.tree: AspectHierarchy | None = None  # in-progress tree, for salvage
         self._queries: dict[str, np.ndarray] = {}
 
+    def _listing(self, segment_ids: Iterable[str]) -> str:
+        """Numbered segment texts for a prompt; an id not in the store stands for itself."""
+        return "\n".join(
+            f"[{i}] {self.segments[sid].text if sid in self.segments else sid}"
+            for i, sid in enumerate(segment_ids, 1)
+        )
+
     # --- coarse aspects ---
 
     def discover_coarse_aspects(self, tree: AspectHierarchy) -> list[AspectNode]:
-        instance = render_coarse_aspects(tree.claim, self.config.k_aspects)
-        data = self.gateway.complete_json(instance)
+        k = self.config.k_aspects
+        data = self.gateway.complete_json(PromptInstance(
+            "coarse_aspects", _COARSE_TEMPLATE.format(claim=tree.claim, k=k),
+            aspects_schema("aspects", k), f"claim={tree.claim!r}",
+        ))
         aspects = data["aspects"]
         if not aspects:
             raise EmptyAspectList(f"no coarse aspects returned for {tree.claim!r}")
@@ -298,28 +414,19 @@ class HierarchyBuilder:
         node = tree.node(node_id)
         query_vec = self.embedder.embed_one(self.node_query(tree, node_id))
         pool = self.index.top_k(query_vec, self.config.pool_size)
-        contents = "\n".join(
-            f"[{i + 1}] {self.segments[sid].text}" if sid in self.segments else f"[{i + 1}] {sid}"
-            for i, (sid, _) in enumerate(pool)
-        )
-        extract = self.gateway.complete_json(
-            render_keyword_extract(
-                tree.claim,
-                node.label,
-                node.description,
-                contents,
-                2 * self.config.k_keywords,
-            )
-        )
-        filtered = self.gateway.complete_json(
-            render_keyword_filter(
-                tree.claim,
-                node.label,
-                node.description,
-                extract["keywords"],
-                self.config.k_keywords,
-            )
-        )
+        contents = self._listing(sid for sid, _ in pool)
+        k = self.config.k_keywords
+        about = dict(claim=tree.claim, aspect=node.label, description=node.description)
+        context = f"aspect={node.label!r}"
+        extract = self.gateway.complete_json(PromptInstance(
+            "keyword_extract", _EXTRACT_TEMPLATE.format(**about, contents=contents, n=2 * k),
+            keywords_schema(1, 2 * k), context,
+        ))
+        filtered = self.gateway.complete_json(PromptInstance(
+            "keyword_filter",
+            _FILTER_TEMPLATE.format(**about, candidates=", ".join(extract["keywords"]), k=k),
+            keywords_schema(k, k), context,
+        ))
         keywords = _dedupe(filtered["keywords"])
         if len(keywords) < self.config.k_keywords:
             raise SchemaViolation(
@@ -369,22 +476,16 @@ class HierarchyBuilder:
         ranked: Sequence[ScoredSegment],
     ) -> list[AspectNode]:
         node = tree.node(node_id)
-        segments_text = "\n".join(
-            f"[{i + 1}] {self.segments[s.segment_id].text}"
-            if s.segment_id in self.segments
-            else f"[{i + 1}] {s.segment_id}"
-            for i, s in enumerate(ranked)
-        )
-        data = self.gateway.complete_json(
-            render_subaspect_discovery(
-                tree.claim,
-                node.label,
-                node.description,
-                tree.path_string(node_id),
-                segments_text,
-                self.config.k_subaspects,
-            )
-        )
+        k = self.config.k_subaspects
+        data = self.gateway.complete_json(PromptInstance(
+            "subaspect_discovery",
+            _SUBASPECT_TEMPLATE.format(
+                claim=tree.claim, aspect=node.label, description=node.description,
+                path=tree.path_string(node_id),
+                segments=self._listing(s.segment_id for s in ranked), k=k,
+            ),
+            aspects_schema("subaspects", k), f"aspect={node.label!r}",
+        ))
         subaspects = data["subaspects"]
         if len(subaspects) < 2:
             raise TooFewSubaspects(

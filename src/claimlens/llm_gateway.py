@@ -1,13 +1,15 @@
 """Single choke point for LLM calls.
 
 Everything that talks to a language model goes through :class:`LlmGateway`:
-prompt templates, per-task sampling parameters, JSON parsing with schema
-validation and bounded retries (the validation error is fed back into the
-retry prompt), and an operation log recording task name, prompt hash, and
-retry count for every outbound request. Response schemas use eight JSON
-Schema keywords, which this module checks itself: each schema is checked
-before its prompt is sent, and a reply that breaks it is reported with the
-message the reference Draft 2020-12 validator picks as its best match.
+per-task sampling parameters, JSON parsing with schema validation and bounded
+retries (the validation error is fed back into the retry prompt), and an
+operation log recording task name, prompt hash, and retry count for every
+outbound request. Each stage module owns its prompt templates and the
+response schemas of their replies, and hands the gateway a
+:class:`PromptInstance`. Response schemas use eight JSON Schema keywords,
+which this module checks itself: each schema is checked before its prompt is
+sent, and a reply that breaks it is reported with the message the reference
+Draft 2020-12 validator picks as its best match.
 
 Two providers ship with the package: a chat-completions-style HTTP provider
 and a scripted mock keyed by (task, prompt hash) with task-level default
@@ -21,7 +23,7 @@ import json
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterator, Protocol, Sequence
+from typing import Any, Iterator, Protocol
 
 from .artifacts import parse_json, read_json
 from .errors import SchemaViolation, UnknownTask, UnreadableFile
@@ -31,13 +33,13 @@ from .http_provider import HttpJsonProvider
 # Task registry: creative discovery samples hot, everything else cold
 # ---------------------------------------------------------------------------
 
+TOP_P = 0.99  # nucleus sampling bound, the same for every task
+
 
 @dataclass(frozen=True)
 class LlmTask:
     name: str
     temperature: float
-    top_p: float = 0.99
-    max_retries: int = 3
 
 
 TASKS: dict[str, LlmTask] = {
@@ -56,7 +58,7 @@ TASKS: dict[str, LlmTask] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class PromptInstance:
     task: str
     rendered_text: str
@@ -120,7 +122,7 @@ class HttpChatProvider(HttpJsonProvider):
                 "model": self.model,
                 "messages": [{"role": "user", "content": prompt}],
                 "temperature": task.temperature,
-                "top_p": task.top_p,
+                "top_p": TOP_P,
             }
         )
 
@@ -193,7 +195,7 @@ class LlmGateway:
         provider: ChatProvider,
         log: OperationLog | None = None,
         temperatures: dict[str, float] | None = None,
-        max_retries: int | None = None,
+        max_retries: int = 3,
     ):
         self.provider = provider
         self.log = log if log is not None else OperationLog()
@@ -201,13 +203,9 @@ class LlmGateway:
         self.max_retries = max_retries
 
     def _effective_task(self, name: str) -> LlmTask:
-        if name not in TASKS:
-            raise UnknownTask(f"no such task: {name!r}")
         task = TASKS[name]
         if name in self.temperatures:
             task = replace(task, temperature=self.temperatures[name])
-        if self.max_retries is not None:
-            task = replace(task, max_retries=self.max_retries)
         return task
 
     def complete_json(self, instance: PromptInstance) -> Any:
@@ -215,7 +213,7 @@ class LlmGateway:
         check_schema(instance.expected_schema)
         base_hash = prompt_hash(instance.rendered_text)
         error_text: str | None = None
-        for attempt in range(task.max_retries + 1):
+        for attempt in range(self.max_retries + 1):
             prompt = instance.rendered_text
             if error_text is not None:
                 prompt += _RETRY_SUFFIX.format(error=error_text)
@@ -239,11 +237,11 @@ class LlmGateway:
                 continue
             self._log_call(task, base_hash, attempt, "ok")
             return value
-        self._log_call(task, base_hash, task.max_retries, "schema_violation")
+        self._log_call(task, base_hash, self.max_retries, "schema_violation")
         where = f" ({instance.context})" if instance.context else ""
         raise SchemaViolation(
             f"task {task.name!r} returned invalid output after "
-            f"{task.max_retries} retries: {error_text}{where}"
+            f"{self.max_retries} retries: {error_text}{where}"
         )
 
     def _log_call(self, task: LlmTask, base_hash: str, retries: int, status: str) -> None:
@@ -340,318 +338,3 @@ def schema_error(schema: dict[str, Any], value: Any) -> str | None:
     ``(-len(path), path)``, the first error reported winning a tie."""
     best = max(_errors(schema, value, ()), key=lambda e: (-len(e[0]), e[0]), default=None)
     return None if best is None else best[1]
-
-
-# ---------------------------------------------------------------------------
-# Prompt templates and response schemas
-# ---------------------------------------------------------------------------
-
-
-def aspects_schema(key: str, k_max: int) -> dict[str, Any]:
-    """Up to ``k_max`` aspects under ``key``: ``aspects`` or ``subaspects``."""
-    return {
-        "type": "object",
-        "required": [key],
-        "properties": {
-            key: {
-                "type": "array",
-                "maxItems": k_max,
-                "items": {
-                    "type": "object",
-                    "required": ["label", "description", "keywords"],
-                    "properties": {
-                        "label": {"type": "string", "minLength": 1},
-                        "description": {"type": "string", "minLength": 1},
-                        "keywords": {
-                            "type": "array",
-                            "items": {"type": "string", "minLength": 1},
-                            "minItems": 10,
-                            "maxItems": 10,
-                        },
-                    },
-                },
-            }
-        },
-    }
-
-
-def keywords_schema(min_items: int, max_items: int) -> dict[str, Any]:
-    return {
-        "type": "object",
-        "required": ["keywords"],
-        "properties": {
-            "keywords": {
-                "type": "array",
-                "items": {"type": "string", "minLength": 1},
-                "minItems": min_items,
-                "maxItems": max_items,
-            }
-        },
-    }
-
-
-YES_NO_SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "required": ["answer"],
-    "properties": {"answer": {"enum": ["Yes", "No"]}},
-}
-
-STANCE_LABELS = (
-    "supports_claim",
-    "neutral_to_claim",
-    "opposes_claim",
-    "irrelevant_to_claim",
-)
-
-STANCE_SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "required": ["stance"],
-    "properties": {"stance": {"enum": list(STANCE_LABELS)}},
-}
-
-SUMMARY_SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "required": ["summary"],
-    "properties": {"summary": {"type": "string"}},
-}
-
-WINNER_SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "required": ["winner"],
-    "properties": {
-        "winner": {"enum": ["A", "B", "tie"]},
-        "rationale": {"type": "string"},
-    },
-}
-
-
-def score_schema(allowed: Sequence[int]) -> dict[str, Any]:
-    return {
-        "type": "object",
-        "required": ["score"],
-        "properties": {
-            "score": {"enum": list(allowed)},
-            "rationale": {"type": "string"},
-        },
-    }
-
-
-_COARSE_TEMPLATE = """\
-For the claim, {claim}, output the list of up to {k} aspects that would be \
-considered when evaluating it. These should be the high-level dimensions along \
-which the claim could be validated. For each aspect, provide its label, a \
-description of its significance to the claim, and exactly 10 relevant keywords \
-ordered from most to least significant.
-Your output should be in JSON format:
-{{"aspects": [{{"label": "...", "description": "...", "keywords": ["...", "..."]}}]}}"""
-
-
-def render_coarse_aspects(claim: str, k_aspects: int) -> PromptInstance:
-    return PromptInstance(
-        task="coarse_aspects",
-        rendered_text=_COARSE_TEMPLATE.format(claim=claim, k=k_aspects),
-        expected_schema=aspects_schema("aspects", k_aspects),
-        context=f"claim={claim!r}",
-    )
-
-
-_EXTRACT_TEMPLATE = """\
-The claim is: {claim}. You are analyzing it with a focus on the aspect \
-{aspect}. The aspect, {aspect}, can be described as the following: {description}
-
-Please extract at most {n} keywords related to the aspect {aspect} from the \
-following documents:
-{contents}
-Ensure that the extracted keywords are diverse, specific, and highly relevant \
-to the given aspect, ordered from most to least significant. Only output the \
-keywords.
-Your output should be in JSON format: {{"keywords": ["...", "..."]}}"""
-
-
-def render_keyword_extract(
-    claim: str, aspect: str, description: str, contents: str, max_keywords: int
-) -> PromptInstance:
-    return PromptInstance(
-        task="keyword_extract",
-        rendered_text=_EXTRACT_TEMPLATE.format(
-            claim=claim,
-            aspect=aspect,
-            description=description,
-            contents=contents,
-            n=max_keywords,
-        ),
-        expected_schema=keywords_schema(1, max_keywords),
-        context=f"aspect={aspect!r}",
-    )
-
-
-_FILTER_TEMPLATE = """\
-Our claim is '{claim}'. With respect to the target aspect '{aspect}', identify \
-exactly {k} relevant keywords from the provided list: {candidates}.
-
-{aspect}: {description}
-
-Merge terms with similar meanings, exclude relatively irrelevant ones, and \
-output only the {k} final keywords ordered from most to least significant.
-Your output should be in JSON format: {{"keywords": ["...", "..."]}}"""
-
-
-def render_keyword_filter(
-    claim: str, aspect: str, description: str, candidates: Sequence[str], k_keywords: int
-) -> PromptInstance:
-    return PromptInstance(
-        task="keyword_filter",
-        rendered_text=_FILTER_TEMPLATE.format(
-            claim=claim,
-            aspect=aspect,
-            description=description,
-            candidates=", ".join(candidates),
-            k=k_keywords,
-        ),
-        expected_schema=keywords_schema(k_keywords, k_keywords),
-        context=f"aspect={aspect!r}",
-    )
-
-
-_SUBASPECT_TEMPLATE = """\
-Output the list of at minimum 2 and up to {k} subaspects of parent aspect \
-{aspect} that would be considered when evaluating the claim, {claim}.
-claim: {claim}
-parent_aspect: {aspect}; {description}
-path_to_parent_aspect: {path}
-Ground your subaspects in the following corpus segments:
-{segments}
-Each subaspect should be a more granular component of the parent aspect, with \
-its label, a description of its significance, and exactly 10 relevant keywords \
-ordered from most to least significant.
-Provide your output in the following JSON format:
-{{"subaspects": [{{"label": "...", "description": "...", "keywords": ["...", "..."]}}]}}"""
-
-
-def render_subaspect_discovery(
-    claim: str,
-    aspect: str,
-    description: str,
-    path: str,
-    segments_text: str,
-    k_subaspects: int,
-) -> PromptInstance:
-    return PromptInstance(
-        task="subaspect_discovery",
-        rendered_text=_SUBASPECT_TEMPLATE.format(
-            claim=claim,
-            aspect=aspect,
-            description=description,
-            path=path,
-            segments=segments_text,
-            k=k_subaspects,
-        ),
-        expected_schema=aspects_schema("subaspects", k_subaspects),
-        context=f"aspect={aspect!r}",
-    )
-
-
-_RELEVANCE_TEMPLATE = """\
-I am currently analyzing a claim based on a segment from the literature from \
-several different aspects.
-The segment is: {segment}
-The claim is: {claim}
-The aspects are: {aspects}
-Please help me determine whether this segment is related to the claim so that \
-I can analyze this claim based on it from at least one of these aspects. Your \
-output should be 'Yes' or 'No' in JSON format: {{"answer": "..."}}"""
-
-
-def render_relevance_judge(
-    claim: str, aspects: Sequence[str], segment_text: str, segment_id: str = ""
-) -> PromptInstance:
-    return PromptInstance(
-        task="relevance_judge",
-        rendered_text=_RELEVANCE_TEMPLATE.format(
-            segment=segment_text, claim=claim, aspects=", ".join(aspects)
-        ),
-        expected_schema=YES_NO_SCHEMA,
-        context=f"segment={segment_id}",
-    )
-
-
-_STANCE_TEMPLATE = """\
-You are a stance detector, which determines the stance that a segment from a \
-paper has towards an aspect of a specific claim. Oftentimes, papers do not \
-provide explicit, outright stances, so your job is to figure out what stance \
-the data or statement that they are presenting implies.
-Segment: {segment}
-
-What is the segment's stance specifically with respect to {aspect} for if \
-{claim}? {aspect} can be described as {description}.
-Claim: {claim}
-Aspect to consider: {aspect}: {description}
-Path to aspect: {path}
-
-Your stance options are the following:
-- supports_claim: The segment either implicitly or explicitly indicates that \
-the claim is true specific to the given aspect.
-- neutral_to_claim: The segment is relevant to the claim and aspect, but does \
-not indicate whether the claim is true specific to the given aspect.
-- opposes_claim: The segment either implicitly or explicitly indicates that \
-the claim is false specific to the given aspect.
-- irrelevant_to_claim: The segment does not contain relevant information on \
-the claim and the aspect.
-
-Your output should be in JSON format: {{"stance": "..."}}"""
-
-
-def render_stance_detect(
-    claim: str,
-    aspect: str,
-    description: str,
-    path: str,
-    segment_text: str,
-    segment_id: str = "",
-    node_id: str = "",
-) -> PromptInstance:
-    return PromptInstance(
-        task="stance_detect",
-        rendered_text=_STANCE_TEMPLATE.format(
-            segment=segment_text,
-            aspect=aspect,
-            claim=claim,
-            description=description,
-            path=path,
-        ),
-        expected_schema=STANCE_SCHEMA,
-        context=f"segment={segment_id}, node={node_id}",
-    )
-
-
-_SUMMARY_TEMPLATE = """\
-The claim is: {claim}
-The aspect under analysis is: {aspect}: {description}
-The following segments all take the '{stance}' stance towards the claim with \
-respect to this aspect:
-{segments}
-Summarize the overarching perspective these segments hold: state the stance \
-and the rationale behind it in two or three sentences.
-Your output should be in JSON format: {{"summary": "..."}}"""
-
-
-def render_perspective_summarize(
-    claim: str,
-    aspect: str,
-    description: str,
-    stance: str,
-    segments_text: str,
-    node_id: str = "",
-) -> PromptInstance:
-    return PromptInstance(
-        task="perspective_summarize",
-        rendered_text=_SUMMARY_TEMPLATE.format(
-            claim=claim,
-            aspect=aspect,
-            description=description,
-            stance=stance,
-            segments=segments_text,
-        ),
-        expected_schema=SUMMARY_SCHEMA,
-        context=f"node={node_id}, stance={stance}",
-    )

@@ -16,12 +16,15 @@ Stages, in order:
    non-irrelevant segments form disjoint support / neutral / oppose buckets,
    each summarized into a perspective. Paper ids come from segment
    provenance, so one paper may appear in several buckets.
+
+The relevance, stance and summary prompts and their reply schemas are defined
+here, beside the code that reads the replies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -29,16 +32,81 @@ from .corpus import Segment
 from .embedding import Embedder, EmbeddingIndex, normalize
 from .errors import NoCoarseAspects
 from .hierarchy import STANCES, AspectHierarchy, PerspectiveSet
-from .llm_gateway import (
-    STANCE_LABELS,
-    LlmGateway,
-    render_perspective_summarize,
-    render_relevance_judge,
-    render_stance_detect,
-)
+from .llm_gateway import LlmGateway, PromptInstance
+
+# ---------------------------------------------------------------------------
+# Prompts and reply schemas
+# ---------------------------------------------------------------------------
+
+YES_NO_SCHEMA: dict[str, Any] = {
+    "type": "object",
+    "required": ["answer"],
+    "properties": {"answer": {"enum": ["Yes", "No"]}},
+}
+
+STANCE_LABELS = ("supports_claim", "neutral_to_claim", "opposes_claim", "irrelevant_to_claim")
+
+STANCE_SCHEMA: dict[str, Any] = {
+    "type": "object",
+    "required": ["stance"],
+    "properties": {"stance": {"enum": list(STANCE_LABELS)}},
+}
+
+SUMMARY_SCHEMA: dict[str, Any] = {
+    "type": "object",
+    "required": ["summary"],
+    "properties": {"summary": {"type": "string"}},
+}
 
 # zip stops before "irrelevant_to_claim", which maps to no stance.
 _STANCE_BY_LABEL = dict(zip(STANCE_LABELS, STANCES))
+
+_RELEVANCE_TEMPLATE = """\
+I am currently analyzing a claim based on a segment from the literature from \
+several different aspects.
+The segment is: {segment}
+The claim is: {claim}
+The aspects are: {aspects}
+Please help me determine whether this segment is related to the claim so that \
+I can analyze this claim based on it from at least one of these aspects. Your \
+output should be 'Yes' or 'No' in JSON format: {{"answer": "..."}}"""
+
+
+_STANCE_TEMPLATE = """\
+You are a stance detector, which determines the stance that a segment from a \
+paper has towards an aspect of a specific claim. Oftentimes, papers do not \
+provide explicit, outright stances, so your job is to figure out what stance \
+the data or statement that they are presenting implies.
+Segment: {segment}
+
+What is the segment's stance specifically with respect to {aspect} for if \
+{claim}? {aspect} can be described as {description}.
+Claim: {claim}
+Aspect to consider: {aspect}: {description}
+Path to aspect: {path}
+
+Your stance options are the following:
+- supports_claim: The segment either implicitly or explicitly indicates that \
+the claim is true specific to the given aspect.
+- neutral_to_claim: The segment is relevant to the claim and aspect, but does \
+not indicate whether the claim is true specific to the given aspect.
+- opposes_claim: The segment either implicitly or explicitly indicates that \
+the claim is false specific to the given aspect.
+- irrelevant_to_claim: The segment does not contain relevant information on \
+the claim and the aspect.
+
+Your output should be in JSON format: {{"stance": "..."}}"""
+
+
+_SUMMARY_TEMPLATE = """\
+The claim is: {claim}
+The aspect under analysis is: {aspect}: {description}
+The following segments all take the '{stance}' stance towards the claim with \
+respect to this aspect:
+{segments}
+Summarize the overarching perspective these segments hold: state the stance \
+and the rationale behind it in two or three sentences.
+Your output should be in JSON format: {{"summary": "..."}}"""
 
 
 @dataclass(frozen=True)
@@ -197,17 +265,14 @@ def detect_stance(
     segment: Segment,
 ) -> str:
     node = tree.node(node_id)
-    data = gateway.complete_json(
-        render_stance_detect(
-            claim=tree.claim,
-            aspect=node.label,
-            description=node.description,
-            path=tree.path_string(node_id),
-            segment_text=segment.text,
-            segment_id=segment.segment_id,
-            node_id=node_id,
-        )
-    )
+    data = gateway.complete_json(PromptInstance(
+        "stance_detect",
+        _STANCE_TEMPLATE.format(
+            segment=segment.text, aspect=node.label, claim=tree.claim,
+            description=node.description, path=tree.path_string(node_id),
+        ),
+        STANCE_SCHEMA, f"segment={segment.segment_id}, node={node_id}",
+    ))
     return data["stance"]
 
 
@@ -228,16 +293,14 @@ def summarize_perspectives(
         if not segments:
             continue
         listing = "\n".join(f"[{i + 1}] {s.text}" for i, s in enumerate(segments))
-        data = gateway.complete_json(
-            render_perspective_summarize(
-                claim=tree.claim,
-                aspect=node.label,
-                description=node.description,
-                stance=stance,
-                segments_text=listing,
-                node_id=node_id,
-            )
-        )
+        data = gateway.complete_json(PromptInstance(
+            "perspective_summarize",
+            _SUMMARY_TEMPLATE.format(
+                claim=tree.claim, aspect=node.label, description=node.description,
+                stance=stance, segments=listing,
+            ),
+            SUMMARY_SCHEMA, f"node={node_id}, stance={stance}",
+        ))
         bucket.summary = data["summary"]
     return out
 
@@ -287,11 +350,13 @@ def discover_perspectives(
 
         def judge_rank(i: int) -> bool:
             seg = ordered[i]
-            data = gateway.complete_json(
-                render_relevance_judge(
-                    tree.claim, coarse_labels, seg.text, seg.segment_id
-                )
-            )
+            data = gateway.complete_json(PromptInstance(
+                "relevance_judge",
+                _RELEVANCE_TEMPLATE.format(
+                    segment=seg.text, claim=tree.claim, aspects=", ".join(coarse_labels)
+                ),
+                YES_NO_SCHEMA, f"segment={seg.segment_id}",
+            ))
             return data["answer"] == "Yes"
 
         judge = CachingJudge(judge_rank)

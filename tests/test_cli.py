@@ -360,6 +360,8 @@ def _repeat_first_id(manifest):
         (lambda out: (out / "vectors.bin").unlink(), 1, "vectors.bin"),
         (_truncate_manifest, 1, "not valid JSON"),
         (_edit_manifest(lambda m: m.pop("config_fingerprint")), 3, "fingerprint (none)"),
+        (_edit_manifest(lambda m: m["entries"][0].update(segment_id=["x"])), 3, "entry 0 is not"),
+        (_edit_manifest(lambda m: m["entries"].reverse()), 3, "entry 0 is not a segment id at"),
     ],
     ids=[
         "duplicate_id",
@@ -371,6 +373,8 @@ def _repeat_first_id(manifest):
         "no_vectors_bin",
         "truncated_manifest",
         "no_fingerprint",
+        "list_segment_id",
+        "reordered_entries",
     ],
 )
 def test_corrupt_index_is_a_typed_error(ingested, tmp_path, capsys, corrupt, code, message):
@@ -412,6 +416,7 @@ BAD_CONFIG_VALUES = [
     ("temperatures", [0.3], "config key 'temperatures' must be dict[str, float]"),
     ("temperatures", {"coarse_aspects": "hot"}, "config key 'temperatures'"),
     ("temperatures", {"coarse_aspects": True}, "config key 'temperatures'"),
+    ("temperatures", {"coarse_aspect": 0.9}, "temperatures name no LLM task: ['coarse_aspect']"),
     ("max_retries", -1, "max_retries must be >= 0, got -1"),
 ]
 
@@ -425,6 +430,7 @@ def test_mistyped_config_value_is_a_usage_error(tmp_path, capsys, key, value, me
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_float_field_keeps_an_int_unconverted():
@@ -496,6 +502,13 @@ def _node(data, node_id):
         ),
         (lambda d: d["nodes"].append(1), "not subscriptable"),
         (lambda d: d.update(nodes="ab"), "string indices"),
+        (lambda d: _node(d, "0.1").update(label=7), "node 0.1: label must be a string"),
+        (lambda d: _node(d, "0.1").update(keywords=[1, 2]), "node 0.1: keywords must list"),
+        (lambda d: d.update(claim=5), "claim must be a string"),
+        (
+            lambda d: _node(d, "0.1").update(attached_segments=[["x"]]),
+            "node 0.1: attached_segments must list",
+        ),
     ],
     ids=[
         "no_label",
@@ -510,18 +523,26 @@ def _node(data, node_id):
         "segment_ids_string",
         "node_not_object",
         "nodes_string",
+        "label_number",
+        "keywords_numbers",
+        "claim_number",
+        "attached_segments_nested",
     ],
 )
-@pytest.mark.parametrize("command", ["report", "evaluate"])
+@pytest.mark.parametrize("command", ["report", "evaluate", "perspectives"])
 def test_corrupt_hierarchy_is_a_typed_error(tmp_path, capsys, edit, message, command):
     data = json.loads((GOLDEN / "hierarchy.json").read_text())
     edit(data)
-    path = tmp_path / "hierarchy.json"
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "hierarchy.json"  # where `perspectives` reads it
     path.write_text(json.dumps(data))
-    if command == "report":
-        argv = ["report", str(path)]
-    else:
-        argv = ["evaluate", "--config", write_config_file(tmp_path, tmp_path / "out"), str(path)]
+    cfg = write_config_file(tmp_path, out)
+    argv = {
+        "report": ["report", str(path)],
+        "evaluate": ["evaluate", "--config", cfg, str(path)],
+        "perspectives": ["perspectives", "--config", cfg],
+    }[command]
     assert run_stage(argv) == 3
     err = capsys.readouterr().err
     assert f"hierarchy file {path}" in err and message in err

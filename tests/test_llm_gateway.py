@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import sys
@@ -9,24 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimlens.errors import SchemaViolation, UnknownTask
+from claimlens.evaluation import WINNER_SCHEMA, score_schema
+from claimlens.hierarchy import aspects_schema, keywords_schema
 from claimlens.llm_gateway import (
-    STANCE_SCHEMA,
-    SUMMARY_SCHEMA,
     TASKS,
-    WINNER_SCHEMA,
-    YES_NO_SCHEMA,
+    TOP_P,
     LlmGateway,
     MockChatProvider,
     OperationLog,
     PromptInstance,
-    aspects_schema,
     check_schema,
-    keywords_schema,
     prompt_hash,
-    render_coarse_aspects,
     schema_error,
-    score_schema,
 )
+from claimlens.perspective import STANCE_SCHEMA, SUMMARY_SCHEMA, YES_NO_SCHEMA
 
 from .conftest import rule_gateway
 
@@ -49,11 +46,18 @@ def gateway_with_default(task, response, **kwargs):
     return LlmGateway(provider, log=OperationLog(), **kwargs)
 
 
+def coarse_instance(claim, k=5):
+    return PromptInstance(
+        "coarse_aspects", f"Up to {k} aspects of {claim}", aspects_schema("aspects", k),
+        f"claim={claim!r}",
+    )
+
+
 # --- task params ---
 
 
 def _params(name):
-    return TASKS[name].temperature, TASKS[name].top_p
+    return TASKS[name].temperature, TOP_P
 
 
 def test_coarse_aspects_params():
@@ -73,10 +77,9 @@ def test_keyword_and_judge_tasks_are_cold():
 
 
 def test_unknown_task():
-    instance = render_coarse_aspects("claim text", 5)
-    instance.task = "foo"
-    with pytest.raises(UnknownTask):
-        gateway_with_default("coarse_aspects", "{}").complete_json(instance)
+    instance = coarse_instance("claim text")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        instance.task = "foo"
     with pytest.raises(UnknownTask):
         PromptInstance(task="foo", rendered_text="x", expected_schema={})
 
@@ -86,7 +89,7 @@ def test_unknown_task():
 
 def test_mock_round_trip():
     gateway = gateway_with_default("coarse_aspects", json.dumps(make_aspects()))
-    got = gateway.complete_json(render_coarse_aspects("claim text", 5))
+    got = gateway.complete_json(coarse_instance("claim text"))
     assert [a["label"] for a in got["aspects"]] == ["aspect 0", "aspect 1", "aspect 2"]
 
 
@@ -94,7 +97,7 @@ def test_retry_after_malformed_json():
     gateway = gateway_with_default(
         "coarse_aspects", ["this is not json", json.dumps(make_aspects())]
     )
-    got = gateway.complete_json(render_coarse_aspects("claim text", 5))
+    got = gateway.complete_json(coarse_instance("claim text"))
     assert len(got["aspects"]) == 3
     record = gateway.log.of_kind("llm_call")[-1]
     assert record["retries"] == 1
@@ -109,7 +112,7 @@ def test_retry_after_malformed_json():
 def test_retry_after_reply_that_parses_to_no_usable_json(bad):
     replies = iter([bad, json.dumps(make_aspects())])
     gateway = rule_gateway(lambda task, prompt: next(replies))
-    got = gateway.complete_json(render_coarse_aspects("claim text", 5))
+    got = gateway.complete_json(coarse_instance("claim text"))
     assert got["aspects"][0]["label"] == "aspect 0"
     assert gateway.log.of_kind("llm_call")[-1]["retries"] == 1
     assert "Your previous output was invalid: not valid JSON: " in gateway.provider.calls[1][1]
@@ -118,13 +121,14 @@ def test_retry_after_reply_that_parses_to_no_usable_json(bad):
 def test_schema_violation_after_retry_budget():
     gateway = gateway_with_default("coarse_aspects", "never json")
     with pytest.raises(SchemaViolation):
-        gateway.complete_json(render_coarse_aspects("claim text", 5))
+        gateway.complete_json(coarse_instance("claim text"))
     record = gateway.log.of_kind("llm_call")[-1]
     assert record["status"] == "schema_violation"
+    assert record["retries"] == 3  # the gateway's default budget, the same for every task
 
 
 def test_scripted_by_prompt_hash_beats_default():
-    instance = render_coarse_aspects("specific claim", 5)
+    instance = coarse_instance("specific claim")
     h = prompt_hash(instance.rendered_text)
     provider = MockChatProvider(
         {
@@ -142,13 +146,13 @@ def test_missing_fixture_names_context():
     provider = MockChatProvider({"coarse_aspects": {"responses": {}}})
     gateway = LlmGateway(provider, log=OperationLog())
     with pytest.raises(SchemaViolation, match="specific claim"):
-        gateway.complete_json(render_coarse_aspects("specific claim", 5))
+        gateway.complete_json(coarse_instance("specific claim"))
 
 
 def test_code_fence_stripped():
     fenced = "```json\n" + json.dumps(make_aspects(1)) + "\n```"
     gateway = gateway_with_default("coarse_aspects", fenced)
-    got = gateway.complete_json(render_coarse_aspects("claim", 5))
+    got = gateway.complete_json(coarse_instance("claim"))
     assert len(got["aspects"]) == 1
 
 
@@ -169,7 +173,7 @@ def test_rejects_missing_keyword_array():
     del aspects["aspects"][0]["keywords"]
     gateway = gateway_with_default("coarse_aspects", json.dumps(aspects))
     with pytest.raises(SchemaViolation):
-        gateway.complete_json(render_coarse_aspects("claim", 5))
+        gateway.complete_json(coarse_instance("claim"))
 
 
 def test_rejects_non_list_aspects():
@@ -177,7 +181,7 @@ def test_rejects_non_list_aspects():
         "coarse_aspects", json.dumps({"aspects": "efficacy, safety"})
     )
     with pytest.raises(SchemaViolation):
-        gateway.complete_json(render_coarse_aspects("claim", 5))
+        gateway.complete_json(coarse_instance("claim"))
 
 
 def test_rejects_wrong_keyword_count():
@@ -185,13 +189,13 @@ def test_rejects_wrong_keyword_count():
         "coarse_aspects", json.dumps(make_aspects(1, keywords=7))
     )
     with pytest.raises(SchemaViolation):
-        gateway.complete_json(render_coarse_aspects("claim", 5))
+        gateway.complete_json(coarse_instance("claim"))
 
 
 def test_rejects_too_many_aspects():
     gateway = gateway_with_default("coarse_aspects", json.dumps(make_aspects(6)))
     with pytest.raises(SchemaViolation):
-        gateway.complete_json(render_coarse_aspects("claim", 5))
+        gateway.complete_json(coarse_instance("claim"))
 
 
 # --- logging and overrides ---
@@ -199,7 +203,7 @@ def test_rejects_too_many_aspects():
 
 def test_every_call_logged_with_hash():
     gateway = gateway_with_default("coarse_aspects", json.dumps(make_aspects()))
-    instance = render_coarse_aspects("claim text", 5)
+    instance = coarse_instance("claim text")
     gateway.complete_json(instance)
     gateway.complete_json(instance)
     calls = gateway.log.of_kind("llm_call")
@@ -222,7 +226,7 @@ def test_max_retries_override_zero():
         "coarse_aspects", ["bad", json.dumps(make_aspects())], max_retries=0
     )
     with pytest.raises(SchemaViolation):
-        gateway.complete_json(render_coarse_aspects("claim", 5))
+        gateway.complete_json(coarse_instance("claim"))
 
 
 def test_aspects_schema_shape():
