@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -91,6 +92,10 @@ class PipelineConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        temperatures = {f"temperatures[{task!r}]": t for task, t in self.temperatures.items()}
+        for name, value in [*vars(self).items(), *temperatures.items()]:
+            if isinstance(value, float) and not math.isfinite(value):  # NaN passes later checks
+                raise UsageError(f"{name} must be a finite number, got {value}")
         counts = {
             "k_aspects": self.k_aspects,
             "k_subaspects": self.k_subaspects,

@@ -23,7 +23,9 @@ import numpy as np
 
 from .artifacts import read_jsonl, write_jsonl
 from .config import PipelineConfig
-from .errors import CorruptArtifact, DuplicateDocId, EmptyDocument, MissingField, UnreadableFile
+from .errors import (
+    CorruptArtifact, DuplicateDocId, EmptyDocument, MissingField, UnreadableFile, UsageError,
+)
 
 # ---------------------------------------------------------------------------
 # Domain types
@@ -35,17 +37,6 @@ class Document:
     doc_id: str
     title: str
     text: str
-
-
-@dataclass(frozen=True)
-class Sentence:
-    doc_id: str
-    index: int
-    text: str
-
-    @property
-    def terms(self) -> Counter:
-        return extract_terms(self.text)
 
 
 @dataclass(frozen=True)
@@ -69,7 +60,7 @@ def load_corpus(path: str) -> list[Document]:
 
     Documents come back in file order. A record with a missing or blank
     field, a repeated doc_id, or an unparseable line is rejected with an
-    error naming the offending record.
+    error naming the offending record; so is a file that holds no record.
     """
     documents: list[Document] = []
     seen: set[str] = set()
@@ -88,6 +79,8 @@ def load_corpus(path: str) -> list[Document]:
             raise DuplicateDocId(doc_id)
         seen.add(doc_id)
         documents.append(Document(doc_id, record["title"], record["text"]))
+    if not documents:
+        raise UsageError(f"corpus file {path} holds no documents")
     return documents
 
 
@@ -177,11 +170,11 @@ def _guarded(text: str, dot: int) -> bool:
     return word.lower().rstrip(".") in _ABBREVIATIONS or word.lower() in _ABBREVIATIONS
 
 
-def sentences_of(doc: Document) -> list[Sentence]:
+def sentences_of(doc: Document) -> list[str]:
     pieces = split_sentences(doc.text)
     if not pieces:
         raise EmptyDocument(f"document {doc.doc_id!r} has no sentences")
-    return [Sentence(doc.doc_id, i, s) for i, s in enumerate(pieces)]
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +361,7 @@ def segment_document(doc: Document, config: PipelineConfig | None = None) -> lis
     # skip the similarity and rank matrices altogether.
     if n == 1 or n < 2 * config.min_segment_sentences or config.max_segments_per_doc < 2:
         return [_make_segment(doc, sentences, 0, n - 1)]
-    sim = _similarity_matrix([s.terms for s in sentences])
+    sim = _similarity_matrix([extract_terms(s) for s in sentences])
     rank = _rank_transform(sim, config.rank_mask)
     boundaries = choose_boundaries(rank, config)
     edges = [0] + boundaries + [n]
@@ -379,9 +372,9 @@ def segment_document(doc: Document, config: PipelineConfig | None = None) -> lis
 
 
 def _make_segment(
-    doc: Document, sentences: list[Sentence], start: int, end: int
+    doc: Document, sentences: list[str], start: int, end: int
 ) -> Segment:
-    text = " ".join(s.text for s in sentences[start : end + 1])
+    text = " ".join(sentences[start : end + 1])
     return Segment(
         segment_id=f"{doc.doc_id}#{start}-{end}",
         doc_id=doc.doc_id,

@@ -52,7 +52,7 @@ class HashedBowEmbedder:
     and offline runs, not semantic quality.
     """
 
-    def __init__(self, dim: int = 256, seed: int = 0):
+    def __init__(self, dim: int, seed: int):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = dim
@@ -180,9 +180,6 @@ class EmbeddingIndex:
     @property
     def ids(self) -> list[str]:
         return list(self._ids)
-
-    def add(self, segment_id: str, vector: np.ndarray) -> None:
-        self.add_batch([segment_id], [vector])
 
     def add_batch(self, ids: Sequence[str], vectors: Any) -> None:
         """Append one row of ``vectors``, an ``(len(ids), dim)`` matrix, per id,

@@ -71,15 +71,7 @@ class TooFewSubaspects(ClaimLensError):
     pass
 
 
-class EmptyPool(ClaimLensError):
-    pass
-
-
 # --- ranking ---
-
-class EmptyList(ClaimLensError):
-    pass
-
 
 class EmptyKeywordSet(ClaimLensError):
     pass

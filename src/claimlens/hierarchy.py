@@ -6,8 +6,7 @@ sibling group is keyword-enriched first (sibling keyword sets are an input to
 the distractor score), then each node's discriminative segments are ranked
 and handed to the LLM to propose between 2 and k subaspects, which join the
 queue. Nodes at the configured maximum depth are leaves and are never
-enriched or expanded; a node whose retrieval pool comes back empty is marked
-a leaf rather than inventing children the corpus cannot ground.
+enriched or expanded.
 
 Node ids are path slugs ("0", "0.1", "0.1.2") so serialized trees diff
 cleanly and sort deterministically. A node's stance buckets (``PerspectiveSet``)
@@ -30,8 +29,6 @@ from .embedding import Embedder, EmbeddingIndex
 from .errors import (
     CorruptArtifact,
     EmptyAspectList,
-    EmptyIndex,
-    EmptyPool,
     SchemaViolation,
     TooFewSubaspects,
 )
@@ -111,6 +108,9 @@ class AspectNode:
         for key in ("keywords", "attached_segments"):
             if not _strings(data.get(key, [])):
                 raise CorruptArtifact(f"node {node_id}: {key} must list strings")
+        depth = data["depth"]  # indents the rendered outline, so a float or bool is refused
+        if not isinstance(depth, int) or isinstance(depth, bool):
+            raise CorruptArtifact(f"node {node_id}: depth must be an integer, got {depth!r}")
         perspectives = data.get("perspectives")
         if perspectives is not None:
             try:
@@ -124,7 +124,7 @@ class AspectNode:
             keywords=list(data.get("keywords", [])),
             parent=data.get("parent"),
             children=list(data.get("children", [])),
-            depth=data["depth"],
+            depth=depth,
             attached_segments=list(data.get("attached_segments", [])),
             perspectives=perspectives,
         )
@@ -409,8 +409,6 @@ class HierarchyBuilder:
         k_keywords. Duplicates in the filtered list are collapsed; fewer than
         k_keywords distinct terms is a contract violation.
         """
-        if len(self.index) == 0:
-            raise EmptyIndex("cannot enrich keywords against an empty index")
         node = tree.node(node_id)
         query_vec = self.embedder.embed_one(self.node_query(tree, node_id))
         pool = self.index.top_k(query_vec, self.config.pool_size)
@@ -515,11 +513,7 @@ class HierarchyBuilder:
             for node_id in group:
                 self.enrich_keywords(tree, node_id)
             for node_id in group:
-                try:
-                    ranked = self.rank_node_segments(tree, node_id)
-                except EmptyPool:
-                    self.log.record("leaf", node_id=node_id, reason="empty_pool")
-                    continue
+                ranked = self.rank_node_segments(tree, node_id)
                 tree.node(node_id).attached_segments = [
                     s.segment_id for s in ranked
                 ]

@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .embedding import EmbeddingIndex
-from .errors import EmptyKeywordSet, EmptyList, EmptyPool
+from .errors import EmptyKeywordSet
 
 
 @dataclass(frozen=True)
@@ -57,16 +57,6 @@ def node_query_text(
     )
 
 
-def zipf_weighted_mean(values: Sequence[float]) -> float:
-    """Harmonically weighted mean: position r in the input carries weight 1/r.
-
-    The input order is the significance order; values are NOT sorted first.
-    """
-    if len(values) == 0:
-        raise EmptyList("cannot average an empty list")
-    return float(np.asarray(values, dtype=np.float64) @ _zipf_weights(len(values)))
-
-
 def _zipf_weights(k: int) -> np.ndarray:
     w = 1.0 / np.arange(1, k + 1, dtype=np.float64)
     return w / w.sum()
@@ -85,10 +75,6 @@ def batch_target_scores(segment_matrix: np.ndarray, keywords: np.ndarray) -> np.
     return sims @ _zipf_weights(len(keywords))
 
 
-def target_score(segment: np.ndarray, keywords: np.ndarray) -> float:
-    return float(batch_target_scores(segment.reshape(1, -1), keywords)[0])
-
-
 def batch_distractor_scores(
     segment_matrix: np.ndarray, sibling_sets: Sequence[np.ndarray]
 ) -> np.ndarray:
@@ -102,10 +88,6 @@ def batch_distractor_scores(
         [batch_target_scores(segment_matrix, keywords) for keywords in sibling_sets]
     )  # (n_siblings, n_segments)
     return 0.5 * per_sibling.mean(axis=0) + 0.5 * per_sibling.max(axis=0)
-
-
-def distractor_score(segment: np.ndarray, sibling_sets: Sequence[np.ndarray]) -> float:
-    return float(batch_distractor_scores(segment.reshape(1, -1), sibling_sets)[0])
 
 
 def discriminativeness(
@@ -135,8 +117,6 @@ def rank_segments(
     segment_id.
     """
     pool = index.top_k(query_embedding, config.pool_size)
-    if not pool:
-        raise EmptyPool("no candidate segments for node query")
     ids = [segment_id for segment_id, _ in pool]
     matrix = np.vstack([index.get(segment_id) for segment_id in ids])
     targets = batch_target_scores(matrix, target_keywords)

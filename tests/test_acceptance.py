@@ -18,12 +18,12 @@ import pytest
 
 from claimlens.cli import main
 from claimlens.config import PipelineConfig
-from claimlens.corpus import sentences_of, segment_document
+from claimlens.corpus import extract_terms, sentences_of, segment_document
 from claimlens.embedding import EmbeddingIndex
 from claimlens.evaluation import evaluate_hierarchy, pairwise_compare, render_metric_table
 from claimlens.hierarchy import AspectHierarchy
 from claimlens.perspective import CachingJudge, FilterParams, PerspectiveSet, relevance_boundary
-from claimlens.ranking import rank_segments, zipf_weighted_mean
+from claimlens.ranking import batch_target_scores, rank_segments
 
 from . import oracles
 from .conftest import DATA_DIR, make_two_topic_doc, rule_gateway
@@ -50,11 +50,21 @@ def criterion(number: int, label: str, budget_s: float):
 # ---------------------------------------------------------------------------
 
 
+def _keywords_at(cosines) -> np.ndarray:
+    """Keyword rows whose cosines against the segment e1 are exactly ``cosines``."""
+    return np.array([[c, math.sqrt(1.0 - c * c)] for c in cosines])
+
+
 def test_criterion_1_weighted_mean_anchors():
     with criterion(1, "weighted-mean worked examples", budget_s=1.0):
-        assert zipf_weighted_mean([0.7, 0.8, 0.7]) == pytest.approx(0.7272, abs=1e-4)
+        e1 = np.array([[1.0, 0.0]])
+        assert batch_target_scores(e1, _keywords_at([0.7, 0.8, 0.7]))[0] == pytest.approx(
+            0.7272, abs=1e-4
+        )
         # Head-only case per the formula as defined: (0.9/1) / (1 + 1/2 + 1/3).
-        assert zipf_weighted_mean([0.9, 0.0, 0.0]) == pytest.approx(0.49091, abs=1e-5)
+        assert batch_target_scores(e1, _keywords_at([0.9, 0.0, 0.0]))[0] == pytest.approx(
+            0.49091, abs=1e-5
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +360,7 @@ def test_criterion_8_segmenter_boundary_oracle():
                 f"doc{trial}", rng, first=rng.randint(4, 10), second=rng.randint(4, 10)
             )
             segments = segment_document(doc, params)
-            counts = [dict(s.terms) for s in sentences_of(doc)]
+            counts = [dict(extract_terms(s)) for s in sentences_of(doc)]
             rank = oracles.rank_matrix(oracles.similarity_matrix(counts), 11)
             expected = oracles.best_single_boundary(rank, 2)
             if len(segments) == 2 and segments[1].start == expected:

@@ -418,6 +418,9 @@ BAD_CONFIG_VALUES = [
     ("temperatures", {"coarse_aspects": True}, "config key 'temperatures'"),
     ("temperatures", {"coarse_aspect": 0.9}, "temperatures name no LLM task: ['coarse_aspect']"),
     ("max_retries", -1, "max_retries must be >= 0, got -1"),
+    ("epsilon", float("nan"), "epsilon must be a finite number, got nan"),
+    ("temperatures", {"eval_judge": float("inf")},
+     "temperatures['eval_judge'] must be a finite number, got inf"),
 ]
 
 
@@ -491,6 +494,8 @@ def _node(data, node_id):
         (lambda d: _node(d, "0.1")["children"].append("0.1.9"), "'0.1.9'"),
         (lambda d: _node(d, "0.1")["children"].append("0"), "lists child '0'"),
         (lambda d: _node(d, "0.1").update(depth=2), "depth 2"),
+        (lambda d: _node(d, "0.1").update(depth=1.0), "node 0.1: depth must be an integer"),
+        (lambda d: _node(d, "0.1").update(depth=True), "node 0.1: depth must be an integer"),
         (lambda d: d.update(max_depth=1), "max_depth 1"),
         (lambda d: d["nodes"].remove(_node(d, "0")), "KeyError('0')"),
         (lambda d: _node(d, "0.2").update(parent="0.1"), "bad link 0 -> 0.2"),
@@ -515,6 +520,8 @@ def _node(data, node_id):
         "dangling_child",
         "cycle",
         "bad_depth",
+        "depth_float",
+        "depth_bool",
         "deeper_than_max",
         "no_root",
         "wrong_parent",
@@ -611,8 +618,9 @@ DOC = {"doc_id": "p1", "title": "t", "text": "One sentence. Two sentences."}
         ([DOC, {**DOC, "text": "Other text."}], "p1"),
         ([DOC, {**DOC, "doc_id": "p2", "text": "Alpha \ud800 beta."}],
          "line 2 is not valid JSON: it escapes a lone surrogate"),
+        ([], "holds no documents"),
     ],
-    ids=["blank_field", "repeated_doc_id", "lone_surrogate"],
+    ids=["blank_field", "repeated_doc_id", "lone_surrogate", "empty_corpus"],
 )
 def test_bad_corpus_record_exits_1(tmp_path, capsys, records, message):
     corpus = tmp_path / "corpus.jsonl"

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimlens.config import PipelineConfig
 from claimlens.corpus import (
@@ -10,6 +12,7 @@ from claimlens.corpus import (
     _rank_transform,
     _similarity_matrix,
     choose_boundaries,
+    extract_terms,
     load_corpus,
     read_segments,
     segment_document,
@@ -103,6 +106,19 @@ def test_split_sentences_abbreviation_guard():
     assert got == ["Dr. Smith ran the trial.", "It failed, e.g. in adults."]
 
 
+# Terminals, closers, whitespace and the guarded cases: abbreviations, initials, decimals.
+SPLITTER_PIECES = [".", "!", "?", '"', "'", ")", "]", " ", "  ", "\n", "\t",
+                   "e.g.", "Dr.", " J. ", "1.5", "word", "Alpha"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(st.sampled_from(SPLITTER_PIECES), max_size=40).map("".join))
+def test_split_sentences_reassembles_the_normalized_text(text):
+    sentences = split_sentences(text)
+    assert " ".join(sentences) == " ".join(text.split())
+    assert all(s and s == s.strip() for s in sentences)
+
+
 def test_split_sentences_whitespace_normalized():
     assert split_sentences("One   two.\n\nThree  four.") == ["One two.", "Three four."]
 
@@ -124,7 +140,7 @@ def test_two_topic_document_splits_at_topic_shift():
     assert (segs[1].start, segs[1].end) == (5, 9)
     # chosen boundary equals the exhaustive single-boundary density maximum
     sentences = sentences_of(doc)
-    counts = [dict(s.terms) for s in sentences]
+    counts = [dict(extract_terms(s)) for s in sentences]
     rank = oracles.rank_matrix(oracles.similarity_matrix(counts), 11)
     assert oracles.best_single_boundary(rank, 2) == 5
 
@@ -153,7 +169,7 @@ def test_first_boundary_matches_oracle_on_random_two_topic_docs():
         doc = make_two_topic_doc(f"d{trial}", rng, first=first, second=second)
         segs = segment_document(doc, config)
         sentences = sentences_of(doc)
-        counts = [dict(s.terms) for s in sentences]
+        counts = [dict(extract_terms(s)) for s in sentences]
         rank = oracles.rank_matrix(oracles.similarity_matrix(counts), 11)
         expected = oracles.best_single_boundary(rank, 2)
         assert len(segs) == 2
@@ -163,8 +179,8 @@ def test_first_boundary_matches_oracle_on_random_two_topic_docs():
 def test_rank_transform_agrees_with_oracle():
     rng = random.Random(3)
     doc = make_two_topic_doc("d", rng)
-    counts = [dict(s.terms) for s in sentences_of(doc)]
-    sim = _similarity_matrix([s.terms for s in sentences_of(doc)])
+    counts = [dict(extract_terms(s)) for s in sentences_of(doc)]
+    sim = _similarity_matrix([extract_terms(s) for s in sentences_of(doc)])
     for mask in (1, 3, 5, 11):
         expected = oracles.rank_matrix(oracles.similarity_matrix(counts), mask)
         assert _rank_transform(sim, mask).tolist() == expected
@@ -202,9 +218,9 @@ def test_document_without_admissible_cut_is_one_segment(n, params):
     assert len(sentences) == n
     segs = segment_document(doc, params)
     assert [(s.start, s.end) for s in segs] == [(0, n - 1)]
-    assert segs[0].text == " ".join(s.text for s in sentences)
+    assert segs[0].text == " ".join(sentences)
     # The short-circuit agrees with the full search on the full rank matrix.
-    sim = _similarity_matrix([s.terms for s in sentences])
+    sim = _similarity_matrix([extract_terms(s) for s in sentences])
     assert choose_boundaries(_rank_transform(sim, params.rank_mask), params) == []
 
 
@@ -235,6 +251,26 @@ def test_tiling_invariant_random_documents():
         text = " ".join(make_sentence(rng, vocab) for _ in range(n))
         doc = Document(f"d{trial}", "t", text)
         _assert_tiling(doc, segment_document(doc))
+
+
+SENTENCES = st.lists(st.sampled_from(TOPIC_A + TOPIC_B), min_size=1, max_size=8).map(
+    lambda words: " ".join(words).capitalize() + "."
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sentences=st.lists(SENTENCES, min_size=1, max_size=30),
+    min_len=st.integers(1, 4),
+    cap=st.integers(1, 12),
+)
+def test_segments_tile_the_document_within_the_cap(sentences, min_len, cap):
+    doc = Document("d", "t", " ".join(sentences))
+    config = PipelineConfig(min_segment_sentences=min_len, max_segments_per_doc=cap)
+    segments = segment_document(doc, config)
+    _assert_tiling(doc, segments)
+    assert " ".join(s.text for s in segments) == doc.text
+    assert len(segments) <= cap
 
 
 def test_segmentation_deterministic():

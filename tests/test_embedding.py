@@ -169,9 +169,9 @@ def _angled(c: float) -> np.ndarray:
 
 def test_top_k_known_similarities():
     index = EmbeddingIndex(dim=2)
-    index.add("s1", _angled(0.9))
-    index.add("s2", _angled(0.5))
-    index.add("s3", _angled(0.1))
+    index.add_batch(["s1"], [_angled(0.9)])
+    index.add_batch(["s2"], [_angled(0.5)])
+    index.add_batch(["s3"], [_angled(0.1)])
     got = index.top_k(np.array([1.0, 0.0]), 2)
     assert [sid for sid, _ in got] == ["s1", "s2"]
     assert got[0][1] == pytest.approx(0.9)
@@ -180,16 +180,16 @@ def test_top_k_known_similarities():
 
 def test_top_k_larger_than_index():
     index = EmbeddingIndex(dim=2)
-    index.add("s1", _angled(0.9))
-    index.add("s2", _angled(0.5))
+    index.add_batch(["s1"], [_angled(0.9)])
+    index.add_batch(["s2"], [_angled(0.5)])
     got = index.top_k(np.array([1.0, 0.0]), 10)
     assert len(got) == 2
 
 
 def test_top_k_tie_broken_by_id():
     index = EmbeddingIndex(dim=2)
-    index.add("zz", _angled(0.5))
-    index.add("aa", _angled(0.5))
+    index.add_batch(["zz"], [_angled(0.5)])
+    index.add_batch(["aa"], [_angled(0.5)])
     got = index.top_k(np.array([1.0, 0.0]), 2)
     assert [sid for sid, _ in got] == ["aa", "zz"]
 
@@ -201,9 +201,9 @@ def test_top_k_empty_index():
 
 def test_duplicate_id_rejected():
     index = EmbeddingIndex(dim=2)
-    index.add("s1", _angled(0.9))
+    index.add_batch(["s1"], [_angled(0.9)])
     with pytest.raises(ValueError):
-        index.add("s1", _angled(0.5))
+        index.add_batch(["s1"], [_angled(0.5)])
 
 
 def test_top_k_matches_full_sort_oracle():
@@ -214,7 +214,7 @@ def test_top_k_matches_full_sort_oracle():
         vec = np.array([rng.gauss(0, 1) for _ in range(16)])
         vec = vec / np.linalg.norm(vec)
         sid = f"seg{i:05d}"
-        index.add(sid, vec)
+        index.add_batch([sid], [vec])
         rows.append((sid, vec))
     query = normalize(np.array([rng.gauss(0, 1) for _ in range(16)]))
     sims = {sid: float(np.clip(np.dot(vec, query), -1, 1)) for sid, vec in rows}
@@ -262,13 +262,13 @@ def test_top_k_ties_straddling_kth_rank_come_by_id():
     # order, straddle every k from 5 to 13; two rows trail behind.
     index = EmbeddingIndex(dim=2)
     for i in range(4):
-        index.add(f"top{i}", _angled(0.9 - 0.01 * i))
+        index.add_batch([f"top{i}"], [_angled(0.9 - 0.01 * i)])
     tied = [f"tie{i:02d}" for i in range(10)]
     random.Random(1).shuffle(tied)
     for sid in tied:
-        index.add(sid, _angled(0.5))
-    index.add("low0", _angled(0.2))
-    index.add("low1", _angled(0.1))
+        index.add_batch([sid], [_angled(0.5)])
+    index.add_batch(["low0"], [_angled(0.2)])
+    index.add_batch(["low1"], [_angled(0.1)])
     query = np.array([1.0, 0.0])
     full = [f"top{i}" for i in range(4)] + sorted(tied) + ["low0", "low1"]
     for k in range(1, len(index) + 3):
@@ -288,7 +288,7 @@ def test_top_k_all_rows_identical():
 
 def test_query_dimension_mismatch_is_typed():
     index = EmbeddingIndex(dim=2)
-    index.add("s1", _angled(0.9))
+    index.add_batch(["s1"], [_angled(0.9)])
     with pytest.raises(DimensionMismatch):
         index.similarities(np.ones(3))
     with pytest.raises(DimensionMismatch):
@@ -299,7 +299,7 @@ def test_query_dimension_mismatch_is_typed():
 
 def test_add_batch_with_bad_row_adds_nothing():
     index = EmbeddingIndex(dim=2)
-    index.add("s0", _angled(0.9))
+    index.add_batch(["s0"], [_angled(0.9)])
     with pytest.raises(DimensionMismatch):
         index.add_batch(["s1", "s2"], [_angled(0.5), np.ones(3)])
     with pytest.raises(ValueError):

@@ -6,15 +6,14 @@ import pytest
 
 from claimlens.config import PipelineConfig
 from claimlens.embedding import EmbeddingIndex
-from claimlens.errors import EmptyKeywordSet, EmptyList
+from claimlens.errors import EmptyKeywordSet
 from claimlens.ranking import (
+    batch_distractor_scores,
+    batch_target_scores,
     discriminativeness,
-    distractor_score,
     keyword_query_text,
     node_query_text,
     rank_segments,
-    target_score,
-    zipf_weighted_mean,
 )
 
 from . import oracles
@@ -32,53 +31,54 @@ def queries_at(cosines) -> np.ndarray:
 E1 = np.array([1.0, 0.0])
 
 
-# --- Zipf-weighted mean ---
+# --- Zipf-weighted mean, through the target score of e1 ---
 
 
 def test_zipf_mean_worked_example():
-    assert zipf_weighted_mean([0.7, 0.8, 0.7]) == pytest.approx(0.727272727, abs=1e-6)
+    assert batch_target_scores(E1[None], queries_at([0.7, 0.8, 0.7]))[0] == pytest.approx(
+        0.727272727, abs=1e-6
+    )
 
 
 def test_zipf_mean_constant():
-    for c in (0.0, 0.25, 1.0, -3.5):
-        assert zipf_weighted_mean([c] * 7) == pytest.approx(c)
+    for c in (0.0, 0.25, 1.0):
+        assert batch_target_scores(E1[None], queries_at([c] * 7))[0] == pytest.approx(c)
 
 
 def test_zipf_mean_head_heavy():
     # (0.9/1) / (1 + 1/2 + 1/3) computed directly
-    assert zipf_weighted_mean([0.9, 0.0, 0.0]) == pytest.approx(0.490909090, abs=1e-6)
+    assert batch_target_scores(E1[None], queries_at([0.9, 0.0, 0.0]))[0] == pytest.approx(
+        0.490909090, abs=1e-6
+    )
 
 
 def test_zipf_mean_order_sensitive():
-    assert zipf_weighted_mean([1.0, 0.0]) > zipf_weighted_mean([0.0, 1.0])
-
-
-def test_zipf_mean_empty():
-    with pytest.raises(EmptyList):
-        zipf_weighted_mean([])
+    assert batch_target_scores(E1[None], queries_at([1.0, 0.0]))[0] > batch_target_scores(
+        E1[None], queries_at([0.0, 1.0])
+    )[0]
 
 
 # --- target score ---
 
 
 def test_target_score_worked_example():
-    assert target_score(E1, queries_at([0.7, 0.8, 0.7])) == pytest.approx(
+    assert batch_target_scores(E1[None], queries_at([0.7, 0.8, 0.7]))[0] == pytest.approx(
         0.727272727, abs=1e-6
     )
 
 
 def test_target_score_identity():
-    assert target_score(E1, queries_at([1.0, 1.0, 1.0])) == pytest.approx(1.0)
+    assert batch_target_scores(E1[None], queries_at([1.0, 1.0, 1.0]))[0] == pytest.approx(1.0)
 
 
 def test_target_score_clamps_negative_similarity():
     queries = np.array([[-1.0, 0.0], [0.0, 1.0]])
-    assert target_score(E1, queries) == 0.0
+    assert batch_target_scores(E1[None], queries)[0] == 0.0
 
 
 def test_target_score_empty_keywords():
     with pytest.raises(EmptyKeywordSet):
-        target_score(E1, [])
+        batch_target_scores(E1[None], np.empty((0, 2)))
 
 
 # --- distractor score ---
@@ -86,17 +86,17 @@ def test_target_score_empty_keywords():
 
 def test_distractor_single_sibling_mean_equals_max():
     sibling = [queries_at([0.4])]
-    assert distractor_score(E1, sibling) == pytest.approx(0.4)
+    assert batch_distractor_scores(E1[None], sibling)[0] == pytest.approx(0.4)
 
 
 def test_distractor_two_siblings():
     siblings = [queries_at([0.2]), queries_at([0.6])]
     # 0.5 * mean(0.2, 0.6) + 0.5 * max(0.2, 0.6)
-    assert distractor_score(E1, siblings) == pytest.approx(0.5)
+    assert batch_distractor_scores(E1[None], siblings)[0] == pytest.approx(0.5)
 
 
 def test_distractor_no_siblings():
-    assert distractor_score(E1, []) == 0.0
+    assert batch_distractor_scores(E1[None], [])[0] == 0.0
 
 
 # --- discriminativeness ---
@@ -200,9 +200,9 @@ def test_segment_matching_target_only_ranks_first():
     on_aspect = np.array([1.0, 0.0, 0.0, 0.0])
     off_aspect = np.array([0.0, 1.0, 0.0, 0.0])
     mixed = np.array([0.5, 0.5, 0.0, 0.0]) / np.linalg.norm([0.5, 0.5, 0.0, 0.0])
-    index.add("on", on_aspect)
-    index.add("off", off_aspect)
-    index.add("mixed", mixed)
+    index.add_batch(["on"], [on_aspect])
+    index.add_batch(["off"], [off_aspect])
+    index.add_batch(["mixed"], [mixed])
     target = np.array([[1.0, 0.0, 0.0, 0.0]])
     sibling = [np.array([[0.0, 1.0, 0.0, 0.0]])]
     params = PipelineConfig(pool_size=3, k_segments=3)
@@ -227,7 +227,7 @@ def test_constant_distractor_preserves_target_order():
         raw = 0.6 * raw / np.linalg.norm(raw)
         vec = raw + np.array([0.0, 0.0, 0.0, 0.8, 0.0])
         sid = f"s{i:02d}"
-        index.add(sid, vec / np.linalg.norm(vec))
+        index.add_batch([sid], [vec / np.linalg.norm(vec)])
         ids.append(sid)
     target = np.array([_random_unit(rng, dim) for _ in (1, 2)])
     siblings = [np.array([[0.0, 0.0, 0.0, 1.0, 0.0]])]
@@ -243,7 +243,7 @@ def test_pool_larger_than_corpus_uses_whole_corpus():
     rng = random.Random(3)
     index = EmbeddingIndex(dim=4)
     for i in range(5):
-        index.add(f"s{i}", _random_unit(rng, 4))
+        index.add_batch([f"s{i}"], [_random_unit(rng, 4)])
     params = PipelineConfig(pool_size=50, k_segments=50)
     target = np.array([_random_unit(rng, 4)])
     got = rank_segments(index, _random_unit(rng, 4), target, [], params)
@@ -273,11 +273,11 @@ def test_target_monotone_in_single_similarity():
     rng = random.Random(9)
     for _ in range(50):
         sims = [rng.random() for _ in range(rng.randint(1, 10))]
-        base = zipf_weighted_mean(sims)
+        base = batch_target_scores(E1[None], queries_at(sims))[0]
         i = rng.randrange(len(sims))
         bumped = list(sims)
         bumped[i] = min(1.0, bumped[i] + rng.random() * (1 - bumped[i]))
-        assert zipf_weighted_mean(bumped) >= base - 1e-15
+        assert batch_target_scores(E1[None], queries_at(bumped))[0] >= base - 1e-15
 
 
 def test_distractor_monotone_in_sibling_similarity():
@@ -291,11 +291,11 @@ def test_distractor_monotone_in_sibling_similarity():
     ]
     for _ in range(100):
         seg = np.array([rng.random(), rng.random(), rng.random()])
-        base = distractor_score(seg, siblings)
+        base = batch_distractor_scores(seg[None], siblings)[0]
         i = rng.randrange(2)
         bumped = seg.copy()
         bumped[i] = min(1.0, bumped[i] + rng.random() * (1.0 - bumped[i]))
-        assert distractor_score(bumped, siblings) >= base - 1e-12
+        assert batch_distractor_scores(bumped[None], siblings)[0] >= base - 1e-12
 
 
 def test_scores_are_nonnegative_and_finite():
