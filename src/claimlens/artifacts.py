@@ -69,22 +69,26 @@ def parse_json(text: str) -> Any:
     return value
 
 
-def _parse(text: str, where: str) -> Any:
+def _parse(text: str, what: str, path: str | Path, lineno: int | None = None) -> Any:
+    """``parse_json``; names the file, and the line if given, only on an error."""
     try:
         return parse_json(text)
     except (ValueError, RecursionError) as exc:
+        where = f"{what} {path}" if lineno is None else f"{what} {path}: line {lineno}"
         raise UnreadableFile(f"{where} is not valid JSON: {exc}") from exc
 
 
 def read_json(path: str | Path, what: str) -> Any:
     """The JSON value in ``path``; ``what`` names the file in errors."""
     with _reading(path, what) as fh:
-        return _parse(fh.read(), f"{what} {path}")
+        return _parse(fh.read(), what, path)
 
 
 def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, Any]]:
-    """``(lineno, record)`` per non-blank line, streamed."""
+    """``(lineno, record)`` per non-blank line, streamed. Lines split as a file
+    reads them, not as ``str.splitlines``: a U+2028 or U+0085 inside a string
+    stays in its record."""
     with _reading(path, what) as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                yield lineno, _parse(line, f"{what} {path}: line {lineno}")
+            if not line.isspace():
+                yield lineno, _parse(line, what, path, lineno)

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -84,27 +85,34 @@ def load_corpus(path: str) -> list[Document]:
     return documents
 
 
-# One segment store record per line, keys in this order.
-_SEGMENT_FIELDS = {"segment_id": str, "doc_id": str, "start": int, "end": int, "text": str}
+# One segment store record per line: the fields of ``Segment``, in its order.
+_SEGMENT_TYPES = get_type_hints(Segment)
+_SEGMENT_FIELDS = {f.name: _SEGMENT_TYPES[f.name] for f in fields(Segment)}
 
 
 def write_segments(segments: list[Segment], path: str) -> None:
-    records = ({name: getattr(seg, name) for name in _SEGMENT_FIELDS} for seg in segments)
-    write_jsonl(path, records)
+    write_jsonl(path, map(vars, segments))
 
 
 def read_segments(path: str) -> list[Segment]:
     """Read a store written by :func:`write_segments`. A line that does not
     parse raises ``UnreadableFile``; a record with a missing or mistyped key
-    raises ``CorruptArtifact``. Both name the line."""
+    (a boolean is not an ``int``) raises ``CorruptArtifact``. Both name the line."""
     segments = []
     for lineno, rec in read_jsonl(path, "segment store"):
-        for name, kind in _SEGMENT_FIELDS.items():
-            if not isinstance(rec, dict) or not isinstance(rec.get(name), kind):
-                raise CorruptArtifact(
-                    f"segment store {path}: line {lineno} has a missing or mistyped {name!r}"
-                )
-        segments.append(Segment(**{name: rec[name] for name in _SEGMENT_FIELDS}))
+        try:
+            seg = Segment(rec["segment_id"], rec["doc_id"], rec["start"], rec["end"], rec["text"])
+            valid = (type(seg.segment_id) is str and type(seg.doc_id) is str
+                     and type(seg.start) is int and type(seg.end) is int and type(seg.text) is str)
+        except (KeyError, TypeError):
+            valid = False
+        if not valid:
+            name = next(name for name, kind in _SEGMENT_FIELDS.items()
+                        if not isinstance(rec, dict) or type(rec.get(name)) is not kind)
+            raise CorruptArtifact(
+                f"segment store {path}: line {lineno} has a missing or mistyped {name!r}"
+            )
+        segments.append(seg)
     return segments
 
 
@@ -119,8 +127,9 @@ _ABBREVIATIONS = {
     "e.g", "i.e", "etc", "vs", "cf", "ca", "al", "approx", "resp",
 }
 
-_TERMINALS = ".!?"
-_CLOSERS = "\"')]"
+# A terminal, then any run of terminals and closers, then a space or the end.
+# The run is greedy and its lookahead can only hold after a maximal run.
+_SENTENCE_END = re.compile(r"[.!?][.!?\"')\]]*(?= |$)")
 
 
 def split_sentences(text: str) -> list[str]:
@@ -131,26 +140,15 @@ def split_sentences(text: str) -> list[str]:
     dependency-free by design.
     """
     text = " ".join(text.split())
-    if not text:
-        return []
     sentences: list[str] = []
     start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i] in _TERMINALS:
-            j = i + 1
-            while j < n and text[j] in _TERMINALS + _CLOSERS:
-                j += 1
-            at_boundary = j >= n or text[j] == " "
-            if at_boundary and not (text[i] == "." and _guarded(text, i)):
-                piece = text[start:j].strip()
-                if piece:
-                    sentences.append(piece)
-                start = j
-            i = j
-        else:
-            i += 1
+    for run in _SENTENCE_END.finditer(text):
+        if text[run.start()] == "." and _guarded(text, run.start()):
+            continue
+        piece = text[start : run.end()].strip()
+        if piece:
+            sentences.append(piece)
+        start = run.end()
     tail = text[start:].strip()
     if tail:
         sentences.append(tail)

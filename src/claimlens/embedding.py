@@ -61,21 +61,22 @@ class HashedBowEmbedder:
         self._buckets: dict[str, int] = {}
 
     def _bucket(self, token: str) -> int:
-        bucket = self._buckets.get(token)
-        if bucket is None:
-            digest = hashlib.blake2b(
-                token.encode("utf-8"), digest_size=8, key=self._key
-            ).digest()
-            bucket = self._buckets[token] = int.from_bytes(digest, "little") % self.dim
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=self._key).digest()
+        bucket = self._buckets[token] = int.from_bytes(digest, "little") % self.dim
         return bucket
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        """Token counts, one ``dim``-wide row per text."""
-        out = np.empty((len(texts), self.dim))
+        """Token counts, one ``dim``-wide row per text: one ``bincount`` over
+        ``row * dim + bucket`` for the whole batch."""
+        memo = self._buckets
+        cells = []
         for row, text in enumerate(texts):
-            tokens = self._token_re.findall(text.lower()) or [text]
-            out[row] = np.bincount([self._bucket(t) for t in tokens], minlength=self.dim)
-        return out
+            base = row * self.dim
+            for token in self._token_re.findall(text.lower()) or [text]:
+                bucket = memo.get(token)
+                cells.append(base + (self._bucket(token) if bucket is None else bucket))
+        counts = np.bincount(cells, minlength=len(texts) * self.dim)
+        return counts.reshape(len(texts), self.dim).astype(np.float64)
 
 
 class HttpEmbeddingProvider(HttpJsonProvider):

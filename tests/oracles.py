@@ -142,3 +142,53 @@ def best_single_boundary(rank: list[list[float]], min_len: int) -> int | None:
             best_density = density
             best_cut = cut
     return best_cut
+
+
+# --- sentence splitting: the character-by-character scan ---
+
+_ABBREVIATIONS = {
+    "dr", "mr", "mrs", "ms", "prof", "sr", "jr", "st",
+    "fig", "figs", "eq", "eqs", "sec", "ch", "vol", "no", "pp",
+    "e.g", "i.e", "etc", "vs", "cf", "ca", "al", "approx", "resp",
+}
+
+
+def _guarded(text: str, dot: int) -> bool:
+    k = dot - 1
+    while k >= 0 and (text[k].isalnum() or text[k] == "."):
+        k -= 1
+    word = text[k + 1 : dot]
+    if not word or not word[0].isalpha():
+        return False
+    if len(word) == 1:
+        return True
+    return word.lower().rstrip(".") in _ABBREVIATIONS or word.lower() in _ABBREVIATIONS
+
+
+def split_sentences(text: str) -> list[str]:
+    """Walk the normalized text one character at a time: a terminal starts a
+    run of terminals and closers, and the run ends a sentence when a space or
+    the end follows it and it is not a guarded period."""
+    text = " ".join(text.split())
+    sentences: list[str] = []
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i] in ".!?":
+            j = i + 1
+            while j < n and text[j] in ".!?\"')]":
+                j += 1
+            at_boundary = j >= n or text[j] == " "
+            if at_boundary and not (text[i] == "." and _guarded(text, i)):
+                piece = text[start:j].strip()
+                if piece:
+                    sentences.append(piece)
+                start = j
+            i = j
+        else:
+            i += 1
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences

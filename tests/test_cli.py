@@ -466,9 +466,11 @@ def _edit_record(edit):
         (_rewrite_segment_line(lambda line: line[:40]), 1, "line 3 is not valid JSON"),
         (_edit_record(lambda r: r.pop("text")), 3, "line 3 has a missing or mistyped 'text'"),
         (_edit_record(lambda r: r.update(start="0")), 3, "mistyped 'start'"),
+        (_edit_record(lambda r: r.update(start=False)), 3, "line 3 has a missing or mistyped 'start'"),
+        (_edit_record(lambda r: r.update(end=True)), 3, "line 3 has a missing or mistyped 'end'"),
         (_rewrite_segment_line(lambda line: "[1, 2]"), 3, "line 3 has a missing or mistyped"),
     ],
-    ids=["truncated_line", "no_text", "string_start", "not_an_object"],
+    ids=["truncated_line", "no_text", "string_start", "bool_start", "bool_end", "not_an_object"],
 )
 def test_corrupt_segment_store_is_a_typed_error(
     ingested, tmp_path, capsys, corrupt, code, message

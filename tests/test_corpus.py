@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from claimlens.config import PipelineConfig
 from claimlens.corpus import (
+    _SEGMENT_FIELDS,
     Document,
+    Segment,
     _rank_transform,
     _similarity_matrix,
     choose_boundaries,
@@ -77,6 +80,16 @@ def test_load_corpus_bad_line_names_line_number(tmp_path):
         load_corpus(str(path))
 
 
+def test_load_corpus_keeps_unicode_line_separators_inside_a_record(tmp_path):
+    text = "First line\u2028still the first record\u0085and the same. Second sentence."
+    path = tmp_path / "corpus.jsonl"
+    record = json.dumps({"doc_id": "p1", "title": "t", "text": text}, ensure_ascii=False)
+    path.write_text(record + "\n", encoding="utf-8")
+    assert len(record.splitlines()) == 3  # str.splitlines would cut the record
+    docs = load_corpus(str(path))
+    assert [(d.doc_id, d.text) for d in docs] == [("p1", text)]
+
+
 def test_load_corpus_missing_file(tmp_path):
     with pytest.raises(UnreadableFile):
         load_corpus(str(tmp_path / "nope.jsonl"))
@@ -88,6 +101,14 @@ def test_segment_store_roundtrip(tmp_path):
     path = tmp_path / "segments.jsonl"
     write_segments(segs, str(path))
     assert read_segments(str(path)) == segs
+
+
+def test_segment_store_record_keys_are_the_segment_fields_in_order(tmp_path):
+    path = tmp_path / "segments.jsonl"
+    write_segments([Segment("p1#0-1", "p1", 0, 1, "One. Two.")], str(path))
+    record = json.loads(path.read_text().splitlines()[0])
+    assert list(record) == list(_SEGMENT_FIELDS) == [f.name for f in fields(Segment)]
+    assert list(_SEGMENT_FIELDS.values()) == [str, str, int, int, str]
 
 
 # --- sentence splitting ---
@@ -106,9 +127,10 @@ def test_split_sentences_abbreviation_guard():
     assert got == ["Dr. Smith ran the trial.", "It failed, e.g. in adults."]
 
 
-# Terminals, closers, whitespace and the guarded cases: abbreviations, initials, decimals.
+# Terminals, closers, whitespace and the guarded cases: abbreviations, initials,
+# decimals, and bare "J"/"etc" that a later "!" or "?" must not guard.
 SPLITTER_PIECES = [".", "!", "?", '"', "'", ")", "]", " ", "  ", "\n", "\t",
-                   "e.g.", "Dr.", " J. ", "1.5", "word", "Alpha"]
+                   "e.g.", "Dr.", " J. ", "1.5", "word", "Alpha", "J", "etc"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -117,6 +139,12 @@ def test_split_sentences_reassembles_the_normalized_text(text):
     sentences = split_sentences(text)
     assert " ".join(sentences) == " ".join(text.split())
     assert all(s and s == s.strip() for s in sentences)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(st.sampled_from(SPLITTER_PIECES), max_size=40).map("".join))
+def test_split_sentences_cuts_where_the_character_scan_does(text):
+    assert split_sentences(text) == oracles.split_sentences(text)
 
 
 def test_split_sentences_whitespace_normalized():

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import math
 import random
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -375,3 +378,38 @@ def test_memoized_embedder_matches_fresh_instance():
     warm.embed(texts)  # fill the memo
     again = warm.embed(list(reversed(texts)))[::-1]
     assert np.array_equal(again, HashedBowEmbedder(dim=64, seed=3).embed(texts))
+
+
+def _per_row_counts(texts, dim, seed):
+    """Reference: keyed blake2b buckets, one ``np.bincount`` per text."""
+    key = struct.pack("<q", seed)
+
+    def bucket(token):
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
+        return int.from_bytes(digest, "little") % dim
+
+    out = np.empty((len(texts), dim))
+    for row, text in enumerate(texts):
+        tokens = re.findall(r"[a-z0-9]+", text.lower()) or [text]
+        out[row] = np.bincount([bucket(t) for t in tokens], minlength=dim)
+    return out
+
+
+_RNG = random.Random(11)
+_WORDS = ["alpha", "beta", "Gamma", "delta", "x1", "trial", "dose"]
+_BATCH_64 = ["?!"] + [
+    " ".join(_RNG.choice(_WORDS) for _ in range(_RNG.randint(1, 12))) + " alpha alpha."
+    for _ in range(63)
+]
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [["?!"], ["dose dose trial dose"], _BATCH_64],
+    ids=["one_without_tokens", "one_with_repeats", "batch_of_64"],
+)
+def test_batch_bincount_matches_per_row_reference(texts):
+    for dim, seed in [(64, 3), (7, 0)]:
+        got = HashedBowEmbedder(dim=dim, seed=seed).embed(texts)
+        assert got.dtype == np.float64 and got.shape == (len(texts), dim)
+        assert got.tobytes() == _per_row_counts(texts, dim, seed).tobytes()
