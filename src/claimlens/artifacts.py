@@ -87,8 +87,17 @@ def read_json(path: str | Path, what: str) -> Any:
 def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, Any]]:
     """``(lineno, record)`` per non-blank line, streamed. Lines split as a file
     reads them, not as ``str.splitlines``: a U+2028 or U+0085 inside a string
-    stays in its record."""
+    stays in its record. A line holding one value from its first character, then only JSON
+    whitespace, and no surrogate escape is decoded directly; others go through ``_parse``."""
+    raw_decode = json.JSONDecoder().raw_decode
     with _reading(path, what) as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.isspace():
-                yield lineno, _parse(line, what, path, lineno)
+            if line.isspace():
+                continue
+            try:
+                value, end = raw_decode(line)
+            except (ValueError, RecursionError):
+                end = 0
+            if not end or line[end:].strip(" \t\n\r") or "\\ud" in line or "\\uD" in line:
+                value = _parse(line, what, path, lineno)
+            yield lineno, value

@@ -158,7 +158,9 @@ def _load_segments(paths: Paths) -> dict[str, Segment]:
     return {seg.segment_id: seg for seg in corpus_mod.read_segments(str(paths.segments))}
 
 
-def _load_index(paths: Paths, config: PipelineConfig) -> EmbeddingIndex:
+def _load_index(paths: Paths, config: PipelineConfig, store_ids: list[str]) -> EmbeddingIndex:
+    """The index that the ingest of the store wrote under this config, listing its ids in
+    store order: a reordered manifest, or a store from another ingest, fails that test."""
     if not paths.index_manifest.exists():
         raise errors.UsageError(
             f"embedding index {paths.index_manifest} not found: "
@@ -166,6 +168,11 @@ def _load_index(paths: Paths, config: PipelineConfig) -> EmbeddingIndex:
         )
     index, fingerprint = EmbeddingIndex.load(str(paths.root))
     _check_fingerprint(fingerprint, config, "embedding index")
+    if index.ids != store_ids:
+        raise errors.CorruptArtifact(
+            f"embedding index {paths.index_manifest} does not list the ids of segment "
+            f"store {paths.segments} in store order: re-run `claimlens ingest`"
+        )
     return index
 
 
@@ -204,7 +211,7 @@ def cmd_build(config: PipelineConfig) -> int:
         raise errors.UsageError("build requires --claim")
     paths = Paths(config.output_dir)
     segments = _load_segments(paths)
-    index = _load_index(paths, config)
+    index = _load_index(paths, config, list(segments))
     log = OperationLog()
     gateway = make_gateway(config, log)
     embedder = make_embedder(config)
@@ -230,9 +237,14 @@ def cmd_perspectives(config: PipelineConfig) -> int:
             f"hierarchy {paths.hierarchy} not found: run `claimlens build` first"
         )
     tree, data = _load_hierarchy(paths.hierarchy)
+    if data.get("partial"):
+        raise errors.CorruptArtifact(
+            f"hierarchy {paths.hierarchy} is partial, left by a failed build: "
+            "re-run `claimlens build`"
+        )
     _check_fingerprint(data.get("config_fingerprint", ""), config, "hierarchy")
     segments = _load_segments(paths)
-    index = _load_index(paths, config)
+    index = _load_index(paths, config, list(segments))
     log = OperationLog()
     gateway = make_gateway(config, log)
     embedder = make_embedder(config)
@@ -277,7 +289,14 @@ def cmd_evaluate(config: PipelineConfig, hierarchy_paths: list[str]) -> int:
 
     if len(hierarchy_paths) == 1:
         tree, _ = _load_hierarchy(hierarchy_paths[0])
-        segments = _load_segments(paths) if paths.segments.exists() else {}
+        attached = {sid for node in tree.nodes.values() for sid in node.attached_segments}
+        segments = _load_segments(paths) if attached else {}
+        missing = sorted(attached.difference(segments))
+        if missing:
+            raise errors.CorruptArtifact(
+                f"hierarchy file {hierarchy_paths[0]} attaches {len(missing)} segments "
+                f"missing from segment store {paths.segments}, first {missing[0]!r}"
+            )
         report = evaluate_hierarchy(tree, gateway, segments)
         payload = {"config_fingerprint": config.fingerprint(), **report.to_dict()}
         write_json(paths.metrics_json, payload)

@@ -15,6 +15,7 @@ same segment list, so documents can be processed in parallel safely.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -194,8 +195,10 @@ _STOPWORDS = frozenset(
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
+@functools.cache
 def _stem(word: str) -> str:
-    """Small deterministic suffix stripper in the Porter tradition.
+    """Small deterministic suffix stripper in the Porter tradition, memoized
+    per word (``_stem.__wrapped__`` is the plain function).
 
     Reproducibility matters more than linguistic accuracy here, so this
     handles the common inflectional endings only.

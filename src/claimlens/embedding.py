@@ -11,6 +11,7 @@ safe.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import re
 import struct
@@ -60,21 +61,17 @@ class HashedBowEmbedder:
         self._token_re = re.compile(r"[a-z0-9]+")
         self._buckets: dict[str, int] = {}
 
-    def _bucket(self, token: str) -> int:
-        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=self._key).digest()
-        bucket = self._buckets[token] = int.from_bytes(digest, "little") % self.dim
-        return bucket
-
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         """Token counts, one ``dim``-wide row per text: one ``bincount`` over
-        ``row * dim + bucket`` for the whole batch."""
+        ``row * dim + bucket`` for the whole batch, hashing only new tokens."""
         memo = self._buckets
-        cells = []
-        for row, text in enumerate(texts):
-            base = row * self.dim
-            for token in self._token_re.findall(text.lower()) or [text]:
-                bucket = memo.get(token)
-                cells.append(base + (self._bucket(token) if bucket is None else bucket))
+        rows = [self._token_re.findall(text.lower()) or [text] for text in texts]
+        tokens = list(itertools.chain.from_iterable(rows))
+        for token in set(tokens).difference(memo):
+            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=self._key).digest()
+            memo[token] = int.from_bytes(digest, "little") % self.dim
+        cells = np.repeat(np.arange(len(rows)) * self.dim, list(map(len, rows)))
+        cells += np.fromiter(map(memo.__getitem__, tokens), dtype=cells.dtype, count=len(tokens))
         counts = np.bincount(cells, minlength=len(texts) * self.dim)
         return counts.reshape(len(texts), self.dim).astype(np.float64)
 
@@ -251,18 +248,14 @@ class EmbeddingIndex:
     # --- persistence: flat binary vectors + sidecar id manifest ---
 
     def save(self, directory: str, fingerprint: str = "") -> None:
-        """Write ``vectors.bin``, streamed from the matrix, then the manifest."""
-        row_bytes = self.dim * 8
+        """Write ``vectors.bin``, streamed from the matrix, then the manifest naming its rows."""
         with replacing(os.path.join(directory, "vectors.bin")) as fh:
             np.ascontiguousarray(self._dense(), dtype="<f8").tofile(fh)
         manifest = {
             "dim": self.dim,
             "count": len(self._ids),
             "config_fingerprint": fingerprint,
-            "entries": [
-                {"segment_id": segment_id, "offset": row * row_bytes}
-                for row, segment_id in enumerate(self._ids)
-            ],
+            "segment_ids": self._ids,
         }
         write_json(os.path.join(directory, "index_manifest.json"), manifest)
 
@@ -277,7 +270,7 @@ class EmbeddingIndex:
         try:
             dim = manifest["dim"]
             count = manifest["count"]
-            entries = [(entry["segment_id"], entry["offset"]) for entry in manifest["entries"]]
+            ids = manifest["segment_ids"]
         except (KeyError, TypeError) as exc:
             raise CorruptArtifact(
                 f"index manifest {manifest_path} is malformed: missing or mistyped {exc}"
@@ -286,14 +279,10 @@ class EmbeddingIndex:
             raise CorruptArtifact(
                 f"index manifest {manifest_path} has dim {dim!r} and count {count!r}"
             )
-        # A reordered manifest would pin vectors to the wrong ids.
-        for row, (segment_id, offset) in enumerate(entries):
-            if not isinstance(segment_id, str) or offset != row * dim * 8:
-                raise CorruptArtifact(
-                    f"index manifest {manifest_path} entry {row} is not a segment id "
-                    f"at offset {row * dim * 8}"
-                )
-        ids = [segment_id for segment_id, _ in entries]
+        if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
+            raise CorruptArtifact(
+                f"index manifest {manifest_path} segment_ids is not a list of strings"
+            )
         try:
             raw = np.fromfile(vectors_path, dtype="<f8")
         except OSError as exc:
@@ -304,7 +293,7 @@ class EmbeddingIndex:
             )
         if len(ids) != count:
             raise DimensionMismatch(
-                f"index manifest lists {len(ids)} entries, expected {count}"
+                f"index manifest lists {len(ids)} segment ids, expected {count}"
             )
         index = cls(dim)
         try:

@@ -172,7 +172,8 @@ def segment_quality(
     segments: dict[str, Segment] | None = None,
 ) -> tuple[float | None, dict[str, float]]:
     """Per node, the fraction of attached segments judged relevant to the
-    claim and the aspect; absent when no node carries segments."""
+    claim and the aspect; absent when no node carries segments. Every
+    attached id must be in ``segments``."""
     segments = segments or {}
     fractions: dict[str, float] = {}
     for node_id in tree.sorted_ids():
@@ -181,12 +182,11 @@ def segment_quality(
             continue
         votes = []
         for segment_id in node.attached_segments:
-            text = segments[segment_id].text if segment_id in segments else segment_id
             prompt = (
                 f"Given the claim: {tree.claim}, evaluate whether this segment "
                 f"is relevant to both the claim and the aspect '{node.label}' "
                 f"(path: {tree.path_string(node_id)}).\n"
-                f"Segment: {text}\n"
+                f"Segment: {segments[segment_id].text}\n"
                 "Score 1 if relevant, 0 if not. Provide a short rationale.\n"
                 'Your output should be in JSON format: {"score": ..., "rationale": "..."}'
             )

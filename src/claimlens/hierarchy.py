@@ -371,11 +371,9 @@ class HierarchyBuilder:
         self._queries: dict[str, np.ndarray] = {}
 
     def _listing(self, segment_ids: Iterable[str]) -> str:
-        """Numbered segment texts for a prompt; an id not in the store stands for itself."""
-        return "\n".join(
-            f"[{i}] {self.segments[sid].text if sid in self.segments else sid}"
-            for i, sid in enumerate(segment_ids, 1)
-        )
+        """Numbered segment texts for a prompt."""
+        return "\n".join(f"[{i}] {self.segments[sid].text}"
+                         for i, sid in enumerate(segment_ids, 1))
 
     # --- coarse aspects ---
 

@@ -1,12 +1,16 @@
 """Independent brute-force reference implementations used only by tests.
 
-Everything here is pure Python (math module only) and deliberately shares no
-code with the package: these are the second route of every dual-route check.
+Everything here is pure Python (standard library only) and deliberately
+shares no code with the package: these are the second route of every
+dual-route check.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import re
+import struct
 from typing import Callable, Sequence
 
 
@@ -192,3 +196,21 @@ def split_sentences(text: str) -> list[str]:
     if tail:
         sentences.append(tail)
     return sentences
+
+
+# --- hashed bag-of-words embedding ---
+
+
+def hashed_bow_rows(texts: Sequence[str], dim: int, seed: int) -> list[list[float]]:
+    """Token counts per text, one token at a time: each ``[a-z0-9]+`` run of the
+    lowercased text (the whole text when there is none) adds 1 to the bucket its
+    keyed blake2b digest picks."""
+    key = struct.pack("<q", seed)
+    rows = []
+    for text in texts:
+        row = [0.0] * dim
+        for token in re.findall(r"[a-z0-9]+", text.lower()) or [text]:
+            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
+            row[int.from_bytes(digest, "little") % dim] += 1.0
+        rows.append(row)
+    return rows

@@ -6,9 +6,12 @@ import errno
 import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from claimlens import artifacts
 from claimlens.artifacts import read_json, read_jsonl, write_json, write_jsonl, write_text
@@ -143,3 +146,67 @@ def test_unreadable_jsonl_names_the_file(tmp_path, content, message):
     with pytest.raises(UnreadableFile) as info:
         list(read_jsonl(path, "segment store"))
     assert message.format(path=path) in str(info.value)
+
+
+def _per_line_parse(path):
+    """What ``read_jsonl`` must yield: ``_parse`` on every non-blank line as the
+    file reads it, up to the first error, given as its message."""
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            try:
+                records.append((lineno, artifacts._parse(line, "segment store", path, lineno)))
+            except UnreadableFile as exc:
+                return records, str(exc)
+    return records, None
+
+
+def _streamed(path):
+    records = []
+    try:
+        for item in read_jsonl(path, "segment store"):
+            records.append(item)
+    except UnreadableFile as exc:
+        return records, str(exc)
+    return records, None
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+_LINE_BODIES = st.one_of(
+    st.builds(json.dumps, _JSON_VALUES, ensure_ascii=st.booleans()),
+    st.sampled_from([
+        "1 2", '{"a": 1} {"b": 2}', '"\\ud83d\\ude00"', '{"k": "x \\uD83D\\uDE00 y"}',
+        '"\\ud800"', '["\\uDC00"]', '{"\\ude00\\ud83d": 1}', "{oops", "[1,", "nul", "\ufeff{}",
+        "NaN", "-Infinity", "[" * 3000,
+    ]),
+)
+_PADDING = st.sampled_from(["", " ", "\t", "\r", "  \t", "\x0c", "\u2028", "\u00a0", " 2"])
+_LINES = st.lists(
+    st.tuples(_PADDING, _LINE_BODIES, _PADDING, st.sampled_from(["\n", "\r\n", ""])).map("".join),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_LINES)
+@example(lines=[" {\"a\": 1}\n", "{\"a\": 1}  \t\n"])
+@example(lines=["1 2\n"])
+@example(lines=['{"t": "\\ud83d\\ude00"}\n', '{"t": "\\ud83d"}\n'])
+@example(lines=['{"t": 1}\x0c\n'])
+def test_read_jsonl_yields_what_parsing_each_line_yields(lines):
+    """Leading or trailing whitespace, a second value, surrogate escapes and bad
+    lines give the same records, or the same error, as ``_parse`` line by line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "segments.jsonl")
+        with open(path, "wb") as fh:
+            fh.write("".join(lines).encode("utf-8"))
+        assert repr(_streamed(path)) == repr(_per_line_parse(path))

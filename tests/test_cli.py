@@ -297,14 +297,7 @@ def test_evaluate_log_records_every_judge_call(pipeline_run, tmp_path, monkeypat
     out.mkdir()
     shutil.copy(pipeline_run / "segments.jsonl", out / "segments.jsonl")
     cfg = write_config_file(tmp_path, out)
-    provider_calls: Counter = Counter()
-    complete = MockChatProvider.complete
-
-    def counting(self, task, prompt, base_hash):
-        provider_calls[task.name] += 1
-        return complete(self, task, prompt, base_hash)
-
-    monkeypatch.setattr(MockChatProvider, "complete", counting)
+    provider_calls = _count_provider_calls(monkeypatch)
     hierarchy = str(pipeline_run / "hierarchy_perspectives.json")
     assert run_stage(["evaluate", "--config", cfg, hierarchy]) == 0
     logged: Counter = Counter()
@@ -344,8 +337,12 @@ def _truncate_manifest(out):
     path.write_text(text[: len(text) // 2])
 
 
+def _set_first_id(value):
+    return _edit_manifest(lambda m: m["segment_ids"].__setitem__(0, value))
+
+
 def _repeat_first_id(manifest):
-    manifest["entries"][1]["segment_id"] = manifest["entries"][0]["segment_id"]
+    manifest["segment_ids"][1] = manifest["segment_ids"][0]
 
 
 @pytest.mark.parametrize(
@@ -354,27 +351,30 @@ def _repeat_first_id(manifest):
         (_edit_manifest(_repeat_first_id), 3, "indexed twice"),
         (_edit_manifest(lambda m: m.pop("dim")), 3, "'dim'"),
         (_edit_manifest(lambda m: m.pop("count")), 3, "'count'"),
-        (_edit_manifest(lambda m: m.pop("entries")), 3, "'entries'"),
-        (_edit_manifest(lambda m: m["entries"][0].pop("segment_id")), 3, "'segment_id'"),
+        (_edit_manifest(lambda m: m.pop("segment_ids")), 3, "'segment_ids'"),
+        (_set_first_id(None), 3, "segment_ids is not a list of strings"),
         (_edit_manifest(lambda m: m.update(dim="256")), 3, "dim '256'"),
         (lambda out: (out / "vectors.bin").unlink(), 1, "vectors.bin"),
         (_truncate_manifest, 1, "not valid JSON"),
         (_edit_manifest(lambda m: m.pop("config_fingerprint")), 3, "fingerprint (none)"),
-        (_edit_manifest(lambda m: m["entries"][0].update(segment_id=["x"])), 3, "entry 0 is not"),
-        (_edit_manifest(lambda m: m["entries"].reverse()), 3, "entry 0 is not a segment id at"),
+        (_set_first_id(["x"]), 3, "segment_ids is not a list of strings"),
+        (_edit_manifest(lambda m: m["segment_ids"].reverse()), 3,
+         "in store order: re-run `claimlens ingest`"),
+        (_edit_manifest(lambda m: m["segment_ids"].pop()), 3, "lists 91 segment ids, expected 92"),
     ],
     ids=[
         "duplicate_id",
         "no_dim",
         "no_count",
-        "no_entries",
-        "entry_without_id",
+        "no_segment_ids",
+        "null_segment_id",
         "string_dim",
         "no_vectors_bin",
         "truncated_manifest",
         "no_fingerprint",
         "list_segment_id",
-        "reordered_entries",
+        "reversed_segment_ids",
+        "one_id_too_few",
     ],
 )
 def test_corrupt_index_is_a_typed_error(ingested, tmp_path, capsys, corrupt, code, message):
@@ -386,6 +386,86 @@ def test_corrupt_index_is_a_typed_error(ingested, tmp_path, capsys, corrupt, cod
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def test_segment_store_of_another_segmentation_is_refused(ingested, tmp_path, capsys):
+    other = tmp_path / "other"
+    cfg = write_config_file(tmp_path, other, name="other.json")
+    assert run_stage(["ingest", "--config", cfg, "--rank-mask", "5"]) == 0
+    assert len((other / "segments.jsonl").read_text().splitlines()) == 56
+    assert len((ingested / "segments.jsonl").read_text().splitlines()) == 92
+    out = tmp_path / "out"
+    shutil.copytree(ingested, out)
+    shutil.copy(other / "segments.jsonl", out / "segments.jsonl")
+    capsys.readouterr()
+    assert run_stage(["build", "--config", write_config_file(tmp_path, out)]) == 3
+    err = capsys.readouterr().err
+    assert "does not list the ids of segment store" in err and "re-run `claimlens ingest`" in err
+    assert "Traceback" not in err
+    assert not (out / "hierarchy.json").exists()
+
+
+def _count_provider_calls(monkeypatch) -> Counter:
+    calls: Counter = Counter()
+    complete = MockChatProvider.complete
+
+    def counting(self, task, prompt, base_hash):
+        calls[task.name] += 1
+        return complete(self, task, prompt, base_hash)
+
+    monkeypatch.setattr(MockChatProvider, "complete", counting)
+    return calls
+
+
+def test_perspectives_refuses_the_partial_tree_of_a_failed_build(
+    ingested, tmp_path, capsys, monkeypatch
+):
+    out, transcript = tmp_path / "out", tmp_path / "transcript"
+    shutil.copytree(ingested, out)
+    shutil.copytree(DATA_DIR / "transcript", transcript)
+    path = transcript / "coarse_aspects.json"
+    data = json.loads(path.read_text())
+    data["responses"] = {key: json.dumps({"aspects": "none"}) for key in data["responses"]}
+    path.write_text(json.dumps(data))
+    cfg = write_config_file(tmp_path, out, mock_dir=str(transcript))
+    assert run_stage(["build", "--config", cfg]) == 3
+    assert json.loads((out / "hierarchy.json").read_text())["partial"] is True
+    capsys.readouterr()
+    calls = _count_provider_calls(monkeypatch)
+    assert run_stage(["perspectives", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "is partial" in err and "re-run `claimlens build`" in err
+    assert "Traceback" not in err
+    assert not calls
+    assert not (out / "hierarchy_perspectives.json").exists()
+
+
+def test_evaluate_without_the_segment_store_points_at_ingest(tmp_path, capsys, monkeypatch):
+    calls = _count_provider_calls(monkeypatch)
+    cfg = write_config_file(tmp_path, tmp_path / "out")
+    hierarchy = str(GOLDEN / "hierarchy_perspectives.json")
+    assert run_stage(["evaluate", "--config", cfg, hierarchy]) == 1
+    err = capsys.readouterr().err
+    assert "run `claimlens ingest`" in err and "Traceback" not in err
+    assert not calls
+
+
+def test_evaluate_refuses_an_attached_id_missing_from_the_store(
+    ingested, tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(ingested / "segments.jsonl", out / "segments.jsonl")
+    data = json.loads((GOLDEN / "hierarchy_perspectives.json").read_text())
+    _node(data, "0.1")["attached_segments"].append("d99#0-0")
+    path = tmp_path / "hierarchy.json"
+    path.write_text(json.dumps(data))
+    calls = _count_provider_calls(monkeypatch)
+    assert run_stage(["evaluate", "--config", write_config_file(tmp_path, out), str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "missing from segment store" in err and "'d99#0-0'" in err
+    assert "Traceback" not in err
+    assert not calls
 
 
 def test_hierarchy_without_fingerprint_is_refused(ingested, tmp_path, capsys):
@@ -644,12 +724,15 @@ def test_claim_that_is_not_utf8_exits_1(ingested, tmp_path, capsys):
     assert not (out / "hierarchy.json").exists()
 
 
-def test_refused_judge_endpoint_exits_2(tmp_path, capsys, monkeypatch):
+def test_refused_judge_endpoint_exits_2(ingested, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(http_provider, "time", SimpleNamespace(sleep=lambda seconds: None))
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(ingested / "segments.jsonl", out / "segments.jsonl")  # the attached texts
     with socket.create_server(("127.0.0.1", 0)) as probe:
         port = probe.getsockname()[1]  # closed on exit, so connections are refused
     argv = ["evaluate", "--chat-endpoint", f"http://127.0.0.1:{port}/chat",
-            "--out", str(tmp_path / "out"), str(GOLDEN / "hierarchy_perspectives.json")]
+            "--out", str(out), str(GOLDEN / "hierarchy_perspectives.json")]
     assert run_stage(argv) == 2
     assert capsys.readouterr().err.startswith("provider error: judge unavailable")
 

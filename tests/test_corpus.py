@@ -14,6 +14,7 @@ from claimlens.corpus import (
     Segment,
     _rank_transform,
     _similarity_matrix,
+    _stem,
     choose_boundaries,
     extract_terms,
     load_corpus,
@@ -306,3 +307,19 @@ def test_segmentation_deterministic():
     doc = make_two_topic_doc("d", rng, first=7, second=6)
     config = PipelineConfig()
     assert segment_document(doc, config) == segment_document(doc, config)
+
+
+# Stems ending in doubled letters and "y", then the suffixes ``_stem`` strips.
+_STEM_WORDS = st.tuples(
+    st.text(alphabet="abeilnorstuy", max_size=7),
+    st.sampled_from(["", "s", "ss", "sses", "ies", "ational", "ization", "fulness", "iveness",
+                     "ousness", "ing", "edly", "ed", "ly", "ment", "ness", "tion", "ity", "y"]),
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(word=_STEM_WORDS)
+def test_memoized_stem_is_the_plain_stem(word):
+    plain = _stem.__wrapped__(word)
+    assert _stem(word) == plain
+    assert _stem(word) == plain  # the second call is served from the memo

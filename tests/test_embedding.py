@@ -1,12 +1,11 @@
-import hashlib
 import json
 import math
 import random
-import re
-import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from claimlens.embedding import (
     Embedder,
@@ -21,6 +20,8 @@ from claimlens.errors import (
     ProviderUnavailable,
     ZeroVector,
 )
+
+from . import oracles
 
 
 class ListProvider:
@@ -258,6 +259,7 @@ def test_save_load_roundtrip_and_byte_identity(tmp_path, embedder):
     assert (dir_a / "index_manifest.json").read_text() == (
         dir_b / "index_manifest.json"
     ).read_text()
+    assert json.loads((dir_a / "index_manifest.json").read_text())["segment_ids"] == ids
 
 
 def test_top_k_ties_straddling_kth_rank_come_by_id():
@@ -358,17 +360,17 @@ def test_load_rejects_duplicate_ids_in_manifest(tmp_path):
     index = EmbeddingIndex(dim=2)
     index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
     index.save(str(tmp_path))
-    _edit_manifest(tmp_path, lambda m: m["entries"][1].update(segment_id="a"))
+    _edit_manifest(tmp_path, lambda m: m["segment_ids"].__setitem__(1, "a"))
     with pytest.raises(CorruptArtifact, match="'a'"):
         EmbeddingIndex.load(str(tmp_path))
 
 
-def test_load_rejects_manifest_entry_count_mismatch(tmp_path):
+def test_load_rejects_manifest_id_count_mismatch(tmp_path):
     index = EmbeddingIndex(dim=2)
     index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
     index.save(str(tmp_path))
-    _edit_manifest(tmp_path, lambda m: m["entries"].pop())
-    with pytest.raises(DimensionMismatch):
+    _edit_manifest(tmp_path, lambda m: m["segment_ids"].pop())
+    with pytest.raises(DimensionMismatch, match="lists 1 segment ids, expected 2"):
         EmbeddingIndex.load(str(tmp_path))
 
 
@@ -380,19 +382,8 @@ def test_memoized_embedder_matches_fresh_instance():
     assert np.array_equal(again, HashedBowEmbedder(dim=64, seed=3).embed(texts))
 
 
-def _per_row_counts(texts, dim, seed):
-    """Reference: keyed blake2b buckets, one ``np.bincount`` per text."""
-    key = struct.pack("<q", seed)
-
-    def bucket(token):
-        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
-        return int.from_bytes(digest, "little") % dim
-
-    out = np.empty((len(texts), dim))
-    for row, text in enumerate(texts):
-        tokens = re.findall(r"[a-z0-9]+", text.lower()) or [text]
-        out[row] = np.bincount([bucket(t) for t in tokens], minlength=dim)
-    return out
+def _reference_rows(texts, dim, seed):
+    return np.array(oracles.hashed_bow_rows(texts, dim, seed)).reshape(len(texts), dim)
 
 
 _RNG = random.Random(11)
@@ -412,4 +403,28 @@ def test_batch_bincount_matches_per_row_reference(texts):
     for dim, seed in [(64, 3), (7, 0)]:
         got = HashedBowEmbedder(dim=dim, seed=seed).embed(texts)
         assert got.dtype == np.float64 and got.shape == (len(texts), dim)
-        assert got.tobytes() == _per_row_counts(texts, dim, seed).tobytes()
+        assert got.tobytes() == _reference_rows(texts, dim, seed).tobytes()
+
+
+# Words that repeat across texts, texts with no token at all (whose whole text
+# is the one token), and case and non-ASCII letters that lowercasing changes.
+_EMBED_TEXTS = st.lists(
+    st.sampled_from(["alpha", "Beta", "dose", "x1", "2024", "İ", "Ünï", "ÉÀ", "?!", "", " ", "a.b"]),
+    max_size=8,
+).map(" ".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    batches=st.lists(st.lists(_EMBED_TEXTS, min_size=1, max_size=70), min_size=1, max_size=3),
+    dim=st.sampled_from([1, 7, 256]),
+    seed=st.integers(min_value=-(2**63), max_value=2**63 - 1),
+)
+@example(batches=[["ÉÀ ?!", "dose Dose"], ["dose ÉÀ"]], dim=256, seed=0)
+def test_embed_matches_the_per_token_reference(batches, dim, seed):
+    """Bit-identical rows from a cold memo and from one warmed by earlier batches."""
+    warm = HashedBowEmbedder(dim=dim, seed=seed)
+    for texts in batches:
+        expected = _reference_rows(texts, dim, seed).tobytes()
+        assert HashedBowEmbedder(dim=dim, seed=seed).embed(texts).tobytes() == expected
+        assert warm.embed(texts).tobytes() == expected

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimlens.corpus import Segment
 from claimlens.embedding import Embedder, EmbeddingIndex
@@ -120,6 +122,22 @@ def test_boundary_oracle_agreement_random_monotone_profiles():
             count, step_profile(cutoff), delta, window
         )
         assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    count=st.integers(min_value=0, max_value=400),
+    cutoff_fraction=st.floats(min_value=0.0, max_value=1.0),
+    window=st.integers(min_value=1, max_value=15),
+    delta=st.floats(min_value=0.01, max_value=0.99),
+)
+def test_boundary_is_the_window_scan_on_any_monotone_profile(count, cutoff_fraction, window, delta):
+    """On a relevance profile that is true for the first ranks and false after,
+    the binary search stops where the left-to-right window scan does."""
+    cutoff = round(cutoff_fraction * count)
+    params = FilterParams(delta=delta, window=window, min_chars=500)
+    got = relevance_boundary(count, CachingJudge(step_profile(cutoff)), params)
+    assert got == oracles.window_scan_boundary(count, step_profile(cutoff), delta, window)
 
 
 def test_judgment_economy_and_caching():
