@@ -4,12 +4,13 @@ decode a file raises ``UnreadableFile`` (exit 1) naming it."""
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Iterator, TextIO
+from typing import IO, Any, BinaryIO, Iterable, Iterator
 
 from .errors import UnreadableFile
 
@@ -47,9 +48,9 @@ def write_jsonl(path: str | Path, records: Iterable[Any]) -> None:
 
 
 @contextmanager
-def _reading(path: str | Path, what: str) -> Iterator[TextIO]:
+def _reading(path: str | Path, what: str, mode: str = "r") -> Iterator[IO[Any]]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
     except OSError as exc:
         raise UnreadableFile(f"cannot read {what} {path}: {exc}") from exc
@@ -76,6 +77,12 @@ def _parse(text: str, what: str, path: str | Path, lineno: int | None = None) ->
     except (ValueError, RecursionError) as exc:
         where = f"{what} {path}" if lineno is None else f"{what} {path}: line {lineno}"
         raise UnreadableFile(f"{where} is not valid JSON: {exc}") from exc
+
+
+def file_sha256(path: str | Path, what: str) -> str:
+    """Hex SHA-256 of the bytes in ``path``; ``what`` names the file in errors."""
+    with _reading(path, what, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def read_json(path: str | Path, what: str) -> Any:

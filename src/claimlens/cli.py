@@ -1,9 +1,10 @@
 """Command-line orchestration of the staged pipeline.
 
 Stages persist their artifacts (ingest -> build -> perspectives -> evaluate)
-so the expensive steps can be resumed and mixed runs are detectable: every
-artifact embeds the config fingerprint and stages refuse to consume artifacts
-from a different one.
+so the expensive steps can be resumed and mixed runs are detectable: each stage
+loads and checks every artifact it reads in one gate, before any provider is
+built. The hierarchy records the config fingerprint; the index records it too,
+with the embedder and the SHA-256 of the segment store it was built from.
 
 Exit codes: 0 success, 1 usage or input error, 2 provider failure,
 3 schema or contract violation.
@@ -15,10 +16,11 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from . import corpus as corpus_mod
 from . import errors
-from .artifacts import read_json, write_json, write_jsonl, write_text
+from .artifacts import file_sha256, read_json, write_json, write_jsonl, write_text
 from .config import PipelineConfig, load_config_file
 from .corpus import Segment
 from .embedding import (
@@ -133,47 +135,80 @@ class Paths:
         self.pairwise = self.root / "pairwise.json"
 
 
-def _load_hierarchy(path: str | Path) -> tuple[AspectHierarchy, dict]:
-    data = read_json(path, "hierarchy file")
-    try:
-        return AspectHierarchy.from_dict(data), data
-    except errors.CorruptArtifact as exc:
-        raise errors.CorruptArtifact(f"hierarchy file {path}: {exc}") from exc
+def _check_stamp(found: dict, expected: dict[str, str], what: str, stage: str) -> None:
+    """Refuse an artifact whose recorded stamp differs from ``expected`` in any key."""
+    for key, value in expected.items():
+        if found.get(key) != value:
+            raise errors.FingerprintMismatch(
+                f"{what} was produced under {key.replace('_', ' ')} "
+                f"{found.get(key) or '(none)'}, current is {value}; re-run `claimlens {stage}`"
+            )
 
 
-def _check_fingerprint(found: str, config: PipelineConfig, what: str) -> None:
-    expected = config.fingerprint()
-    if found != expected:
-        raise errors.FingerprintMismatch(
-            f"{what} was produced under config fingerprint {found or '(none)'}, "
-            f"current is {expected}; re-run earlier stages"
+def _index_stamp(config: PipelineConfig, store: Path) -> dict[str, str]:
+    """What an index that serves ``config`` over ``store`` records: the fingerprint,
+    the part of the embedder it leaves out (not the endpoint), and the store's bytes."""
+    return {
+        "config_fingerprint": config.fingerprint(),
+        "embedder": f"http:{config.embed_model}" if config.embed_endpoint else "hashed",
+        "store_sha256": file_sha256(store, "segment store"),
+    }
+
+
+def _found(path: str | Path, what: str, stage: str) -> str:
+    if not Path(path).exists():
+        raise errors.UsageError(f"{what} {path} not found: run `claimlens {stage}` first")
+    return str(path)
+
+
+def _stage_inputs(
+    stage: str, hierarchy_paths: Sequence[str | Path], config: PipelineConfig | None = None
+) -> tuple[list[AspectHierarchy], dict[str, Segment], EmbeddingIndex | None]:
+    """Every artifact ``stage`` reads, loaded and checked before any provider is built:
+    the hierarchy files, which ``perspectives`` wants whole and built under ``config``;
+    for ``build`` and ``perspectives``, the segment store and the index, which must list
+    the store's ids in store order and carry the stamp ``ingest`` would write now; and
+    for ``evaluate`` of one tree, the store whenever the tree attaches segments."""
+    trees = []
+    for path in hierarchy_paths:
+        data = read_json(_found(path, "hierarchy file", "build"), "hierarchy file")
+        try:
+            trees.append(AspectHierarchy.from_dict(data))
+        except errors.CorruptArtifact as exc:
+            raise errors.CorruptArtifact(f"hierarchy file {path}: {exc}") from exc
+        if stage == "perspectives":
+            if data.get("partial"):
+                raise errors.CorruptArtifact(
+                    f"hierarchy {path} is partial, left by a failed build: "
+                    "re-run `claimlens build`"
+                )
+            _check_stamp(data, {"config_fingerprint": config.fingerprint()}, "hierarchy", "build")
+    indexed = stage in ("build", "perspectives")
+    attached = set()
+    if stage == "evaluate" and len(trees) == 1:
+        attached = {sid for node in trees[0].nodes.values() for sid in node.attached_segments}
+    if not (indexed or attached):
+        return trees, {}, None
+    paths = Paths(config.output_dir)
+    store = _found(paths.segments, "segment store", "ingest")
+    segments = {seg.segment_id: seg for seg in corpus_mod.read_segments(store)}
+    missing = sorted(attached.difference(segments))
+    if missing:
+        raise errors.CorruptArtifact(
+            f"hierarchy file {hierarchy_paths[0]} attaches {len(missing)} segments "
+            f"missing from segment store {store}, first {missing[0]!r}"
         )
-
-
-def _load_segments(paths: Paths) -> dict[str, Segment]:
-    if not paths.segments.exists():
-        raise errors.UsageError(
-            f"segment store {paths.segments} not found: run `claimlens ingest` first"
-        )
-    return {seg.segment_id: seg for seg in corpus_mod.read_segments(str(paths.segments))}
-
-
-def _load_index(paths: Paths, config: PipelineConfig, store_ids: list[str]) -> EmbeddingIndex:
-    """The index that the ingest of the store wrote under this config, listing its ids in
-    store order: a reordered manifest, or a store from another ingest, fails that test."""
-    if not paths.index_manifest.exists():
-        raise errors.UsageError(
-            f"embedding index {paths.index_manifest} not found: "
-            "run `claimlens ingest` first"
-        )
-    index, fingerprint = EmbeddingIndex.load(str(paths.root))
-    _check_fingerprint(fingerprint, config, "embedding index")
-    if index.ids != store_ids:
+    if not indexed:
+        return trees, segments, None
+    _found(paths.index_manifest, "embedding index", "ingest")
+    index, manifest = EmbeddingIndex.load(str(paths.root))
+    if index.ids != list(segments):
         raise errors.CorruptArtifact(
             f"embedding index {paths.index_manifest} does not list the ids of segment "
-            f"store {paths.segments} in store order: re-run `claimlens ingest`"
+            f"store {store} in store order: re-run `claimlens ingest`"
         )
-    return index
+    _check_stamp(manifest, _index_stamp(config, paths.segments), "embedding index", "ingest")
+    return trees, segments, index
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +233,7 @@ def cmd_ingest(config: PipelineConfig) -> int:
         chunk = segments[i : i + batch]
         vectors = embedder.embed_texts([s.text for s in chunk])
         index.add_batch([s.segment_id for s in chunk], vectors)
-    index.save(str(paths.root), fingerprint=config.fingerprint())
+    index.save(str(paths.root), _index_stamp(config, paths.segments))
     print(
         f"ingested {len(documents)} documents into {len(segments)} segments; "
         f"index dim {index.dim} at {paths.root}"
@@ -210,8 +245,7 @@ def cmd_build(config: PipelineConfig) -> int:
     if not config.claim:
         raise errors.UsageError("build requires --claim")
     paths = Paths(config.output_dir)
-    segments = _load_segments(paths)
-    index = _load_index(paths, config, list(segments))
+    _, segments, index = _stage_inputs("build", [], config)
     log = OperationLog()
     gateway = make_gateway(config, log)
     embedder = make_embedder(config)
@@ -232,19 +266,7 @@ def cmd_build(config: PipelineConfig) -> int:
 
 def cmd_perspectives(config: PipelineConfig) -> int:
     paths = Paths(config.output_dir)
-    if not paths.hierarchy.exists():
-        raise errors.UsageError(
-            f"hierarchy {paths.hierarchy} not found: run `claimlens build` first"
-        )
-    tree, data = _load_hierarchy(paths.hierarchy)
-    if data.get("partial"):
-        raise errors.CorruptArtifact(
-            f"hierarchy {paths.hierarchy} is partial, left by a failed build: "
-            "re-run `claimlens build`"
-        )
-    _check_fingerprint(data.get("config_fingerprint", ""), config, "hierarchy")
-    segments = _load_segments(paths)
-    index = _load_index(paths, config, list(segments))
+    [tree], segments, index = _stage_inputs("perspectives", [paths.hierarchy], config)
     log = OperationLog()
     gateway = make_gateway(config, log)
     embedder = make_embedder(config)
@@ -280,24 +302,13 @@ def _write_consensus_table(tree: AspectHierarchy, path: Path) -> None:
 def cmd_evaluate(config: PipelineConfig, hierarchy_paths: list[str]) -> int:
     if not 1 <= len(hierarchy_paths) <= 2:
         raise errors.UsageError("evaluate takes one hierarchy file, or two for pairwise")
-    for p in hierarchy_paths:
-        if not Path(p).exists():
-            raise errors.UsageError(f"hierarchy file {p} not found")
     paths = Paths(config.output_dir)
+    trees, segments, _ = _stage_inputs("evaluate", hierarchy_paths, config)
     log = OperationLog()
     gateway = make_gateway(config, log)
 
-    if len(hierarchy_paths) == 1:
-        tree, _ = _load_hierarchy(hierarchy_paths[0])
-        attached = {sid for node in tree.nodes.values() for sid in node.attached_segments}
-        segments = _load_segments(paths) if attached else {}
-        missing = sorted(attached.difference(segments))
-        if missing:
-            raise errors.CorruptArtifact(
-                f"hierarchy file {hierarchy_paths[0]} attaches {len(missing)} segments "
-                f"missing from segment store {paths.segments}, first {missing[0]!r}"
-            )
-        report = evaluate_hierarchy(tree, gateway, segments)
+    if len(trees) == 1:
+        report = evaluate_hierarchy(trees[0], gateway, segments)
         payload = {"config_fingerprint": config.fingerprint(), **report.to_dict()}
         write_json(paths.metrics_json, payload)
         table = render_metric_table(report)
@@ -306,9 +317,7 @@ def cmd_evaluate(config: PipelineConfig, hierarchy_paths: list[str]) -> int:
         print(table, end="")
         return 0
 
-    tree_a, _ = _load_hierarchy(hierarchy_paths[0])
-    tree_b, _ = _load_hierarchy(hierarchy_paths[1])
-    verdict = pairwise_compare(tree_a, tree_b, gateway)
+    verdict = pairwise_compare(trees[0], trees[1], gateway)
     payload = {"config_fingerprint": config.fingerprint(), "a": hierarchy_paths[0],
                "b": hierarchy_paths[1], "verdict": verdict}
     write_json(paths.pairwise, payload)
@@ -318,7 +327,7 @@ def cmd_evaluate(config: PipelineConfig, hierarchy_paths: list[str]) -> int:
 
 
 def cmd_report(hierarchy_path: str, fmt: str, out: str | None = None) -> int:
-    tree, _ = _load_hierarchy(hierarchy_path)
+    [tree], _, _ = _stage_inputs("report", [hierarchy_path])
     if fmt == "markdown":
         rendered = render_markdown(tree)
     elif fmt == "dot":

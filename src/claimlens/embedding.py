@@ -172,9 +172,6 @@ class EmbeddingIndex:
     def __len__(self) -> int:
         return len(self._ids)
 
-    def __contains__(self, segment_id: str) -> bool:
-        return segment_id in self._rows
-
     @property
     def ids(self) -> list[str]:
         return list(self._ids)
@@ -247,23 +244,24 @@ class EmbeddingIndex:
 
     # --- persistence: flat binary vectors + sidecar id manifest ---
 
-    def save(self, directory: str, fingerprint: str = "") -> None:
-        """Write ``vectors.bin``, streamed from the matrix, then the manifest naming its rows."""
+    def save(self, directory: str, stamp: dict[str, str]) -> None:
+        """Write ``vectors.bin``, streamed from the matrix, then the manifest naming its
+        rows; the manifest records the keys of ``stamp`` as given."""
         with replacing(os.path.join(directory, "vectors.bin")) as fh:
             np.ascontiguousarray(self._dense(), dtype="<f8").tofile(fh)
         manifest = {
             "dim": self.dim,
             "count": len(self._ids),
-            "config_fingerprint": fingerprint,
+            **stamp,
             "segment_ids": self._ids,
         }
         write_json(os.path.join(directory, "index_manifest.json"), manifest)
 
     @classmethod
-    def load(cls, directory: str) -> tuple["EmbeddingIndex", str]:
-        """Read an index written by :meth:`save`. An unreadable file raises
-        ``UnreadableFile``; a malformed manifest or vector, or a disagreement
-        between them, raises ``CorruptArtifact`` or ``DimensionMismatch``."""
+    def load(cls, directory: str) -> tuple["EmbeddingIndex", dict[str, Any]]:
+        """Read an index written by :meth:`save`, with its manifest. An unreadable
+        file raises ``UnreadableFile``; a malformed manifest or vector, or a
+        disagreement between them, raises ``CorruptArtifact`` or ``DimensionMismatch``."""
         manifest_path = os.path.join(directory, "index_manifest.json")
         vectors_path = os.path.join(directory, "vectors.bin")
         manifest = read_json(manifest_path, "index manifest")
@@ -301,7 +299,7 @@ class EmbeddingIndex:
             index._matrix = _unit_rows(raw.reshape(count, dim).astype(np.float64, copy=False))
         except ValueError as exc:
             raise CorruptArtifact(f"index in {directory}: {exc}") from exc
-        return index, manifest.get("config_fingerprint", "")
+        return index, manifest
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:

@@ -169,12 +169,11 @@ def uniqueness(tree: AspectHierarchy, gateway: LlmGateway) -> tuple[float, dict[
 def segment_quality(
     tree: AspectHierarchy,
     gateway: LlmGateway,
-    segments: dict[str, Segment] | None = None,
+    segments: dict[str, Segment],
 ) -> tuple[float | None, dict[str, float]]:
     """Per node, the fraction of attached segments judged relevant to the
     claim and the aspect; absent when no node carries segments. Every
     attached id must be in ``segments``."""
-    segments = segments or {}
     fractions: dict[str, float] = {}
     for node_id in tree.sorted_ids():
         node = tree.node(node_id)
@@ -202,7 +201,7 @@ def segment_quality(
 def evaluate_hierarchy(
     tree: AspectHierarchy,
     gateway: LlmGateway,
-    segments: dict[str, Segment] | None = None,
+    segments: dict[str, Segment],
 ) -> MetricReport:
     rel, rel_nodes = node_relevance(tree, gateway)
     path, path_nodes = path_granularity(tree, gateway)

@@ -23,6 +23,7 @@ here, beside the code that reads the replies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -148,25 +149,6 @@ def claim_representation(
 # ---------------------------------------------------------------------------
 # Relevance boundary
 # ---------------------------------------------------------------------------
-
-
-class CachingJudge:
-    """Memoizes a rank -> bool relevance judge and counts fresh calls."""
-
-    def __init__(self, fn: Callable[[int], bool]):
-        self._fn = fn
-        self.cache: dict[int, bool] = {}
-        self.fresh_calls = 0
-        self.cache_hits = 0
-
-    def __call__(self, i: int) -> bool:
-        if i in self.cache:
-            self.cache_hits += 1
-            return self.cache[i]
-        verdict = self._fn(i)
-        self.cache[i] = verdict
-        self.fresh_calls += 1
-        return verdict
 
 
 def relevance_boundary(count: int, judge: Callable[[int], bool], params: FilterParams) -> int:
@@ -336,7 +318,7 @@ def discover_perspectives(
     candidates = [
         seg
         for seg in sorted(segments.values(), key=lambda s: s.segment_id)
-        if len(seg.text) >= params.min_chars and seg.segment_id in index
+        if len(seg.text) >= params.min_chars
     ]
 
     retained: list[Segment] = []
@@ -359,15 +341,16 @@ def discover_perspectives(
             ))
             return data["answer"] == "Yes"
 
-        judge = CachingJudge(judge_rank)
+        judge = functools.cache(judge_rank)
         boundary = relevance_boundary(len(ordered), judge, params)
         retained = ordered[:boundary]
+        judged = judge.cache_info()
         gateway.log.record(
             "relevance_filter",
             candidates=len(ordered),
             boundary=boundary,
-            fresh_calls=judge.fresh_calls,
-            cache_hits=judge.cache_hits,
+            fresh_calls=judged.misses,
+            cache_hits=judged.hits,
         )
 
     attachments = classify_segments(

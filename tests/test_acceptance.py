@@ -4,6 +4,7 @@ Each test prints one `[criterion N] PASS/FAIL` line (visible with `pytest -v
 -s` or in the captured output of a failing run).
 """
 
+import functools
 import json
 import math
 import random
@@ -22,7 +23,7 @@ from claimlens.corpus import extract_terms, sentences_of, segment_document
 from claimlens.embedding import EmbeddingIndex
 from claimlens.evaluation import evaluate_hierarchy, pairwise_compare, render_metric_table
 from claimlens.hierarchy import AspectHierarchy
-from claimlens.perspective import CachingJudge, FilterParams, PerspectiveSet, relevance_boundary
+from claimlens.perspective import FilterParams, PerspectiveSet, relevance_boundary
 from claimlens.ranking import batch_target_scores, rank_segments
 
 from . import oracles
@@ -182,13 +183,13 @@ def test_criterion_4_relevance_boundary_oracle_and_call_bound():
             window = rng.choice([5, 10, 15])
             delta = rng.choice([0.3, 0.5, 0.7])
             params = FilterParams(delta=delta, window=window, min_chars=500)
-            judge = CachingJudge(lambda i, cutoff=cutoff: i < cutoff)
+            judge = functools.cache(lambda i, cutoff=cutoff: i < cutoff)
             got = relevance_boundary(size, judge, params)
             expected = oracles.window_scan_boundary(
                 size, lambda i: i < cutoff, delta, window
             )
             assert got == expected
-            assert judge.fresh_calls <= (2 * window + 1) * math.ceil(math.log2(size))
+            assert judge.cache_info().misses <= (2 * window + 1) * math.ceil(math.log2(size))
 
 
 # ---------------------------------------------------------------------------

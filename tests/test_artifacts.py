@@ -71,7 +71,7 @@ class _HalfWritten(np.ndarray):
 def test_failed_index_save_keeps_the_old_index(tmp_path, monkeypatch):
     old = EmbeddingIndex(dim=3)
     old.add_batch(["a", "b"], np.eye(3)[:2])
-    old.save(str(tmp_path), fingerprint="old")
+    old.save(str(tmp_path), {"config_fingerprint": "old"})
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     new = EmbeddingIndex(dim=3)
     new.add_batch(["c", "d", "e"], np.eye(3))
@@ -80,11 +80,11 @@ def test_failed_index_save_keeps_the_old_index(tmp_path, monkeypatch):
         np, "ascontiguousarray", lambda a, dtype=None: real(a, dtype=dtype).view(_HalfWritten)
     )
     with pytest.raises(OSError):
-        new.save(str(tmp_path), fingerprint="new")
+        new.save(str(tmp_path), {"config_fingerprint": "new"})
     monkeypatch.undo()
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-    loaded, fingerprint = EmbeddingIndex.load(str(tmp_path))
-    assert (loaded.ids, fingerprint) == (["a", "b"], "old")
+    loaded, manifest = EmbeddingIndex.load(str(tmp_path))
+    assert (loaded.ids, manifest["config_fingerprint"]) == (["a", "b"], "old")
 
 
 def test_new_artifact_mode_follows_the_umask(tmp_path):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from claimlens import http_provider
+from claimlens import cli, errors, http_provider
 from claimlens.cli import main
 from claimlens.config import PipelineConfig
 from claimlens.hierarchy import AspectHierarchy
@@ -39,6 +39,42 @@ def write_config_file(tmp_path, out_dir, name="config.json", **overrides) -> str
 
 def run_stage(args) -> int:
     return main(args)
+
+
+def _count_provider_calls(monkeypatch) -> Counter:
+    """Chat provider calls by task, and gateways built under ``"gateway"``."""
+    calls: Counter = Counter()
+    complete, make_gateway = MockChatProvider.complete, cli.make_gateway
+
+    def counting(self, task, prompt, base_hash):
+        calls[task.name] += 1
+        return complete(self, task, prompt, base_hash)
+
+    def building(config, log):
+        gateway = make_gateway(config, log)
+        calls["gateway"] += 1
+        return gateway
+
+    monkeypatch.setattr(MockChatProvider, "complete", counting)
+    monkeypatch.setattr(cli, "make_gateway", building)
+    return calls
+
+
+# What each stage writes; a refused run leaves it unwritten.
+STAGE_OUTPUT = {
+    "build": "hierarchy.json",
+    "perspectives": "hierarchy_perspectives.json",
+    "evaluate": "metrics.json",
+    "report": "report.md",
+}
+
+
+def _assert_refused(err: str, calls: Counter, output: Path) -> None:
+    """The stage stopped before it built a gateway, wrote no ``output``, and said
+    why without a traceback."""
+    assert "Traceback" not in err
+    assert not calls
+    assert not output.exists()
 
 
 @pytest.fixture(scope="module")
@@ -99,10 +135,13 @@ def test_ingest_rerun_byte_identical(tmp_path):
     assert (out_a / "segments.jsonl").read_bytes() == (out_b / "segments.jsonl").read_bytes()
 
 
-def test_build_without_ingest_points_at_ingest(tmp_path, capsys):
+def test_build_without_ingest_points_at_ingest(tmp_path, capsys, monkeypatch):
+    calls = _count_provider_calls(monkeypatch)
     cfg = write_config_file(tmp_path, tmp_path / "empty_out")
     assert run_stage(["build", "--config", cfg]) == 1
-    assert "ingest" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ingest" in err
+    _assert_refused(err, calls, tmp_path / "empty_out" / "hierarchy.json")
 
 
 def test_corrupt_corpus_line_names_line(tmp_path, capsys):
@@ -139,33 +178,44 @@ def test_report_dot_shape(capsys):
     assert out.count("->") == len(tree.nodes) - 1
 
 
-def test_missing_provider_is_usage_error(tmp_path, capsys):
+def test_missing_provider_is_usage_error(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     cfg = write_config_file(tmp_path, out, mock_dir="")
     assert run_stage(["ingest", "--config", cfg]) == 0
+    calls = _count_provider_calls(monkeypatch)
     assert run_stage(["build", "--config", cfg]) == 1
-    assert "provider" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "provider" in err
+    _assert_refused(err, calls, out / "hierarchy.json")
 
 
-def test_fingerprint_mismatch_rejected(tmp_path, capsys):
+def test_fingerprint_mismatch_rejected(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     cfg = write_config_file(tmp_path, out)
     assert run_stage(["ingest", "--config", cfg]) == 0
+    calls = _count_provider_calls(monkeypatch)
     assert run_stage(["build", "--config", cfg, "--seed", "7"]) == 3
-    assert "fingerprint" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "fingerprint" in err
+    _assert_refused(err, calls, out / "hierarchy.json")
 
 
-def test_build_requires_claim(tmp_path, capsys):
+def test_build_requires_claim(tmp_path, capsys, monkeypatch):
+    calls = _count_provider_calls(monkeypatch)
     cfg = write_config_file(tmp_path, tmp_path / "out", claim="")
     assert run_stage(["build", "--config", cfg]) == 1
+    _assert_refused(capsys.readouterr().err, calls, tmp_path / "out" / "hierarchy.json")
 
 
-def test_evaluate_fails_fast_on_bad_path(tmp_path, capsys):
+def test_evaluate_fails_fast_on_bad_path(tmp_path, capsys, monkeypatch):
+    calls = _count_provider_calls(monkeypatch)
     cfg = write_config_file(tmp_path, tmp_path / "out")
     assert run_stage(
         ["evaluate", "--config", cfg, str(tmp_path / "missing.json")]
     ) == 1
-    assert "not found" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "not found" in err
+    _assert_refused(err, calls, tmp_path / "out" / "metrics.json")
 
 
 def test_pairwise_golden_vs_golden_is_tie(tmp_path, capsys):
@@ -306,7 +356,8 @@ def test_evaluate_log_records_every_judge_call(pipeline_run, tmp_path, monkeypat
         if record["kind"] == "llm_call":
             assert record["status"] == "ok"
             logged[record["task"]] += record["retries"] + 1
-    assert logged == provider_calls == Counter({"eval_judge": 173})
+    assert logged == Counter({"eval_judge": 173})
+    assert provider_calls == logged + Counter({"gateway": 1})
     assert (pipeline_run / "evaluate_log.jsonl").read_bytes() == (
         out / "evaluate_log.jsonl"
     ).read_bytes()
@@ -345,6 +396,17 @@ def _repeat_first_id(manifest):
     manifest["segment_ids"][1] = manifest["segment_ids"][0]
 
 
+def _unstamp(manifest):
+    for key in ("embedder", "store_sha256"):
+        manifest.pop(key, None)
+
+
+def _reverse_texts(out):
+    path = out / "segments.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps({**r, "text": r["text"][::-1]}) + "\n" for r in records))
+
+
 @pytest.mark.parametrize(
     "corrupt, code, message",
     [
@@ -361,6 +423,9 @@ def _repeat_first_id(manifest):
         (_edit_manifest(lambda m: m["segment_ids"].reverse()), 3,
          "in store order: re-run `claimlens ingest`"),
         (_edit_manifest(lambda m: m["segment_ids"].pop()), 3, "lists 91 segment ids, expected 92"),
+        (_reverse_texts, 3, "store sha256"),
+        (_edit_manifest(_unstamp), 3,
+         "embedder (none), current is hashed; re-run `claimlens ingest`"),
     ],
     ids=[
         "duplicate_id",
@@ -375,20 +440,27 @@ def _repeat_first_id(manifest):
         "list_segment_id",
         "reversed_segment_ids",
         "one_id_too_few",
+        "reversed_texts_same_ids",
+        "unstamped_index",
     ],
 )
-def test_corrupt_index_is_a_typed_error(ingested, tmp_path, capsys, corrupt, code, message):
+def test_corrupt_index_is_a_typed_error(
+    ingested, tmp_path, capsys, monkeypatch, corrupt, code, message
+):
     out = tmp_path / "out"
     shutil.copytree(ingested, out)
     corrupt(out)
     cfg = write_config_file(tmp_path, out)
+    calls = _count_provider_calls(monkeypatch)
     assert run_stage(["build", "--config", cfg]) == code
     err = capsys.readouterr().err
     assert message in err
-    assert "Traceback" not in err
+    _assert_refused(err, calls, out / "hierarchy.json")
 
 
-def test_segment_store_of_another_segmentation_is_refused(ingested, tmp_path, capsys):
+def test_segment_store_of_another_segmentation_is_refused(
+    ingested, tmp_path, capsys, monkeypatch
+):
     other = tmp_path / "other"
     cfg = write_config_file(tmp_path, other, name="other.json")
     assert run_stage(["ingest", "--config", cfg, "--rank-mask", "5"]) == 0
@@ -398,23 +470,36 @@ def test_segment_store_of_another_segmentation_is_refused(ingested, tmp_path, ca
     shutil.copytree(ingested, out)
     shutil.copy(other / "segments.jsonl", out / "segments.jsonl")
     capsys.readouterr()
+    calls = _count_provider_calls(monkeypatch)
     assert run_stage(["build", "--config", write_config_file(tmp_path, out)]) == 3
     err = capsys.readouterr().err
     assert "does not list the ids of segment store" in err and "re-run `claimlens ingest`" in err
-    assert "Traceback" not in err
-    assert not (out / "hierarchy.json").exists()
+    _assert_refused(err, calls, out / "hierarchy.json")
 
 
-def _count_provider_calls(monkeypatch) -> Counter:
-    calls: Counter = Counter()
-    complete = MockChatProvider.complete
+@pytest.mark.parametrize("command", ["build", "perspectives"])
+def test_http_embedder_over_a_hashed_ingest_is_refused(
+    ingested, tmp_path, capsys, monkeypatch, command
+):
+    posts = []
 
-    def counting(self, task, prompt, base_hash):
-        calls[task.name] += 1
-        return complete(self, task, prompt, base_hash)
+    def post(self, payload):
+        posts.append(payload)
+        raise errors.ProviderUnavailable("no embeddings endpoint in this test")
 
-    monkeypatch.setattr(MockChatProvider, "complete", counting)
-    return calls
+    monkeypatch.setattr(http_provider.HttpJsonProvider, "_post", post)
+    out = tmp_path / "out"
+    shutil.copytree(ingested, out)
+    if command == "perspectives":
+        shutil.copy(GOLDEN / "hierarchy.json", out / "hierarchy.json")
+    calls = _count_provider_calls(monkeypatch)
+    cfg = write_config_file(tmp_path, out)
+    argv = [command, "--config", cfg, "--embed-endpoint", "http://127.0.0.1:9/x"]
+    assert run_stage(argv) == 3
+    err = capsys.readouterr().err
+    assert "embedder hashed, current is http:; re-run `claimlens ingest`" in err
+    _assert_refused(err, calls, out / STAGE_OUTPUT[command])
+    assert not posts
 
 
 def test_perspectives_refuses_the_partial_tree_of_a_failed_build(
@@ -435,9 +520,7 @@ def test_perspectives_refuses_the_partial_tree_of_a_failed_build(
     assert run_stage(["perspectives", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert "is partial" in err and "re-run `claimlens build`" in err
-    assert "Traceback" not in err
-    assert not calls
-    assert not (out / "hierarchy_perspectives.json").exists()
+    _assert_refused(err, calls, out / "hierarchy_perspectives.json")
 
 
 def test_evaluate_without_the_segment_store_points_at_ingest(tmp_path, capsys, monkeypatch):
@@ -446,8 +529,8 @@ def test_evaluate_without_the_segment_store_points_at_ingest(tmp_path, capsys, m
     hierarchy = str(GOLDEN / "hierarchy_perspectives.json")
     assert run_stage(["evaluate", "--config", cfg, hierarchy]) == 1
     err = capsys.readouterr().err
-    assert "run `claimlens ingest`" in err and "Traceback" not in err
-    assert not calls
+    assert "run `claimlens ingest`" in err
+    _assert_refused(err, calls, tmp_path / "out" / "metrics.json")
 
 
 def test_evaluate_refuses_an_attached_id_missing_from_the_store(
@@ -464,18 +547,20 @@ def test_evaluate_refuses_an_attached_id_missing_from_the_store(
     assert run_stage(["evaluate", "--config", write_config_file(tmp_path, out), str(path)]) == 3
     err = capsys.readouterr().err
     assert "missing from segment store" in err and "'d99#0-0'" in err
-    assert "Traceback" not in err
-    assert not calls
+    _assert_refused(err, calls, out / "metrics.json")
 
 
-def test_hierarchy_without_fingerprint_is_refused(ingested, tmp_path, capsys):
+def test_hierarchy_without_fingerprint_is_refused(ingested, tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     shutil.copytree(ingested, out)
     data = json.loads((GOLDEN / "hierarchy.json").read_text())
     del data["config_fingerprint"]
     (out / "hierarchy.json").write_text(json.dumps(data))
+    calls = _count_provider_calls(monkeypatch)
     assert run_stage(["perspectives", "--config", write_config_file(tmp_path, out)]) == 3
-    assert "hierarchy was produced under config fingerprint (none)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "hierarchy was produced under config fingerprint (none)" in err
+    _assert_refused(err, calls, out / "hierarchy_perspectives.json")
 
 
 def test_concurrency_cap_is_an_unknown_config_key(tmp_path, capsys):
@@ -553,16 +638,17 @@ def _edit_record(edit):
     ids=["truncated_line", "no_text", "string_start", "bool_start", "bool_end", "not_an_object"],
 )
 def test_corrupt_segment_store_is_a_typed_error(
-    ingested, tmp_path, capsys, corrupt, code, message
+    ingested, tmp_path, capsys, monkeypatch, corrupt, code, message
 ):
     out = tmp_path / "out"
     shutil.copytree(ingested, out)
     corrupt(out)
     cfg = write_config_file(tmp_path, out)
+    calls = _count_provider_calls(monkeypatch)
     assert run_stage(["build", "--config", cfg]) == code
     err = capsys.readouterr().err
     assert message in err
-    assert "Traceback" not in err
+    _assert_refused(err, calls, out / "hierarchy.json")
 
 
 def _node(data, node_id):
@@ -619,7 +705,8 @@ def _node(data, node_id):
     ],
 )
 @pytest.mark.parametrize("command", ["report", "evaluate", "perspectives"])
-def test_corrupt_hierarchy_is_a_typed_error(tmp_path, capsys, edit, message, command):
+def test_corrupt_hierarchy_is_a_typed_error(tmp_path, capsys, monkeypatch, edit, message, command):
+    calls = _count_provider_calls(monkeypatch)
     data = json.loads((GOLDEN / "hierarchy.json").read_text())
     edit(data)
     out = tmp_path / "out"
@@ -628,30 +715,31 @@ def test_corrupt_hierarchy_is_a_typed_error(tmp_path, capsys, edit, message, com
     path.write_text(json.dumps(data))
     cfg = write_config_file(tmp_path, out)
     argv = {
-        "report": ["report", str(path)],
+        "report": ["report", str(path), "--out-file", str(out / "report.md")],
         "evaluate": ["evaluate", "--config", cfg, str(path)],
         "perspectives": ["perspectives", "--config", cfg],
     }[command]
     assert run_stage(argv) == 3
     err = capsys.readouterr().err
     assert f"hierarchy file {path}" in err and message in err
-    assert "Traceback" not in err
+    _assert_refused(err, calls, out / STAGE_OUTPUT[command])
 
 
 @pytest.mark.parametrize("command", ["report", "evaluate"])
-def test_hierarchy_with_lone_surrogate_exits_1(tmp_path, capsys, command):
+def test_hierarchy_with_lone_surrogate_exits_1(tmp_path, capsys, monkeypatch, command):
+    calls = _count_provider_calls(monkeypatch)
     data = json.loads((GOLDEN / "hierarchy_perspectives.json").read_text())
     _node(data, "0.1")["label"] = "efficacy \ud800"
     path = tmp_path / "hierarchy.json"
     path.write_text(json.dumps(data))
     if command == "report":
-        argv = ["report", str(path), "--out-file", str(tmp_path / "report.md")]
+        argv = ["report", str(path), "--out-file", str(tmp_path / "out" / "report.md")]
     else:
         argv = ["evaluate", "--config", write_config_file(tmp_path, tmp_path / "out"), str(path)]
     assert run_stage(argv) == 1
     err = capsys.readouterr().err
     assert f"hierarchy file {path} is not valid JSON: it escapes a lone surrogate" in err
-    assert "Traceback" not in err
+    _assert_refused(err, calls, tmp_path / "out" / STAGE_OUTPUT[command])
 
 
 @pytest.mark.parametrize("target", ["corpus", "config"])
@@ -678,16 +766,19 @@ def test_non_utf8_input_is_a_usage_error(tmp_path, capsys, target):
         "empty_response_list",
     ],
 )
-def test_malformed_mock_transcript_is_a_usage_error(ingested, tmp_path, capsys, content):
+def test_malformed_mock_transcript_is_a_usage_error(
+    ingested, tmp_path, capsys, monkeypatch, content
+):
     out, transcript = tmp_path / "out", tmp_path / "transcript"
     shutil.copytree(ingested, out)
     transcript.mkdir()
     (transcript / "coarse_aspects.json").write_text(content)
     cfg = write_config_file(tmp_path, out, mock_dir=str(transcript))
+    calls = _count_provider_calls(monkeypatch)
     assert run_stage(["build", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert f"mock transcript {transcript / 'coarse_aspects.json'}" in err
-    assert "Traceback" not in err
+    _assert_refused(err, calls, out / "hierarchy.json")
 
 
 DOC = {"doc_id": "p1", "title": "t", "text": "One sentence. Two sentences."}
@@ -714,14 +805,16 @@ def test_bad_corpus_record_exits_1(tmp_path, capsys, records, message):
     assert not (tmp_path / "out" / "segments.jsonl").exists()
 
 
-def test_claim_that_is_not_utf8_exits_1(ingested, tmp_path, capsys):
+def test_claim_that_is_not_utf8_exits_1(ingested, tmp_path, capsys, monkeypatch):
     # A command-line byte 0xff reaches Python as the lone surrogate U+DCFF.
     out = tmp_path / "out"
     shutil.copytree(ingested, out)
     cfg = write_config_file(tmp_path, out)
+    calls = _count_provider_calls(monkeypatch)
     assert run_stage(["build", "--config", cfg, "--claim", "Vaccine \udcff"]) == 1
-    assert capsys.readouterr().err == "error: claim is not valid UTF-8 text\n"
-    assert not (out / "hierarchy.json").exists()
+    err = capsys.readouterr().err
+    assert err == "error: claim is not valid UTF-8 text\n"
+    _assert_refused(err, calls, out / "hierarchy.json")
 
 
 def test_refused_judge_endpoint_exits_2(ingested, tmp_path, capsys, monkeypatch):

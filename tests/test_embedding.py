@@ -245,15 +245,16 @@ def test_save_load_roundtrip_and_byte_identity(tmp_path, embedder):
 
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"
-    index.save(str(dir_a), fingerprint="abc123")
-    loaded, fingerprint = EmbeddingIndex.load(str(dir_a))
-    assert fingerprint == "abc123"
+    stamp = {"config_fingerprint": "abc123", "embedder": "hashed", "store_sha256": "0" * 64}
+    index.save(str(dir_a), stamp)
+    loaded, manifest = EmbeddingIndex.load(str(dir_a))
+    assert {key: manifest[key] for key in stamp} == stamp
     assert loaded.ids == index.ids == ids
     for sid, vec in zip(ids, vectors):
         assert loaded.get(sid).tobytes() == vec.tobytes()
     query = embedder.embed_one("magnets 3")
     assert loaded.top_k(query, 20) == index.top_k(query, 20)
-    loaded.save(str(dir_b), fingerprint="abc123")
+    loaded.save(str(dir_b), stamp)
 
     assert (dir_a / "vectors.bin").read_bytes() == (dir_b / "vectors.bin").read_bytes()
     assert (dir_a / "index_manifest.json").read_text() == (
@@ -326,7 +327,7 @@ def test_add_batch_with_bad_row_adds_nothing():
 def test_load_renormalizes_only_rows_off_unit_length(tmp_path):
     index = EmbeddingIndex(dim=2)
     index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
-    index.save(str(tmp_path))
+    index.save(str(tmp_path), {})
     raw = np.fromfile(tmp_path / "vectors.bin", dtype="<f8")
     raw[2:4] *= 5.0  # row "b" no longer unit length
     raw.tofile(tmp_path / "vectors.bin")
@@ -339,7 +340,7 @@ def test_load_renormalizes_only_rows_off_unit_length(tmp_path):
 def test_load_rejects_a_row_with_a_non_finite_norm(tmp_path, value):
     index = EmbeddingIndex(dim=2)
     index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
-    index.save(str(tmp_path))
+    index.save(str(tmp_path), {})
     raw = np.fromfile(tmp_path / "vectors.bin", dtype="<f8")
     raw[2] = value
     raw.tofile(tmp_path / "vectors.bin")
@@ -359,7 +360,7 @@ def _edit_manifest(directory, edit):
 def test_load_rejects_duplicate_ids_in_manifest(tmp_path):
     index = EmbeddingIndex(dim=2)
     index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
-    index.save(str(tmp_path))
+    index.save(str(tmp_path), {})
     _edit_manifest(tmp_path, lambda m: m["segment_ids"].__setitem__(1, "a"))
     with pytest.raises(CorruptArtifact, match="'a'"):
         EmbeddingIndex.load(str(tmp_path))
@@ -368,7 +369,7 @@ def test_load_rejects_duplicate_ids_in_manifest(tmp_path):
 def test_load_rejects_manifest_id_count_mismatch(tmp_path):
     index = EmbeddingIndex(dim=2)
     index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
-    index.save(str(tmp_path))
+    index.save(str(tmp_path), {})
     _edit_manifest(tmp_path, lambda m: m["segment_ids"].pop())
     with pytest.raises(DimensionMismatch, match="lists 1 segment ids, expected 2"):
         EmbeddingIndex.load(str(tmp_path))

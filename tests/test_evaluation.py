@@ -219,7 +219,7 @@ def test_segment_quality_all_relevant():
 
 
 def test_report_table_rendering_and_omission():
-    report = evaluate_hierarchy(sample_tree(), constant_judge(1))
+    report = evaluate_hierarchy(sample_tree(), constant_judge(1), {})
     assert report.segment_quality is None
     table = render_metric_table(report)
     assert "Rel" in table and "Seg" in table
@@ -228,8 +228,8 @@ def test_report_table_rendering_and_omission():
 
 
 def test_report_reproducible():
-    a = evaluate_hierarchy(sample_tree(), constant_judge(1)).to_dict()
-    b = evaluate_hierarchy(sample_tree(), constant_judge(1)).to_dict()
+    a = evaluate_hierarchy(sample_tree(), constant_judge(1), {}).to_dict()
+    b = evaluate_hierarchy(sample_tree(), constant_judge(1), {}).to_dict()
     assert a == b
 
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -13,7 +14,6 @@ from claimlens.errors import NoCoarseAspects, SchemaViolation
 from claimlens.hierarchy import AspectHierarchy
 from claimlens.llm_gateway import LlmGateway, MockChatProvider, OperationLog
 from claimlens.perspective import (
-    CachingJudge,
     FilterParams,
     PerspectiveSet,
     claim_representation,
@@ -86,7 +86,7 @@ def step_profile(n_relevant):
 
 def test_boundary_matches_linear_scan_on_step_profile():
     params = FilterParams(delta=0.5, window=10, min_chars=500)
-    judge = CachingJudge(step_profile(120))
+    judge = functools.cache(step_profile(120))
     got = relevance_boundary(200, judge, params)
     expected = oracles.window_scan_boundary(200, step_profile(120), 0.5, 10)
     assert got == expected
@@ -95,17 +95,17 @@ def test_boundary_matches_linear_scan_on_step_profile():
 
 def test_boundary_all_irrelevant():
     params = FilterParams(delta=0.5, window=10, min_chars=500)
-    assert relevance_boundary(50, CachingJudge(lambda i: False), params) == 0
+    assert relevance_boundary(50, functools.cache(lambda i: False), params) == 0
 
 
 def test_boundary_all_relevant():
     params = FilterParams(delta=0.5, window=10, min_chars=500)
-    assert relevance_boundary(50, CachingJudge(lambda i: True), params) == 50
+    assert relevance_boundary(50, functools.cache(lambda i: True), params) == 50
 
 
 def test_boundary_zero_segments():
     params = FilterParams(delta=0.5, window=10, min_chars=500)
-    assert relevance_boundary(0, CachingJudge(lambda i: True), params) == 0
+    assert relevance_boundary(0, functools.cache(lambda i: True), params) == 0
 
 
 def test_boundary_oracle_agreement_random_monotone_profiles():
@@ -116,7 +116,7 @@ def test_boundary_oracle_agreement_random_monotone_profiles():
         window = rng.choice([3, 5, 10])
         delta = rng.choice([0.3, 0.5, 0.7])
         params = FilterParams(delta=delta, window=window, min_chars=500)
-        judge = CachingJudge(step_profile(cutoff))
+        judge = functools.cache(step_profile(cutoff))
         got = relevance_boundary(count, judge, params)
         expected = oracles.window_scan_boundary(
             count, step_profile(cutoff), delta, window
@@ -136,18 +136,18 @@ def test_boundary_is_the_window_scan_on_any_monotone_profile(count, cutoff_fract
     the binary search stops where the left-to-right window scan does."""
     cutoff = round(cutoff_fraction * count)
     params = FilterParams(delta=delta, window=window, min_chars=500)
-    got = relevance_boundary(count, CachingJudge(step_profile(cutoff)), params)
+    got = relevance_boundary(count, functools.cache(step_profile(cutoff)), params)
     assert got == oracles.window_scan_boundary(count, step_profile(cutoff), delta, window)
 
 
 def test_judgment_economy_and_caching():
     params = FilterParams(delta=0.5, window=10, min_chars=500)
     count = 1500
-    judge = CachingJudge(step_profile(700))
+    judge = functools.cache(step_profile(700))
     relevance_boundary(count, judge, params)
     bound = (2 * params.window + 1) * math.ceil(math.log2(count))
-    assert judge.fresh_calls <= bound
-    assert judge.fresh_calls == len(judge.cache)  # each rank judged once
+    assert judge.cache_info().misses <= bound
+    assert judge.cache_info().misses == judge.cache_info().currsize  # each rank judged once
 
 
 # --- classification ---
