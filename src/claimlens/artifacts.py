@@ -14,6 +14,8 @@ from typing import IO, Any, BinaryIO, Iterable, Iterator
 
 from .errors import UnreadableFile
 
+_HASH_BLOCK = 1 << 16
+
 
 @contextmanager
 def replacing(path: str | Path) -> Iterator[BinaryIO]:
@@ -80,9 +82,13 @@ def _parse(text: str, what: str, path: str | Path, lineno: int | None = None) ->
 
 
 def file_sha256(path: str | Path, what: str) -> str:
-    """Hex SHA-256 of the bytes in ``path``; ``what`` names the file in errors."""
+    """Hex SHA-256 of the bytes in ``path``, read in blocks of ``_HASH_BLOCK`` bytes
+    so that no copy of the whole file is held; ``what`` names the file in errors."""
+    digest = hashlib.sha256()
     with _reading(path, what, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        for block in iter(lambda: fh.read(_HASH_BLOCK), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def read_json(path: str | Path, what: str) -> Any:

@@ -28,6 +28,7 @@ from .embedding import (
     EmbeddingIndex,
     HashedBowEmbedder,
     HttpEmbeddingProvider,
+    read_manifest,
 )
 from .evaluation import evaluate_hierarchy, pairwise_compare, render_metric_table
 from .hierarchy import STANCES, AspectHierarchy, HierarchyBuilder
@@ -141,7 +142,8 @@ def _check_stamp(found: dict, expected: dict[str, str], what: str, stage: str) -
         if found.get(key) != value:
             raise errors.FingerprintMismatch(
                 f"{what} was produced under {key.replace('_', ' ')} "
-                f"{found.get(key) or '(none)'}, current is {value}; re-run `claimlens {stage}`"
+                f"{found.get(key) or '(none)'}, current is {value or '(none)'}; "
+                f"re-run `claimlens {stage}`"
             )
 
 
@@ -168,7 +170,9 @@ def _stage_inputs(
     the hierarchy files, which ``perspectives`` wants whole and built under ``config``;
     for ``build`` and ``perspectives``, the segment store and the index, which must list
     the store's ids in store order and carry the stamp ``ingest`` would write now; and
-    for ``evaluate`` of one tree, the store whenever the tree attaches segments."""
+    for ``evaluate`` of one tree, the store whenever the tree attaches segments, which
+    must hold those ids and be the store that the index manifest (its JSON only) records
+    under the tree's own config fingerprint."""
     trees = []
     for path in hierarchy_paths:
         data = read_json(_found(path, "hierarchy file", "build"), "hierarchy file")
@@ -198,9 +202,15 @@ def _stage_inputs(
             f"hierarchy file {hierarchy_paths[0]} attaches {len(missing)} segments "
             f"missing from segment store {store}, first {missing[0]!r}"
         )
-    if not indexed:
-        return trees, segments, None
     _found(paths.index_manifest, "embedding index", "ingest")
+    if not indexed:
+        stamp = {
+            # The one tree's, not evaluate's: evaluate may run under other flags.
+            "config_fingerprint": data.get("config_fingerprint"),
+            "store_sha256": file_sha256(store, "segment store"),
+        }
+        _check_stamp(read_manifest(str(paths.root)), stamp, "embedding index", "ingest")
+        return trees, segments, None
     index, manifest = EmbeddingIndex.load(str(paths.root))
     if index.ids != list(segments):
         raise errors.CorruptArtifact(
@@ -221,13 +231,14 @@ def cmd_ingest(config: PipelineConfig) -> int:
         raise errors.UsageError("ingest requires --corpus")
     paths = Paths(config.output_dir)
     documents = corpus_mod.load_corpus(config.corpus_path)
-    segments: list[Segment] = []
-    for doc in documents:
-        segments.extend(corpus_mod.segment_document(doc, config))
+    n_documents = len(documents)
+    segments = [seg for doc in documents for seg in corpus_mod.segment_document(doc, config)]
+    del documents  # the segments hold all ingest needs; free the corpus before the index
     corpus_mod.write_segments(segments, str(paths.segments))
 
     embedder = make_embedder(config)
-    index = EmbeddingIndex(dim=embedder.embed_one("dimension probe").shape[0])
+    dim = embedder.embed_one("dimension probe").shape[0]
+    index = EmbeddingIndex(dim, capacity=len(segments))
     batch = 64
     for i in range(0, len(segments), batch):
         chunk = segments[i : i + batch]
@@ -235,7 +246,7 @@ def cmd_ingest(config: PipelineConfig) -> int:
         index.add_batch([s.segment_id for s in chunk], vectors)
     index.save(str(paths.root), _index_stamp(config, paths.segments))
     print(
-        f"ingested {len(documents)} documents into {len(segments)} segments; "
+        f"ingested {n_documents} documents into {len(segments)} segments; "
         f"index dim {index.dim} at {paths.root}"
     )
     return 0

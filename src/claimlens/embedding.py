@@ -160,14 +160,16 @@ class EmbeddingIndex:
     """In-memory map of segment_id -> unit vector with exact top-k search.
 
     Vectors live in the first ``len(self)`` rows of one contiguous float64
-    matrix whose capacity doubles as rows are added.
+    matrix. ``capacity`` rows are reserved up front, so a caller that knows its
+    row count fills one matrix with no copy; a batch past the reservation
+    grows the matrix to twice its rows, or to the batch's end if that is more.
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, capacity: int = 0):
         self.dim = dim
         self._ids: list[str] = []
         self._rows: dict[str, int] = {}
-        self._matrix = np.zeros((0, dim))
+        self._matrix = np.empty((capacity, dim))
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -262,25 +264,9 @@ class EmbeddingIndex:
         """Read an index written by :meth:`save`, with its manifest. An unreadable
         file raises ``UnreadableFile``; a malformed manifest or vector, or a
         disagreement between them, raises ``CorruptArtifact`` or ``DimensionMismatch``."""
-        manifest_path = os.path.join(directory, "index_manifest.json")
+        manifest = read_manifest(directory)
+        dim, count, ids = manifest["dim"], manifest["count"], manifest["segment_ids"]
         vectors_path = os.path.join(directory, "vectors.bin")
-        manifest = read_json(manifest_path, "index manifest")
-        try:
-            dim = manifest["dim"]
-            count = manifest["count"]
-            ids = manifest["segment_ids"]
-        except (KeyError, TypeError) as exc:
-            raise CorruptArtifact(
-                f"index manifest {manifest_path} is malformed: missing or mistyped {exc}"
-            ) from exc
-        if not isinstance(dim, int) or not isinstance(count, int) or dim < 1 or count < 0:
-            raise CorruptArtifact(
-                f"index manifest {manifest_path} has dim {dim!r} and count {count!r}"
-            )
-        if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
-            raise CorruptArtifact(
-                f"index manifest {manifest_path} segment_ids is not a list of strings"
-            )
         try:
             raw = np.fromfile(vectors_path, dtype="<f8")
         except OSError as exc:
@@ -300,6 +286,31 @@ class EmbeddingIndex:
         except ValueError as exc:
             raise CorruptArtifact(f"index in {directory}: {exc}") from exc
         return index, manifest
+
+
+def read_manifest(directory: str) -> dict[str, Any]:
+    """The manifest :meth:`EmbeddingIndex.save` wrote in ``directory``, without its
+    vectors; a missing or mistyped ``dim``, ``count`` or ``segment_ids`` raises
+    ``CorruptArtifact``."""
+    manifest_path = os.path.join(directory, "index_manifest.json")
+    manifest = read_json(manifest_path, "index manifest")
+    try:
+        dim = manifest["dim"]
+        count = manifest["count"]
+        ids = manifest["segment_ids"]
+    except (KeyError, TypeError) as exc:
+        raise CorruptArtifact(
+            f"index manifest {manifest_path} is malformed: missing or mistyped {exc}"
+        ) from exc
+    if not isinstance(dim, int) or not isinstance(count, int) or dim < 1 or count < 0:
+        raise CorruptArtifact(
+            f"index manifest {manifest_path} has dim {dim!r} and count {count!r}"
+        )
+    if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
+        raise CorruptArtifact(
+            f"index manifest {manifest_path} segment_ids is not a list of strings"
+        )
+    return manifest
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:

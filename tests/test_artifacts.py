@@ -3,10 +3,12 @@ byte-identical with no temp file beside it, a new file gets the umask's mode,
 and every read failure is an ``UnreadableFile`` naming the file."""
 
 import errno
+import hashlib
 import io
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +148,23 @@ def test_unreadable_jsonl_names_the_file(tmp_path, content, message):
     with pytest.raises(UnreadableFile) as info:
         list(read_jsonl(path, "segment store"))
     assert message.format(path=path) in str(info.value)
+
+
+def test_file_sha256_streams_the_file_in_blocks(tmp_path):
+    path = tmp_path / "segments.jsonl"
+    data = bytes(range(256)) * (1 << 14) + b"tail"  # 4 MiB and 4 bytes, many blocks
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        digest = artifacts.file_sha256(path, "segment store")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert peak < len(data) // 8
+    with pytest.raises(UnreadableFile) as info:
+        artifacts.file_sha256(tmp_path / "missing.jsonl", "segment store")
+    assert f"cannot read segment store {tmp_path / 'missing.jsonl'}" in str(info.value)
 
 
 def _per_line_parse(path):

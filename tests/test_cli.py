@@ -7,6 +7,7 @@ import socket
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -133,6 +134,29 @@ def test_ingest_rerun_byte_identical(tmp_path):
     assert run_stage(["ingest", "--config", cfg_b]) == 0
     assert (out_a / "vectors.bin").read_bytes() == (out_b / "vectors.bin").read_bytes()
     assert (out_a / "segments.jsonl").read_bytes() == (out_b / "segments.jsonl").read_bytes()
+
+
+def test_ingest_holds_one_index_of_exactly_its_segments(tmp_path, capsys):
+    # 2,100 single-sentence notes, one segment each: just past 2,048 rows, where an
+    # index that doubles its matrix would hold 2,048 and 4,096 rows at once.
+    n, dim = 2100, 256
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"doc_id": f"n{i:05d}", "title": f"Field note {i}",
+                    "text": f"Field note {i} logs basalt {i % 13} and shale {i % 31}."}) + "\n"
+        for i in range(n)
+    ))
+    config = PipelineConfig(corpus_path=str(corpus), output_dir=str(tmp_path / "out"),
+                            embed_dim=dim)
+    tracemalloc.start()
+    try:
+        assert cli.cmd_ingest(config) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"into {n} segments" in capsys.readouterr().out
+    store = (tmp_path / "out" / "segments.jsonl").stat().st_size
+    assert peak < 1.5 * n * dim * 8 + store
 
 
 def test_build_without_ingest_points_at_ingest(tmp_path, capsys, monkeypatch):
@@ -345,7 +369,8 @@ def test_cli_import_does_not_load_requests():
 def test_evaluate_log_records_every_judge_call(pipeline_run, tmp_path, monkeypatch):
     out = tmp_path / "out"
     out.mkdir()
-    shutil.copy(pipeline_run / "segments.jsonl", out / "segments.jsonl")
+    for name in ("segments.jsonl", "index_manifest.json"):
+        shutil.copy(pipeline_run / name, out / name)
     cfg = write_config_file(tmp_path, out)
     provider_calls = _count_provider_calls(monkeypatch)
     hierarchy = str(pipeline_run / "hierarchy_perspectives.json")
@@ -547,6 +572,32 @@ def test_evaluate_refuses_an_attached_id_missing_from_the_store(
     assert run_stage(["evaluate", "--config", write_config_file(tmp_path, out), str(path)]) == 3
     err = capsys.readouterr().err
     assert "missing from segment store" in err and "'d99#0-0'" in err
+    _assert_refused(err, calls, out / "metrics.json")
+
+
+@pytest.mark.parametrize(
+    "corrupt, code, message",
+    [
+        (_reverse_texts, 3, "store sha256"),
+        (lambda out: (out / "index_manifest.json").unlink(), 1, "run `claimlens ingest`"),
+        (_edit_manifest(lambda m: m.update(config_fingerprint="0" * 16)), 3,
+         "config fingerprint 0000000000000000, current is 595d79fc9cfc7154; "
+         "re-run `claimlens ingest`"),
+        (lambda out: (out / "index_manifest.json").write_text("[]"), 3, "is malformed"),
+    ],
+    ids=["reversed_texts_same_ids", "no_manifest", "other_config", "manifest_not_an_object"],
+)
+def test_evaluate_refuses_a_store_it_cannot_vouch_for(
+    ingested, tmp_path, capsys, monkeypatch, corrupt, code, message
+):
+    out = tmp_path / "out"
+    shutil.copytree(ingested, out)
+    corrupt(out)
+    calls = _count_provider_calls(monkeypatch)
+    hierarchy = str(GOLDEN / "hierarchy_perspectives.json")
+    assert run_stage(["evaluate", "--config", write_config_file(tmp_path, out), hierarchy]) == code
+    err = capsys.readouterr().err
+    assert message in err
     _assert_refused(err, calls, out / "metrics.json")
 
 
@@ -821,7 +872,8 @@ def test_refused_judge_endpoint_exits_2(ingested, tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(http_provider, "time", SimpleNamespace(sleep=lambda seconds: None))
     out = tmp_path / "out"
     out.mkdir()
-    shutil.copy(ingested / "segments.jsonl", out / "segments.jsonl")  # the attached texts
+    for name in ("segments.jsonl", "index_manifest.json"):  # the attached texts, vouched for
+        shutil.copy(ingested / name, out / name)
     with socket.create_server(("127.0.0.1", 0)) as probe:
         port = probe.getsockname()[1]  # closed on exit, so connections are refused
     argv = ["evaluate", "--chat-endpoint", f"http://127.0.0.1:{port}/chat",
@@ -855,6 +907,7 @@ def _mutate(data: bytes, mutation) -> bytes:
         ("index_manifest.json", "build"),
         ("vectors.bin", "build"),
         ("hierarchy.json", "perspectives"),
+        ("index_manifest.json", "evaluate"),
     ],
 )
 @settings(max_examples=30, deadline=None)
@@ -872,6 +925,8 @@ def test_mutated_artifact_exits_with_a_code(ingested, name, command, mutation):
         path = out / name
         path.write_bytes(_mutate(path.read_bytes(), mutation))
         argv = [command, "--config", write_config_file(tmp, out)]
+        if command == "evaluate":
+            argv.append(str(GOLDEN / "hierarchy_perspectives.json"))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in (0, 1, 3)

@@ -263,6 +263,28 @@ def test_save_load_roundtrip_and_byte_identity(tmp_path, embedder):
     assert json.loads((dir_a / "index_manifest.json").read_text())["segment_ids"] == ids
 
 
+def test_add_batch_fills_a_reservation_in_place_and_grows_past_one(tmp_path, embedder):
+    texts = [f"field note {i} on basalt {i % 5}" for i in range(150)]
+    vectors = embedder.embed_texts(texts)
+    ids = [f"s{i}" for i in range(150)]
+    saved = set()
+    # Batches end at rows 64, 128 and 150: a reservation of 100 is outgrown by the second.
+    for capacity, in_place in ((150, [True, True]), (100, [False, False]), (0, [False, False])):
+        index = EmbeddingIndex(vectors.shape[1], capacity=capacity)
+        first = index._matrix
+        kept = []
+        for start in range(0, 150, 64):
+            index.add_batch(ids[start : start + 64], vectors[start : start + 64])
+            kept.append(index._matrix is first)
+        assert kept == [capacity >= 64] + in_place
+        assert index.ids == ids
+        assert all(index.get(sid).tobytes() == vec.tobytes() for sid, vec in zip(ids, vectors))
+        index.save(str(tmp_path / str(capacity)), {})
+        saved.add((tmp_path / str(capacity) / "vectors.bin").read_bytes())
+        saved.add((tmp_path / str(capacity) / "index_manifest.json").read_bytes())
+    assert len(saved) == 2  # one vectors.bin and one manifest, whatever the reservation
+
+
 def test_top_k_ties_straddling_kth_rank_come_by_id():
     # Rows 0-3 beat the tied block; ten identical rows, added in scrambled id
     # order, straddle every k from 5 to 13; two rows trail behind.
