@@ -1,10 +1,10 @@
 """The one place where stage files are read and written: every write replaces
-its file whole or leaves the old one as it was, and every failure to read or
-decode a file raises ``UnreadableFile`` (exit 1) naming it."""
+its file whole or leaves the old one as it was, every failure to write raises
+``UsageError`` (exit 1) naming the file, and every failure to read or decode a
+file raises ``UnreadableFile`` (exit 1) naming it."""
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
@@ -12,24 +12,30 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any, BinaryIO, Iterable, Iterator
 
-from .errors import UnreadableFile
-
-_HASH_BLOCK = 1 << 16
+from .errors import UnreadableFile, UsageError
 
 
 @contextmanager
 def replacing(path: str | Path) -> Iterator[BinaryIO]:
     """Binary handle on ``<path>.tmp`` in the (created) parent, moved over ``path``
-    on success, removed on failure; plain ``open``, unlike ``mkstemp``, keeps the umask."""
+    on success, removed on failure; plain ``open``, unlike ``mkstemp``, keeps the umask.
+    An ``OSError`` from creating the parent, opening, writing or moving the file
+    becomes a ``UsageError`` naming ``path``."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "wb") as fh:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, "wb")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise UsageError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -50,7 +56,9 @@ def write_jsonl(path: str | Path, records: Iterable[Any]) -> None:
 
 
 @contextmanager
-def _reading(path: str | Path, what: str, mode: str = "r") -> Iterator[IO[Any]]:
+def reading(path: str | Path, what: str, mode: str = "r") -> Iterator[IO[Any]]:
+    """``open(path, mode)``, UTF-8 in text mode; an ``OSError`` or a decoding error
+    raised inside becomes an ``UnreadableFile`` naming the file as ``what``."""
     try:
         with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
@@ -81,19 +89,19 @@ def _parse(text: str, what: str, path: str | Path, lineno: int | None = None) ->
         raise UnreadableFile(f"{where} is not valid JSON: {exc}") from exc
 
 
-def file_sha256(path: str | Path, what: str) -> str:
-    """Hex SHA-256 of the bytes in ``path``, read in blocks of ``_HASH_BLOCK`` bytes
-    so that no copy of the whole file is held; ``what`` names the file in errors."""
-    digest = hashlib.sha256()
-    with _reading(path, what, "rb") as fh:
-        for block in iter(lambda: fh.read(_HASH_BLOCK), b""):
-            digest.update(block)
-    return digest.hexdigest()
+def decode_line(line: bytes | bytearray, what: str, path: str | Path, lineno: int) -> Any:
+    """The JSON value of one line of a JSONL file read as bytes, refused as
+    :func:`read_jsonl` refuses it."""
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UnreadableFile(f"{what} {path} is not valid UTF-8: {exc}") from exc
+    return _parse(text, what, path, lineno)
 
 
 def read_json(path: str | Path, what: str) -> Any:
     """The JSON value in ``path``; ``what`` names the file in errors."""
-    with _reading(path, what) as fh:
+    with reading(path, what) as fh:
         return _parse(fh.read(), what, path)
 
 
@@ -103,7 +111,7 @@ def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, Any]]:
     stays in its record. A line holding one value from its first character, then only JSON
     whitespace, and no surrogate escape is decoded directly; others go through ``_parse``."""
     raw_decode = json.JSONDecoder().raw_decode
-    with _reading(path, what) as fh:
+    with reading(path, what) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():
                 continue

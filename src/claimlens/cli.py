@@ -3,8 +3,9 @@
 Stages persist their artifacts (ingest -> build -> perspectives -> evaluate)
 so the expensive steps can be resumed and mixed runs are detectable: each stage
 loads and checks every artifact it reads in one gate, before any provider is
-built. The hierarchy records the config fingerprint; the index records it too,
-with the embedder and the SHA-256 of the segment store it was built from.
+built, and reads each file once. The hierarchy records the config fingerprint;
+the index records it too, with the embedder, the SHA-256 of the segment store
+it was built from and the SHA-256 of its own vectors.
 
 Exit codes: 0 success, 1 usage or input error, 2 provider failure,
 3 schema or contract violation.
@@ -16,11 +17,11 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import corpus as corpus_mod
 from . import errors
-from .artifacts import file_sha256, read_json, write_json, write_jsonl, write_text
+from .artifacts import read_json, write_json, write_jsonl, write_text
 from .config import PipelineConfig, load_config_file
 from .corpus import Segment
 from .embedding import (
@@ -147,13 +148,14 @@ def _check_stamp(found: dict, expected: dict[str, str], what: str, stage: str) -
             )
 
 
-def _index_stamp(config: PipelineConfig, store: Path) -> dict[str, str]:
-    """What an index that serves ``config`` over ``store`` records: the fingerprint,
-    the part of the embedder it leaves out (not the endpoint), and the store's bytes."""
+def _index_stamp(config: PipelineConfig, store_sha256: str) -> dict[str, str]:
+    """What an index that serves ``config`` over the store of ``store_sha256`` records:
+    the fingerprint, the part of the embedder it leaves out (not the endpoint), and
+    the store's SHA-256."""
     return {
         "config_fingerprint": config.fingerprint(),
         "embedder": f"http:{config.embed_model}" if config.embed_endpoint else "hashed",
-        "store_sha256": file_sha256(store, "segment store"),
+        "store_sha256": store_sha256,
     }
 
 
@@ -165,14 +167,17 @@ def _found(path: str | Path, what: str, stage: str) -> str:
 
 def _stage_inputs(
     stage: str, hierarchy_paths: Sequence[str | Path], config: PipelineConfig | None = None
-) -> tuple[list[AspectHierarchy], dict[str, Segment], EmbeddingIndex | None]:
+) -> tuple[list[AspectHierarchy], Mapping[str, Segment], EmbeddingIndex | None]:
     """Every artifact ``stage`` reads, loaded and checked before any provider is built:
     the hierarchy files, which ``perspectives`` wants whole and built under ``config``;
-    for ``build`` and ``perspectives``, the segment store and the index, which must list
-    the store's ids in store order and carry the stamp ``ingest`` would write now; and
-    for ``evaluate`` of one tree, the store whenever the tree attaches segments, which
-    must hold those ids and be the store that the index manifest (its JSON only) records
-    under the tree's own config fingerprint."""
+    for ``build`` and ``perspectives``, the index, whose vectors must be the ones its
+    manifest records, and the segment store, which must hold the index's ids in index
+    order and carry the stamp ``ingest`` would write now; and for ``evaluate`` of one
+    tree, the store whenever the tree attaches segments, which must hold those ids and
+    be the store that the index manifest (its JSON only) records under the tree's own
+    config fingerprint. The store is read once and its records decoded only when a
+    stage looks them up; ``perspectives`` leaves out the lines too short to hold a text
+    of ``min_chars`` characters, which it would filter out anyway."""
     trees = []
     for path in hierarchy_paths:
         data = read_json(_found(path, "hierarchy file", "build"), "hierarchy file")
@@ -194,31 +199,28 @@ def _stage_inputs(
     if not (indexed or attached):
         return trees, {}, None
     paths = Paths(config.output_dir)
-    store = _found(paths.segments, "segment store", "ingest")
-    segments = {seg.segment_id: seg for seg in corpus_mod.read_segments(store)}
-    missing = sorted(attached.difference(segments))
+    store_path = _found(paths.segments, "segment store", "ingest")
+    _found(paths.index_manifest, "embedding index", "ingest")
+    if indexed:
+        index, manifest = EmbeddingIndex.load(str(paths.root))
+    else:
+        index, manifest = None, read_manifest(str(paths.root))
+    min_bytes = config.min_chars if stage == "perspectives" else 0
+    store = corpus_mod.SegmentStore(store_path, manifest["segment_ids"], min_bytes)
+    missing = sorted(attached.difference(store))
     if missing:
         raise errors.CorruptArtifact(
             f"hierarchy file {hierarchy_paths[0]} attaches {len(missing)} segments "
-            f"missing from segment store {store}, first {missing[0]!r}"
+            f"missing from segment store {store_path}, first {missing[0]!r}"
         )
-    _found(paths.index_manifest, "embedding index", "ingest")
-    if not indexed:
-        stamp = {
-            # The one tree's, not evaluate's: evaluate may run under other flags.
-            "config_fingerprint": data.get("config_fingerprint"),
-            "store_sha256": file_sha256(store, "segment store"),
-        }
-        _check_stamp(read_manifest(str(paths.root)), stamp, "embedding index", "ingest")
-        return trees, segments, None
-    index, manifest = EmbeddingIndex.load(str(paths.root))
-    if index.ids != list(segments):
-        raise errors.CorruptArtifact(
-            f"embedding index {paths.index_manifest} does not list the ids of segment "
-            f"store {store} in store order: re-run `claimlens ingest`"
-        )
-    _check_stamp(manifest, _index_stamp(config, paths.segments), "embedding index", "ingest")
-    return trees, segments, index
+    if indexed:
+        stamp = _index_stamp(config, store.sha256)
+    else:
+        # The one tree's fingerprint, not evaluate's: evaluate may run under other flags.
+        stamp = {"config_fingerprint": data.get("config_fingerprint"),
+                 "store_sha256": store.sha256}
+    _check_stamp(manifest, stamp, "embedding index", "ingest")
+    return trees, store, index
 
 
 # ---------------------------------------------------------------------------
@@ -234,17 +236,18 @@ def cmd_ingest(config: PipelineConfig) -> int:
     n_documents = len(documents)
     segments = [seg for doc in documents for seg in corpus_mod.segment_document(doc, config)]
     del documents  # the segments hold all ingest needs; free the corpus before the index
-    corpus_mod.write_segments(segments, str(paths.segments))
+    store_sha256 = corpus_mod.write_segments(segments, str(paths.segments))
 
     embedder = make_embedder(config)
-    dim = embedder.embed_one("dimension probe").shape[0]
-    index = EmbeddingIndex(dim, capacity=len(segments))
+    index = None
     batch = 64
     for i in range(0, len(segments), batch):
         chunk = segments[i : i + batch]
         vectors = embedder.embed_texts([s.text for s in chunk])
+        if index is None:  # the first batch gives the dim; every document has a segment
+            index = EmbeddingIndex(vectors.shape[1], capacity=len(segments))
         index.add_batch([s.segment_id for s in chunk], vectors)
-    index.save(str(paths.root), _index_stamp(config, paths.segments))
+    index.save(str(paths.root), _index_stamp(config, store_sha256))
     print(
         f"ingested {n_documents} documents into {len(segments)} segments; "
         f"index dim {index.dim} at {paths.root}"

@@ -16,14 +16,17 @@ same segment list, so documents can be processed in parallel safely.
 from __future__ import annotations
 
 import functools
+import hashlib
 import re
 from collections import Counter
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
-from typing import get_type_hints
+from json.encoder import encode_basestring_ascii
+from typing import Any, get_type_hints
 
 import numpy as np
 
-from .artifacts import read_jsonl, write_jsonl
+from .artifacts import decode_line, read_jsonl, reading, replacing
 from .config import PipelineConfig
 from .errors import (
     CorruptArtifact, DuplicateDocId, EmptyDocument, MissingField, UnreadableFile, UsageError,
@@ -86,35 +89,113 @@ def load_corpus(path: str) -> list[Document]:
     return documents
 
 
-# One segment store record per line: the fields of ``Segment``, in its order.
+# One segment store record per line: the fields of ``Segment``, in its order,
+# as ``json.dumps(vars(segment), ensure_ascii=True)`` writes them.
 _SEGMENT_TYPES = get_type_hints(Segment)
 _SEGMENT_FIELDS = {f.name: _SEGMENT_TYPES[f.name] for f in fields(Segment)}
+_WRITE_BLOCK = 1024  # store lines per write and hash update
 
 
-def write_segments(segments: list[Segment], path: str) -> None:
-    write_jsonl(path, map(vars, segments))
+def store_line_prefix(segment_id: str) -> str:
+    """How the store line of ``segment_id`` begins: its first key, its value and a comma."""
+    return '{"segment_id": ' + encode_basestring_ascii(segment_id) + ","
+
+
+def _store_line(seg: Segment) -> str:
+    text = encode_basestring_ascii
+    return (f'{store_line_prefix(seg.segment_id)} "doc_id": {text(seg.doc_id)}, '
+            f'"start": {seg.start}, "end": {seg.end}, "text": {text(seg.text)}}}\n')
+
+
+def write_segments(segments: Sequence[Segment], path: str) -> str:
+    """Write the segment store, one line per segment in order, and return the
+    hex SHA-256 of the bytes written, hashed as they are written."""
+    digest = hashlib.sha256()
+    with replacing(path) as fh:
+        for i in range(0, len(segments), _WRITE_BLOCK):
+            block = "".join(map(_store_line, segments[i : i + _WRITE_BLOCK])).encode("ascii")
+            digest.update(block)
+            fh.write(block)
+    return digest.hexdigest()
+
+
+def _segment_of(rec: Any, lineno: int, path: str) -> Segment:
+    """The segment of one decoded store record; a missing or mistyped key (a
+    boolean is not an ``int``) raises ``CorruptArtifact`` naming the line."""
+    try:
+        seg = Segment(rec["segment_id"], rec["doc_id"], rec["start"], rec["end"], rec["text"])
+        valid = (type(seg.segment_id) is str and type(seg.doc_id) is str
+                 and type(seg.start) is int and type(seg.end) is int and type(seg.text) is str)
+    except (KeyError, TypeError):
+        valid = False
+    if not valid:
+        name = next(name for name, kind in _SEGMENT_FIELDS.items()
+                    if not isinstance(rec, dict) or type(rec.get(name)) is not kind)
+        raise CorruptArtifact(
+            f"segment store {path}: line {lineno} has a missing or mistyped {name!r}"
+        )
+    return seg
 
 
 def read_segments(path: str) -> list[Segment]:
-    """Read a store written by :func:`write_segments`. A line that does not
-    parse raises ``UnreadableFile``; a record with a missing or mistyped key
-    (a boolean is not an ``int``) raises ``CorruptArtifact``. Both name the line."""
-    segments = []
-    for lineno, rec in read_jsonl(path, "segment store"):
-        try:
-            seg = Segment(rec["segment_id"], rec["doc_id"], rec["start"], rec["end"], rec["text"])
-            valid = (type(seg.segment_id) is str and type(seg.doc_id) is str
-                     and type(seg.start) is int and type(seg.end) is int and type(seg.text) is str)
-        except (KeyError, TypeError):
-            valid = False
-        if not valid:
-            name = next(name for name, kind in _SEGMENT_FIELDS.items()
-                        if not isinstance(rec, dict) or type(rec.get(name)) is not kind)
+    """Every segment of a store written by :func:`write_segments`. A line that does
+    not parse raises ``UnreadableFile``; a record with a missing or mistyped key
+    raises ``CorruptArtifact``. Both name the line."""
+    return [_segment_of(rec, lineno, path) for lineno, rec in read_jsonl(path, "segment store")]
+
+
+class SegmentStore(Mapping[str, Segment]):
+    """A segment store read once, keyed by ``ids``, the embedding index's ids in
+    row order, for a stage that uses few of its records.
+
+    The bytes are read and hashed (``sha256``) once and split into lines. Line
+    *i* must begin with ``store_line_prefix(ids[i])``, so the store is checked to
+    hold ``ids`` in that order without a record being decoded. A record is
+    decoded and checked as :func:`read_segments` checks it the first time it is
+    looked up. Lines shorter than ``min_bytes`` are left out of the mapping: an ASCII
+    store line that short cannot hold a text of ``min_bytes`` characters.
+    """
+
+    def __init__(self, path: str, ids: Sequence[str], min_bytes: int = 0):
+        with reading(path, "segment store", "rb") as fh:
+            data = fh.read()
+        self.path = path
+        self.sha256 = hashlib.sha256(data).hexdigest()
+        lines = data.split(b"\n")
+        if not lines[-1]:
+            lines.pop()
+        prefixes = (store_line_prefix(sid).encode("ascii") for sid in ids)
+        if len(lines) != len(ids) or not all(map(bytes.startswith, lines, prefixes)):
             raise CorruptArtifact(
-                f"segment store {path}: line {lineno} has a missing or mistyped {name!r}"
+                f"the embedding index does not list the ids of segment store {path} "
+                "in store order: re-run `claimlens ingest`"
             )
-        segments.append(seg)
-    return segments
+        self._lines = lines
+        self._rows = {sid: row for row, sid in enumerate(ids) if len(lines[row]) >= min_bytes}
+        self._decoded: dict[str, Segment] = {}
+
+    def __getitem__(self, segment_id: str) -> Segment:
+        seg = self._decoded.get(segment_id)
+        if seg is None:
+            row = self._rows[segment_id]
+            rec = decode_line(self._lines[row], "segment store", self.path, row + 1)
+            seg = _segment_of(rec, row + 1, self.path)
+            if seg.segment_id != segment_id:
+                raise CorruptArtifact(
+                    f"segment store {self.path}: line {row + 1} holds {seg.segment_id!r}, "
+                    f"not {segment_id!r}"
+                )
+            self._decoded[segment_id] = seg
+        return seg
+
+    def __contains__(self, segment_id: object) -> bool:
+        return segment_id in self._rows
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
 
 
 # ---------------------------------------------------------------------------

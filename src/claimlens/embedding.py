@@ -19,13 +19,12 @@ from typing import Any, Protocol, Sequence
 
 import numpy as np
 
-from .artifacts import read_json, replacing, write_json
+from .artifacts import read_json, reading, replacing, write_json
 from .errors import (
     CorruptArtifact,
     DimensionMismatch,
     EmptyIndex,
     ProviderUnavailable,
-    UnreadableFile,
     ZeroVector,
 )
 from .http_provider import HttpJsonProvider
@@ -248,36 +247,52 @@ class EmbeddingIndex:
 
     def save(self, directory: str, stamp: dict[str, str]) -> None:
         """Write ``vectors.bin``, streamed from the matrix, then the manifest naming its
-        rows; the manifest records the keys of ``stamp`` as given."""
+        rows; the manifest records the keys of ``stamp`` as given and the SHA-256 of
+        the vector bytes as ``vectors_sha256``."""
+        vectors = np.ascontiguousarray(self._dense(), dtype="<f8")
         with replacing(os.path.join(directory, "vectors.bin")) as fh:
-            np.ascontiguousarray(self._dense(), dtype="<f8").tofile(fh)
+            vectors.tofile(fh)
         manifest = {
             "dim": self.dim,
             "count": len(self._ids),
             **stamp,
+            "vectors_sha256": hashlib.sha256(vectors).hexdigest(),
             "segment_ids": self._ids,
         }
         write_json(os.path.join(directory, "index_manifest.json"), manifest)
 
     @classmethod
     def load(cls, directory: str) -> tuple["EmbeddingIndex", dict[str, Any]]:
-        """Read an index written by :meth:`save`, with its manifest. An unreadable
-        file raises ``UnreadableFile``; a malformed manifest or vector, or a
-        disagreement between them, raises ``CorruptArtifact`` or ``DimensionMismatch``."""
+        """Read an index written by :meth:`save`, with its manifest. ``vectors.bin`` is
+        read into one buffer, checked against ``vectors_sha256`` and viewed as the
+        matrix. An unreadable file raises ``UnreadableFile``; a malformed manifest or
+        vector, vectors that are not the ones the manifest records, or a disagreement
+        between them raises ``CorruptArtifact`` or ``DimensionMismatch``."""
         manifest = read_manifest(directory)
         dim, count, ids = manifest["dim"], manifest["count"], manifest["segment_ids"]
-        vectors_path = os.path.join(directory, "vectors.bin")
-        try:
-            raw = np.fromfile(vectors_path, dtype="<f8")
-        except OSError as exc:
-            raise UnreadableFile(f"cannot read index vectors {vectors_path}: {exc}") from exc
-        if raw.size != count * dim:
-            raise DimensionMismatch(
-                f"vectors.bin holds {raw.size} floats, expected {count * dim}"
+        expected = manifest.get("vectors_sha256")
+        if not isinstance(expected, str):
+            raise CorruptArtifact(
+                f"index manifest in {directory} records no vectors sha256: "
+                "re-run `claimlens ingest`"
             )
         if len(ids) != count:
             raise DimensionMismatch(
                 f"index manifest lists {len(ids)} segment ids, expected {count}"
+            )
+        with reading(os.path.join(directory, "vectors.bin"), "index vectors", "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != 8 * count * dim:
+                raise DimensionMismatch(
+                    f"vectors.bin holds {size} bytes, expected {8 * count * dim}: "
+                    f"{count} rows of {dim} floats"
+                )
+            raw = np.empty(count * dim, dtype="<f8")
+            fh.readinto(raw)  # a short read leaves bytes that the hash check refuses
+        if hashlib.sha256(raw).hexdigest() != expected:
+            raise CorruptArtifact(
+                f"vectors.bin in {directory} is not the one its manifest records under "
+                "vectors sha256: re-run `claimlens ingest`"
             )
         index = cls(dim)
         try:

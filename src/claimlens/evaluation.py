@@ -11,7 +11,7 @@ winner that flips with order is an implicit tie.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from .corpus import Segment
 from .errors import JudgeFailure, ProviderUnavailable, UsageError
@@ -169,7 +169,7 @@ def uniqueness(tree: AspectHierarchy, gateway: LlmGateway) -> tuple[float, dict[
 def segment_quality(
     tree: AspectHierarchy,
     gateway: LlmGateway,
-    segments: dict[str, Segment],
+    segments: Mapping[str, Segment],
 ) -> tuple[float | None, dict[str, float]]:
     """Per node, the fraction of attached segments judged relevant to the
     claim and the aspect; absent when no node carries segments. Every
@@ -201,7 +201,7 @@ def segment_quality(
 def evaluate_hierarchy(
     tree: AspectHierarchy,
     gateway: LlmGateway,
-    segments: dict[str, Segment],
+    segments: Mapping[str, Segment],
 ) -> MetricReport:
     rel, rel_nodes = node_relevance(tree, gateway)
     path, path_nodes = path_granularity(tree, gateway)

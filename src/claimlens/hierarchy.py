@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -358,7 +358,7 @@ class HierarchyBuilder:
         gateway: LlmGateway,
         embedder: Embedder,
         index: EmbeddingIndex,
-        segments: dict[str, Segment],
+        segments: Mapping[str, Segment],
         config: PipelineConfig,
     ):
         self.gateway = gateway

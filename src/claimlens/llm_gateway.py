@@ -92,9 +92,6 @@ class OperationLog:
         with self._lock:
             self.records.append({"kind": kind, **fields})
 
-    def of_kind(self, kind: str) -> list[dict[str, Any]]:
-        return [r for r in self.records if r["kind"] == kind]
-
 
 # ---------------------------------------------------------------------------
 # Providers

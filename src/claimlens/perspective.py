@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -303,7 +303,7 @@ def discover_perspectives(
     gateway: LlmGateway,
     embedder: Embedder,
     index: EmbeddingIndex,
-    segments: dict[str, Segment],
+    segments: Mapping[str, Segment],
     tree: AspectHierarchy,
     params: FilterParams,
     *,

@@ -1,14 +1,13 @@
 """The artifact contract: a write replaces its file whole or leaves the old one
-byte-identical with no temp file beside it, a new file gets the umask's mode,
-and every read failure is an ``UnreadableFile`` naming the file."""
+byte-identical with no temp file beside it, a failed write is a ``UsageError``
+naming the file, a new file gets the umask's mode, and every read failure is an
+``UnreadableFile`` naming the file."""
 
 import errno
-import hashlib
 import io
 import json
 import os
 import tempfile
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from claimlens import artifacts
-from claimlens.artifacts import read_json, read_jsonl, write_json, write_jsonl, write_text
+from claimlens.artifacts import (
+    read_json, read_jsonl, replacing, write_json, write_jsonl, write_text,
+)
 from claimlens.embedding import EmbeddingIndex
-from claimlens.errors import UnreadableFile
+from claimlens.errors import UnreadableFile, UsageError
 
 
 class _DiskFull(io.FileIO):
@@ -50,9 +51,35 @@ def test_failed_json_write_keeps_the_old_file(tmp_path, monkeypatch, failure):
         payload["extra"] = object()
     else:
         monkeypatch.setattr(artifacts.os, "replace", _fail_replace)
-    with pytest.raises((OSError, TypeError)):
+    with pytest.raises(TypeError if failure == "unencodable" else UsageError) as info:
         write_json(path, payload)
+    if failure != "unencodable":
+        assert str(info.value).startswith(f"cannot write {path}: ")
     _assert_untouched(path, before)
+
+
+@pytest.mark.parametrize(
+    "failure", ["parent_is_a_file", "temp_is_a_directory", "target_is_a_directory"]
+)
+def test_os_error_of_a_write_is_a_usage_error_naming_the_path(tmp_path, failure):
+    """Creating the parent, opening the temp file and the final move each fail;
+    the write leaves what was there as it was and no temp file of its own."""
+    path = tmp_path / "out" / "segments.jsonl"
+    if failure == "parent_is_a_file":
+        (tmp_path / "out").write_bytes(b"corpus")
+    elif failure == "temp_is_a_directory":
+        (tmp_path / "out" / "segments.jsonl.tmp").mkdir(parents=True)
+    else:
+        path.mkdir(parents=True)
+    before = sorted((p.relative_to(tmp_path), p.is_dir()) for p in tmp_path.rglob("*"))
+    with pytest.raises(UsageError) as info:
+        with replacing(path) as fh:
+            fh.write(b"new\n")
+    assert str(info.value).startswith(f"cannot write {path}: ")
+    assert isinstance(info.value.__cause__, OSError)
+    assert sorted((p.relative_to(tmp_path), p.is_dir()) for p in tmp_path.rglob("*")) == before
+    if failure == "parent_is_a_file":
+        assert (tmp_path / "out").read_bytes() == b"corpus"
 
 
 def test_failed_jsonl_write_keeps_the_old_file(tmp_path):
@@ -81,7 +108,7 @@ def test_failed_index_save_keeps_the_old_index(tmp_path, monkeypatch):
     monkeypatch.setattr(
         np, "ascontiguousarray", lambda a, dtype=None: real(a, dtype=dtype).view(_HalfWritten)
     )
-    with pytest.raises(OSError):
+    with pytest.raises(UsageError, match="vectors.bin: .*No space left on device"):
         new.save(str(tmp_path), {"config_fingerprint": "new"})
     monkeypatch.undo()
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
@@ -148,23 +175,6 @@ def test_unreadable_jsonl_names_the_file(tmp_path, content, message):
     with pytest.raises(UnreadableFile) as info:
         list(read_jsonl(path, "segment store"))
     assert message.format(path=path) in str(info.value)
-
-
-def test_file_sha256_streams_the_file_in_blocks(tmp_path):
-    path = tmp_path / "segments.jsonl"
-    data = bytes(range(256)) * (1 << 14) + b"tail"  # 4 MiB and 4 bytes, many blocks
-    path.write_bytes(data)
-    tracemalloc.start()
-    try:
-        digest = artifacts.file_sha256(path, "segment store")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert digest == hashlib.sha256(data).hexdigest()
-    assert peak < len(data) // 8
-    with pytest.raises(UnreadableFile) as info:
-        artifacts.file_sha256(tmp_path / "missing.jsonl", "segment store")
-    assert f"cannot read segment store {tmp_path / 'missing.jsonl'}" in str(info.value)
 
 
 def _per_line_parse(path):

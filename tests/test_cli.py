@@ -159,6 +159,18 @@ def test_ingest_holds_one_index_of_exactly_its_segments(tmp_path, capsys):
     assert peak < 1.5 * n * dim * 8 + store
 
 
+def test_ingest_into_its_own_corpus_file_is_a_usage_error(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    shutil.copy(DATA_DIR / "corpus.jsonl", corpus)
+    before = corpus.read_bytes()
+    assert run_stage(["ingest", "--corpus", str(corpus), "--out", str(corpus)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {corpus / 'segments.jsonl'}: ")
+    assert "Traceback" not in err
+    assert corpus.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+
+
 def test_build_without_ingest_points_at_ingest(tmp_path, capsys, monkeypatch):
     calls = _count_provider_calls(monkeypatch)
     cfg = write_config_file(tmp_path, tmp_path / "empty_out")
@@ -426,6 +438,15 @@ def _unstamp(manifest):
         manifest.pop(key, None)
 
 
+def _swap_vector_rows(out):
+    """Rows 0 and 1 of ``vectors.bin`` swapped: same size, unit rows, other bytes."""
+    path = out / "vectors.bin"
+    dim = json.loads((out / "index_manifest.json").read_text())["dim"]
+    data = path.read_bytes()
+    row = 8 * dim
+    path.write_bytes(data[row : 2 * row] + data[:row] + data[2 * row :])
+
+
 def _reverse_texts(out):
     path = out / "segments.jsonl"
     records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -451,6 +472,9 @@ def _reverse_texts(out):
         (_reverse_texts, 3, "store sha256"),
         (_edit_manifest(_unstamp), 3,
          "embedder (none), current is hashed; re-run `claimlens ingest`"),
+        (_swap_vector_rows, 3, "vectors sha256: re-run `claimlens ingest`"),
+        (_edit_manifest(lambda m: m.pop("vectors_sha256")), 3,
+         "records no vectors sha256: re-run `claimlens ingest`"),
     ],
     ids=[
         "duplicate_id",
@@ -467,6 +491,8 @@ def _reverse_texts(out):
         "one_id_too_few",
         "reversed_texts_same_ids",
         "unstamped_index",
+        "swapped_vector_rows",
+        "no_vectors_sha256",
     ],
 )
 def test_corrupt_index_is_a_typed_error(
@@ -481,6 +507,29 @@ def test_corrupt_index_is_a_typed_error(
     err = capsys.readouterr().err
     assert message in err
     _assert_refused(err, calls, out / "hierarchy.json")
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_swap_vector_rows, "vectors sha256: re-run `claimlens ingest`"),
+        (_edit_manifest(lambda m: m.pop("vectors_sha256")),
+         "records no vectors sha256: re-run `claimlens ingest`"),
+    ],
+    ids=["swapped_vector_rows", "no_vectors_sha256"],
+)
+def test_perspectives_refuses_vectors_its_index_does_not_vouch_for(
+    ingested, tmp_path, capsys, monkeypatch, corrupt, message
+):
+    out = tmp_path / "out"
+    shutil.copytree(ingested, out)
+    shutil.copy(GOLDEN / "hierarchy.json", out / "hierarchy.json")
+    corrupt(out)
+    calls = _count_provider_calls(monkeypatch)
+    assert run_stage(["perspectives", "--config", write_config_file(tmp_path, out)]) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    _assert_refused(err, calls, out / "hierarchy_perspectives.json")
 
 
 def test_segment_store_of_another_segmentation_is_refused(
@@ -562,8 +611,7 @@ def test_evaluate_refuses_an_attached_id_missing_from_the_store(
     ingested, tmp_path, capsys, monkeypatch
 ):
     out = tmp_path / "out"
-    out.mkdir()
-    shutil.copy(ingested / "segments.jsonl", out / "segments.jsonl")
+    shutil.copytree(ingested, out)
     data = json.loads((GOLDEN / "hierarchy_perspectives.json").read_text())
     _node(data, "0.1")["attached_segments"].append("d99#0-0")
     path = tmp_path / "hierarchy.json"
@@ -676,15 +724,22 @@ def _edit_record(edit):
     return _rewrite_segment_line(rewrite)
 
 
+# The id-order check and the store hash run before any record is decoded, so a
+# corrupt record is refused by one of them; tests/test_corpus.py checks the
+# records themselves.
+_STORE_HASH = "store sha256"
+_STORE_ORDER = "does not list the ids of segment store"
+
+
 @pytest.mark.parametrize(
     "corrupt, code, message",
     [
-        (_rewrite_segment_line(lambda line: line[:40]), 1, "line 3 is not valid JSON"),
-        (_edit_record(lambda r: r.pop("text")), 3, "line 3 has a missing or mistyped 'text'"),
-        (_edit_record(lambda r: r.update(start="0")), 3, "mistyped 'start'"),
-        (_edit_record(lambda r: r.update(start=False)), 3, "line 3 has a missing or mistyped 'start'"),
-        (_edit_record(lambda r: r.update(end=True)), 3, "line 3 has a missing or mistyped 'end'"),
-        (_rewrite_segment_line(lambda line: "[1, 2]"), 3, "line 3 has a missing or mistyped"),
+        (_rewrite_segment_line(lambda line: line[:40]), 3, _STORE_HASH),
+        (_edit_record(lambda r: r.pop("text")), 3, _STORE_HASH),
+        (_edit_record(lambda r: r.update(start="0")), 3, _STORE_HASH),
+        (_edit_record(lambda r: r.update(start=False)), 3, _STORE_HASH),
+        (_edit_record(lambda r: r.update(end=True)), 3, _STORE_HASH),
+        (_rewrite_segment_line(lambda line: "[1, 2]"), 3, _STORE_ORDER),
     ],
     ids=["truncated_line", "no_text", "string_start", "bool_start", "bool_end", "not_an_object"],
 )
@@ -916,17 +971,24 @@ def _mutate(data: bytes, mutation) -> bytes:
 @example(mutation=("overwrite", 0, b"\xff\xfe"))
 def test_mutated_artifact_exits_with_a_code(ingested, name, command, mutation):
     """A byte-mutated artifact ends in exit 0, 1 or 3, never an uncaught
-    exception; flipped bytes in ``vectors.bin`` may still exit 0."""
+    exception. A ``segments.jsonl`` or ``vectors.bin`` whose bytes changed exits
+    1 or 3: the index records the SHA-256 of both. A JSON file may still exit 0
+    after a change that leaves what the stage uses intact, such as whitespace."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         shutil.copytree(ingested, out)
         if name == "hierarchy.json":
             shutil.copy(GOLDEN / name, out / name)
         path = out / name
-        path.write_bytes(_mutate(path.read_bytes(), mutation))
+        before = path.read_bytes()
+        path.write_bytes(_mutate(before, mutation))
+        changed = path.read_bytes() != before
         argv = [command, "--config", write_config_file(tmp, out)]
         if command == "evaluate":
             argv.append(str(GOLDEN / "hierarchy_perspectives.json"))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
-    assert code in (0, 1, 3)
+    if changed and name in ("segments.jsonl", "vectors.bin"):
+        assert code in (1, 3)
+    else:
+        assert code in (0, 1, 3)

@@ -1,5 +1,8 @@
+import hashlib
 import json
+import os
 import random
+import tempfile
 from dataclasses import fields
 
 import numpy as np
@@ -12,6 +15,7 @@ from claimlens.corpus import (
     _SEGMENT_FIELDS,
     Document,
     Segment,
+    SegmentStore,
     _rank_transform,
     _similarity_matrix,
     _stem,
@@ -22,9 +26,12 @@ from claimlens.corpus import (
     segment_document,
     sentences_of,
     split_sentences,
+    store_line_prefix,
     write_segments,
 )
-from claimlens.errors import DuplicateDocId, EmptyDocument, MissingField, UnreadableFile
+from claimlens.errors import (
+    CorruptArtifact, DuplicateDocId, EmptyDocument, MissingField, UnreadableFile,
+)
 
 from .conftest import TOPIC_A, TOPIC_B, make_sentence, make_two_topic_doc
 from . import oracles
@@ -110,6 +117,148 @@ def test_segment_store_record_keys_are_the_segment_fields_in_order(tmp_path):
     record = json.loads(path.read_text().splitlines()[0])
     assert list(record) == list(_SEGMENT_FIELDS) == [f.name for f in fields(Segment)]
     assert list(_SEGMENT_FIELDS.values()) == [str, str, int, int, str]
+
+
+def _store(tmp_path, n=4):
+    """A written store of ``n`` segments of growing text, and its segments."""
+    segs = [Segment(f"p{i}#0-{i}", f"p{i}", 0, i, "word " * (i + 1)) for i in range(n)]
+    path = tmp_path / "segments.jsonl"
+    write_segments(segs, str(path))
+    return path, segs
+
+
+def test_write_segments_returns_the_sha256_of_the_bytes_written(tmp_path):
+    path, segs = _store(tmp_path)
+    digest = write_segments(segs, str(path))
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert SegmentStore(str(path), [s.segment_id for s in segs]).sha256 == digest
+
+
+def test_segment_store_decodes_each_record_it_is_asked_for(tmp_path):
+    path, segs = _store(tmp_path)
+    store = SegmentStore(str(path), [s.segment_id for s in segs])
+    assert list(store) == [s.segment_id for s in segs] and len(store) == 4
+    assert store["p2#0-2"] == segs[2] and "p2#0-2" in store and "p9#0-0" not in store
+    assert dict(store) == {s.segment_id: s for s in segs}
+    with pytest.raises(KeyError):
+        store["p9#0-0"]
+
+
+def test_segment_store_leaves_out_lines_shorter_than_min_bytes(tmp_path):
+    path, segs = _store(tmp_path)
+    lengths = [len(line) for line in path.read_bytes().split(b"\n")[:-1]]
+    store = SegmentStore(str(path), [s.segment_id for s in segs], min_bytes=lengths[2])
+    assert list(store) == ["p2#0-2", "p3#0-3"]
+    assert store["p3#0-3"] == segs[3] and "p1#0-1" not in store
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda ids: ids[::-1],
+        lambda ids: ids[:-1],
+        lambda ids: ids + ["p4#0-4"],
+        lambda ids: ids[:2] + ["p2#0-"] + ids[3:],
+    ],
+    ids=["reversed", "one_too_few", "one_too_many", "id_a_prefix_of_the_stored_one"],
+)
+def test_segment_store_refuses_ids_not_in_store_order(tmp_path, edit):
+    path, segs = _store(tmp_path)
+    message = "does not list the ids of segment store .* in store order"
+    with pytest.raises(CorruptArtifact, match=message):
+        SegmentStore(str(path), edit([s.segment_id for s in segs]))
+
+
+def _corrupt_line_3(path, edit):
+    lines = path.read_text().splitlines()
+    lines[2] = edit(lines[2])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _edit_record(edit):
+    def rewrite(line):
+        record = json.loads(line)
+        edit(record)
+        return json.dumps(record)
+
+    return rewrite
+
+
+def _mistyped(name):
+    return f"line 3 has a missing or mistyped '{name}'"
+
+
+# Each corrupted line 3 keeps its id first, so the store still lists its ids in order.
+CORRUPT_RECORDS = [
+    (lambda line: line[:40], UnreadableFile, "line 3 is not valid JSON"),
+    (_edit_record(lambda r: r.pop("text")), CorruptArtifact, _mistyped("text")),
+    (_edit_record(lambda r: r.update(start="0")), CorruptArtifact, _mistyped("start")),
+    (_edit_record(lambda r: r.update(start=False)), CorruptArtifact, _mistyped("start")),
+    (_edit_record(lambda r: r.update(end=True)), CorruptArtifact, _mistyped("end")),
+    (lambda line: line[:-1] + ', "doc_id": 7}', CorruptArtifact, _mistyped("doc_id")),
+]
+CORRUPT_IDS = ["truncated_line", "no_text", "string_start", "bool_start", "bool_end", "repeated_key"]
+
+
+@pytest.mark.parametrize("edit, error, message", CORRUPT_RECORDS, ids=CORRUPT_IDS)
+def test_segment_store_checks_a_record_when_it_is_looked_up(tmp_path, edit, error, message):
+    path, segs = _store(tmp_path)
+    _corrupt_line_3(path, edit)
+    store = SegmentStore(str(path), [s.segment_id for s in segs])
+    assert store["p3#0-3"] == segs[3]
+    with pytest.raises(error, match=f"segment store {path}: {message}"):
+        store["p2#0-2"]
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    CORRUPT_RECORDS + [(lambda line: "[1, 2]", CorruptArtifact, _mistyped("segment_id"))],
+    ids=CORRUPT_IDS + ["not_an_object"],
+)
+def test_read_segments_refuses_a_corrupt_record(tmp_path, edit, error, message):
+    path, _ = _store(tmp_path)
+    _corrupt_line_3(path, edit)
+    with pytest.raises(error, match=f"segment store {path}: {message}"):
+        read_segments(str(path))
+
+
+def test_segment_store_refuses_a_record_whose_id_is_repeated_under_another_value(tmp_path):
+    path, segs = _store(tmp_path)
+    _corrupt_line_3(path, lambda line: line[:-1] + ', "segment_id": "p0#0-0"}')
+    store = SegmentStore(str(path), [s.segment_id for s in segs])
+    with pytest.raises(CorruptArtifact, match="line 3 holds 'p0#0-0', not 'p2#0-2'"):
+        store["p2#0-2"]
+
+
+# Ids and texts with quotes, backslashes, control characters, non-ASCII
+# letters, astral characters and the separators JSON leaves unescaped.
+_STORE_TEXT = st.text(
+    st.sampled_from(['"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "é", "Ω", "\u2028",
+                     "\u2029", "\U0001f600", "a", " ", "#", "/"]),
+    min_size=1, max_size=12,
+)
+_STORE_SEGMENTS = st.lists(
+    st.builds(Segment, _STORE_TEXT, _STORE_TEXT, st.integers(0, 10**6), st.integers(0, 10**6),
+              _STORE_TEXT),
+    max_size=6,
+    unique_by=lambda seg: seg.segment_id,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(segments=_STORE_SEGMENTS)
+def test_store_lines_are_json_dumps_and_decode_as_read_segments_reads_them(segments):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "segments.jsonl")
+        write_segments(segments, path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        expected = "".join(json.dumps(vars(seg), ensure_ascii=True) + "\n" for seg in segments)
+        assert data == expected.encode("ascii")
+        assert all(line.startswith(store_line_prefix(seg.segment_id).encode("ascii"))
+                   for line, seg in zip(data.splitlines(), segments))
+        store = SegmentStore(path, [seg.segment_id for seg in segments])
+        assert [store[seg.segment_id] for seg in segments] == read_segments(path) == segments
 
 
 # --- sentence splitting ---

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -346,13 +347,21 @@ def test_add_batch_with_bad_row_adds_nothing():
     assert np.array_equal(index.get("s2"), np.array([0.6, 0.8]))
 
 
+def _restamp_vectors(directory, raw):
+    """Write ``raw`` as ``vectors.bin`` and record its SHA-256 in the manifest, so a
+    load reaches the checks of the rows themselves."""
+    raw.tofile(directory / "vectors.bin")
+    digest = hashlib.sha256(raw).hexdigest()
+    _edit_manifest(directory, lambda m: m.update(vectors_sha256=digest))
+
+
 def test_load_renormalizes_only_rows_off_unit_length(tmp_path):
     index = EmbeddingIndex(dim=2)
     index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
     index.save(str(tmp_path), {})
     raw = np.fromfile(tmp_path / "vectors.bin", dtype="<f8")
     raw[2:4] *= 5.0  # row "b" no longer unit length
-    raw.tofile(tmp_path / "vectors.bin")
+    _restamp_vectors(tmp_path, raw)
     loaded, _ = EmbeddingIndex.load(str(tmp_path))
     assert loaded.get("a").tobytes() == index.get("a").tobytes()
     assert abs(np.linalg.norm(loaded.get("b")) - 1.0) <= 1e-12
@@ -365,7 +374,7 @@ def test_load_rejects_a_row_with_a_non_finite_norm(tmp_path, value):
     index.save(str(tmp_path), {})
     raw = np.fromfile(tmp_path / "vectors.bin", dtype="<f8")
     raw[2] = value
-    raw.tofile(tmp_path / "vectors.bin")
+    _restamp_vectors(tmp_path, raw)
     with pytest.raises(CorruptArtifact, match="row 1 has a non-finite norm"):
         EmbeddingIndex.load(str(tmp_path))
     with pytest.raises(ValueError, match="row 0 has a non-finite norm"):
@@ -377,6 +386,56 @@ def _edit_manifest(directory, edit):
     manifest = json.loads(path.read_text())
     edit(manifest)
     path.write_text(json.dumps(manifest))
+
+
+def test_save_records_the_sha256_of_the_vector_bytes(tmp_path):
+    index = EmbeddingIndex(dim=2)
+    index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
+    index.save(str(tmp_path), {"store_sha256": "0" * 64})
+    manifest = json.loads((tmp_path / "index_manifest.json").read_text())
+    assert list(manifest) == ["dim", "count", "store_sha256", "vectors_sha256", "segment_ids"]
+    expected = hashlib.sha256((tmp_path / "vectors.bin").read_bytes()).hexdigest()
+    assert manifest["vectors_sha256"] == expected
+
+
+def test_load_views_the_one_buffer_it_read_as_the_matrix(tmp_path):
+    index = EmbeddingIndex(dim=2)
+    index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
+    index.save(str(tmp_path), {})
+    loaded, _ = EmbeddingIndex.load(str(tmp_path))
+    matrix = loaded._matrix
+    assert matrix.flags.writeable and not matrix.flags.owndata
+    assert matrix.base.nbytes == matrix.nbytes  # a view of the buffer read, not a copy
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw: raw[[1, 0]], "not the one its manifest records under vectors sha256"),
+        (lambda raw: (raw.view("<u8") ^ np.array([[0, 0], [0, 1]], "<u8")).view("<f8"),
+         "vectors sha256"),
+    ],
+    ids=["swapped_rows", "last_bit_flipped"],
+)
+def test_load_refuses_vectors_the_manifest_does_not_record(tmp_path, edit, message):
+    index = EmbeddingIndex(dim=2)
+    index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
+    index.save(str(tmp_path), {})
+    raw = np.fromfile(tmp_path / "vectors.bin", dtype="<f8").reshape(2, 2)
+    edit(raw).astype("<f8").tofile(tmp_path / "vectors.bin")
+    with pytest.raises(CorruptArtifact, match=message) as info:
+        EmbeddingIndex.load(str(tmp_path))
+    assert "re-run `claimlens ingest`" in str(info.value)
+
+
+def test_load_refuses_a_manifest_without_a_vectors_sha256(tmp_path):
+    index = EmbeddingIndex(dim=2)
+    index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
+    index.save(str(tmp_path), {})
+    _edit_manifest(tmp_path, lambda m: m.pop("vectors_sha256"))
+    message = "records no vectors sha256: re-run `claimlens ingest`"
+    with pytest.raises(CorruptArtifact, match=message):
+        EmbeddingIndex.load(str(tmp_path))
 
 
 def test_load_rejects_duplicate_ids_in_manifest(tmp_path):

@@ -215,7 +215,7 @@ def test_build_depth_zero_is_root_only(env):
     builder = make_builder((embedder, index, segments, config), default_script())
     tree = builder.build()
     assert list(tree.nodes) == ["0"]
-    assert builder.gateway.log.of_kind("llm_call") == []
+    assert [r for r in builder.gateway.log.records if r["kind"] == "llm_call"] == []
 
 
 def test_build_depth_one_is_root_plus_coarse(env):
@@ -224,8 +224,8 @@ def test_build_depth_one_is_root_plus_coarse(env):
     builder = make_builder((embedder, index, segments, config), default_script())
     tree = builder.build()
     assert tree.sorted_ids() == ["0", "0.1", "0.2", "0.3"]
-    assert builder.gateway.log.of_kind("enrich") == []
-    assert builder.gateway.log.of_kind("rank") == []
+    assert [r for r in builder.gateway.log.records if r["kind"] == "enrich"] == []
+    assert [r for r in builder.gateway.log.records if r["kind"] == "rank"] == []
 
 
 def test_build_shape_and_keyword_counts(env):

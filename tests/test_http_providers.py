@@ -41,7 +41,8 @@ class StubHandler(BaseHTTPRequestHandler):
             self.send_response(StubHandler.fail_status)
             self.end_headers()
             return
-        payload = json.dumps(StubHandler.responses[self.path]).encode("utf-8")
+        reply = StubHandler.responses[self.path]
+        payload = json.dumps(reply(body) if callable(reply) else reply).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -95,6 +96,18 @@ def test_malformed_embedding_reply_exits_2(stub_server, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "non-number" in err and "Traceback" not in err
+
+
+def test_ingest_sends_one_embedding_request_per_batch(stub_server, tmp_path, capsys):
+    # The fixture corpus holds 92 segments: one batch of 64 and one of 28, no probe.
+    StubHandler.responses["/embed"] = lambda body: {
+        "vectors": [[1.0, float(len(text) % 5)] for text in body["texts"]]
+    }
+    argv = ["ingest", "--corpus", str(DATA_DIR / "corpus.jsonl"), "--out", str(tmp_path),
+            "--embed-endpoint", stub_server + "/embed"]
+    assert main(argv) == 0
+    assert "into 92 segments; index dim 2" in capsys.readouterr().out
+    assert [len(r["body"]["texts"]) for r in StubHandler.requests_seen] == [64, 28]
 
 
 def test_embedding_provider_retries_then_fails(stub_server):

@@ -99,7 +99,7 @@ def test_retry_after_malformed_json():
     )
     got = gateway.complete_json(coarse_instance("claim text"))
     assert len(got["aspects"]) == 3
-    record = gateway.log.of_kind("llm_call")[-1]
+    record = [r for r in gateway.log.records if r["kind"] == "llm_call"][-1]
     assert record["retries"] == 1
     assert record["status"] == "ok"
 
@@ -114,7 +114,7 @@ def test_retry_after_reply_that_parses_to_no_usable_json(bad):
     gateway = rule_gateway(lambda task, prompt: next(replies))
     got = gateway.complete_json(coarse_instance("claim text"))
     assert got["aspects"][0]["label"] == "aspect 0"
-    assert gateway.log.of_kind("llm_call")[-1]["retries"] == 1
+    assert [r for r in gateway.log.records if r["kind"] == "llm_call"][-1]["retries"] == 1
     assert "Your previous output was invalid: not valid JSON: " in gateway.provider.calls[1][1]
 
 
@@ -122,7 +122,7 @@ def test_schema_violation_after_retry_budget():
     gateway = gateway_with_default("coarse_aspects", "never json")
     with pytest.raises(SchemaViolation):
         gateway.complete_json(coarse_instance("claim text"))
-    record = gateway.log.of_kind("llm_call")[-1]
+    record = [r for r in gateway.log.records if r["kind"] == "llm_call"][-1]
     assert record["status"] == "schema_violation"
     assert record["retries"] == 3  # the gateway's default budget, the same for every task
 
@@ -206,7 +206,7 @@ def test_every_call_logged_with_hash():
     instance = coarse_instance("claim text")
     gateway.complete_json(instance)
     gateway.complete_json(instance)
-    calls = gateway.log.of_kind("llm_call")
+    calls = [r for r in gateway.log.records if r["kind"] == "llm_call"]
     assert len(calls) == 2
     assert all(c["task"] == "coarse_aspects" for c in calls)
     assert all(c["prompt_hash"] == prompt_hash(instance.rendered_text) for c in calls)

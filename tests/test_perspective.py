@@ -402,7 +402,8 @@ def test_discover_perspectives_each_pair_judged_once(perspective_env, embedder):
         gateway, embedder, index, segments, tree, params, relative_threshold=0.9
     )
     stance_calls = [
-        r for r in gateway.log.of_kind("llm_call") if r["task"] == "stance_detect"
+        r for r in gateway.log.records
+        if r["kind"] == "llm_call" and r["task"] == "stance_detect"
     ]
     total_attachments = sum(
         len(tree.node(n).attached_segments) for n in tree.sorted_ids()
@@ -440,4 +441,4 @@ def test_min_chars_floor_excludes_short_segments(perspective_env, embedder):
         gateway, embedder, index, segments, tree, params, relative_threshold=0.9
     )
     assert all(not tree.node(n).attached_segments for n in tree.sorted_ids())
-    assert gateway.log.of_kind("llm_call") == []
+    assert [r for r in gateway.log.records if r["kind"] == "llm_call"] == []
