@@ -407,7 +407,14 @@ def render_dot(tree: AspectHierarchy) -> str:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+_PIPELINE_COMMANDS = ("ingest", "build", "perspectives", "evaluate")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser. Every pipeline subcommand takes the config flags;
+    when ``command`` names one, only that subcommand gets them, since a run
+    parses no other."""
+    flagged = (command,) if command in _PIPELINE_COMMANDS else _PIPELINE_COMMANDS
     parser = argparse.ArgumentParser(
         prog="claimlens",
         description="Deconstruct a claim into a corpus-grounded aspect hierarchy "
@@ -415,17 +422,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_ingest = sub.add_parser("ingest", help="segment the corpus and build the index")
-    _add_config_flags(p_ingest)
-
-    p_build = sub.add_parser("build", help="construct the aspect hierarchy")
-    _add_config_flags(p_build)
-
-    p_persp = sub.add_parser("perspectives", help="attach perspectives and consensus")
-    _add_config_flags(p_persp)
-
-    p_eval = sub.add_parser("evaluate", help="metric report, or pairwise with 2 files")
-    _add_config_flags(p_eval)
+    commands = {
+        "ingest": sub.add_parser("ingest", help="segment the corpus and build the index"),
+        "build": sub.add_parser("build", help="construct the aspect hierarchy"),
+        "perspectives": sub.add_parser("perspectives", help="attach perspectives and consensus"),
+        "evaluate": sub.add_parser("evaluate", help="metric report, or pairwise with 2 files"),
+    }
+    for name in flagged:
+        _add_config_flags(commands[name])
+    p_eval = commands["evaluate"]
     p_eval.add_argument("hierarchies", nargs="+", help="hierarchy JSON file(s)")
 
     p_report = sub.add_parser("report", help="render a hierarchy")
@@ -438,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if args.command == "report":
         return cmd_report(args.hierarchy, args.fmt, args.out_file)

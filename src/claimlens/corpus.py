@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import re
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
@@ -72,18 +73,23 @@ def load_corpus(path: str) -> list[Document]:
     for lineno, record in read_jsonl(path, "corpus file"):
         if not isinstance(record, dict):
             raise UnreadableFile(f"corpus file {path}: line {lineno} is not a JSON object")
-        doc_id = record.get("doc_id", "")
-        for name in _REQUIRED_FIELDS:
-            value = record.get(name)
-            if not isinstance(value, str) or not value.strip():
-                raise MissingField(
-                    f"record at line {lineno} (doc_id={doc_id!r}) "
-                    f"is missing field {name!r}"
-                )
+        doc_id, title, text = record.get("doc_id"), record.get("title"), record.get("text")
+        # For a str, ``v and not v.isspace()`` is ``v.strip()`` without the copy; the
+        # loop only names the first field that fails.
+        if not (type(doc_id) is str and type(title) is str and type(text) is str
+                and doc_id and title and text
+                and not (doc_id.isspace() or title.isspace() or text.isspace())):
+            for name in _REQUIRED_FIELDS:
+                value = record.get(name)
+                if not isinstance(value, str) or not value.strip():
+                    raise MissingField(
+                        f"record at line {lineno} (doc_id={record.get('doc_id', '')!r}) "
+                        f"is missing field {name!r}"
+                    )
         if doc_id in seen:
             raise DuplicateDocId(doc_id)
         seen.add(doc_id)
-        documents.append(Document(doc_id, record["title"], record["text"]))
+        documents.append(Document(doc_id, title, text))
     if not documents:
         raise UsageError(f"corpus file {path} holds no documents")
     return documents
@@ -208,6 +214,9 @@ _ABBREVIATIONS = {
     "fig", "figs", "eq", "eqs", "sec", "ch", "vol", "no", "pp",
     "e.g", "i.e", "etc", "vs", "cf", "ca", "al", "approx", "resp",
 }
+# A word longer than this, all letters and digits, is neither an initial nor one of
+# them: lowercasing never shortens a word.
+_LONGEST_GUARDED = max(map(len, _ABBREVIATIONS))
 
 # A terminal, then any run of terminals and closers, then a space or the end.
 # The run is greedy and its lookahead can only hold after a maximal run.
@@ -225,8 +234,11 @@ def split_sentences(text: str) -> list[str]:
     sentences: list[str] = []
     start = 0
     for run in _SENTENCE_END.finditer(text):
-        if text[run.start()] == "." and _guarded(text, run.start()):
-            continue
+        dot = run.start()
+        if text[dot] == ".":
+            word = text[text.rfind(" ", 0, dot) + 1 : dot]
+            if (len(word) <= _LONGEST_GUARDED or not word.isalnum()) and _guarded(text, dot):
+                continue
         piece = text[start : run.end()].strip()
         if piece:
             sentences.append(piece)
@@ -311,7 +323,7 @@ def _stem(word: str) -> str:
 def extract_terms(text: str) -> Counter:
     """Stemmed, stopword-filtered token multiset for one sentence."""
     tokens = _TOKEN_RE.findall(text.lower())
-    return Counter(_stem(t) for t in tokens if t not in _STOPWORDS)
+    return Counter(map(_stem, itertools.filterfalse(_STOPWORDS.__contains__, tokens)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +333,13 @@ def extract_terms(text: str) -> Counter:
 
 def _similarity_matrix(term_counts: list[Counter]) -> np.ndarray:
     vocab: dict[str, int] = {}
-    for counts in term_counts:
-        for term in counts:
-            if term not in vocab:
-                vocab[term] = len(vocab)
+    columns = [vocab.setdefault(term, len(vocab)) for counts in term_counts for term in counts]
     n = len(term_counts)
     if not vocab:
         return np.zeros((n, n))
     mat = np.zeros((n, len(vocab)))
-    for i, counts in enumerate(term_counts):
-        for term, count in counts.items():
-            mat[i, vocab[term]] = count
+    rows = np.repeat(np.arange(n), list(map(len, term_counts)))
+    mat[rows, columns] = list(itertools.chain.from_iterable(c.values() for c in term_counts))
     norms = np.linalg.norm(mat, axis=1)
     safe = np.where(norms == 0.0, 1.0, norms)
     unit = mat / safe[:, None]

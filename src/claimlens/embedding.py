@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
-import re
 import struct
 from typing import Any, Protocol, Sequence
 
@@ -31,6 +30,18 @@ from .http_provider import HttpJsonProvider
 
 _NORM_TOL = 1e-9
 
+# Every byte but an ASCII lowercase letter or digit becomes a space. A non-ASCII
+# character encodes to bytes of 0x80 and above only, so no byte of one survives.
+_TOKEN_BYTES = bytes(b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789" else 0x20
+                     for b in range(256))
+
+
+def _tokens(text: str) -> list[bytes]:
+    """The ``[a-z0-9]+`` runs of the lowercased text, as bytes, found without a
+    regex. ``surrogatepass`` encodes a lone surrogate, which no run holds, to
+    high bytes that become spaces."""
+    return text.lower().encode("utf-8", "surrogatepass").translate(_TOKEN_BYTES).split()
+
 
 class EmbeddingProvider(Protocol):
     def embed(self, texts: Sequence[str]) -> Any:
@@ -45,30 +56,32 @@ class EmbeddingProvider(Protocol):
 class HashedBowEmbedder:
     """Deterministic local embedder: token-hash buckets over a fixed dim.
 
-    Tokens are hashed with keyed blake2b so the layout depends only on
-    (token, seed); identical text always yields an identical vector, on any
-    platform. Each distinct token is hashed once per instance and its bucket
-    remembered, so the memo grows with the vocabulary seen. Intended for tests
-    and offline runs, not semantic quality.
+    Tokens are the ``[a-z0-9]+`` runs of the lowercased text (the whole text
+    when there is none), hashed as UTF-8 with keyed blake2b so the layout
+    depends only on (token, seed); identical text always yields an identical
+    vector, on any platform. Each distinct token is hashed once per instance,
+    from a copy of one keyed hash state, and its bucket remembered, so the
+    memo grows with the vocabulary seen. Intended for tests and offline runs,
+    not semantic quality.
     """
 
     def __init__(self, dim: int, seed: int):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = dim
-        self._key = struct.pack("<q", seed)
-        self._token_re = re.compile(r"[a-z0-9]+")
-        self._buckets: dict[str, int] = {}
+        self._keyed = hashlib.blake2b(digest_size=8, key=struct.pack("<q", seed))
+        self._buckets: dict[bytes, int] = {}
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         """Token counts, one ``dim``-wide row per text: one ``bincount`` over
         ``row * dim + bucket`` for the whole batch, hashing only new tokens."""
         memo = self._buckets
-        rows = [self._token_re.findall(text.lower()) or [text] for text in texts]
+        rows = [_tokens(text) or [text.encode("utf-8")] for text in texts]
         tokens = list(itertools.chain.from_iterable(rows))
         for token in set(tokens).difference(memo):
-            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=self._key).digest()
-            memo[token] = int.from_bytes(digest, "little") % self.dim
+            state = self._keyed.copy()
+            state.update(token)
+            memo[token] = int.from_bytes(state.digest(), "little") % self.dim
         cells = np.repeat(np.arange(len(rows)) * self.dim, list(map(len, rows)))
         cells += np.fromiter(map(memo.__getitem__, tokens), dtype=cells.dtype, count=len(tokens))
         counts = np.bincount(cells, minlength=len(texts) * self.dim)

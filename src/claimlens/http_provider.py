@@ -1,6 +1,8 @@
 """The one HTTP retry loop, shared by the chat and embedding providers: POST a
 JSON payload, read one key of the JSON reply. Timeouts, connection errors,
 5xx, 408, 429 and malformed replies are retried; any other 4xx fails at once.
+Each provider keeps one ``requests.Session``, so its calls reuse a kept-alive
+connection instead of paying a new TCP (and TLS) handshake each.
 """
 
 from __future__ import annotations
@@ -35,18 +37,21 @@ class HttpJsonProvider:
         self.api_key = api_key if api_key is not None else os.environ.get(self.api_key_env, "")
         self.timeout = timeout
         self.max_attempts = max_attempts
+        self._session: Any = None  # made by the first call
 
     def _post(self, payload: dict[str, Any]) -> Any:
         # Imported here so that offline runs never pay for loading it.
         import requests
 
+        if self._session is None:
+            self._session = requests.Session()
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         last_error: Exception | None = None
         for attempt in range(self.max_attempts):
             if attempt:
                 time.sleep(RETRY_BACKOFF_S[min(attempt, len(RETRY_BACKOFF_S)) - 1])
             try:
-                resp = requests.post(
+                resp = self._session.post(
                     self.endpoint, json=payload, headers=headers, timeout=self.timeout
                 )
                 status = resp.status_code
@@ -64,3 +69,8 @@ class HttpJsonProvider:
         raise ProviderUnavailable(
             f"{self.kind} endpoint failed after {self.max_attempts} attempts: {last_error}"
         )
+
+    def close(self) -> None:
+        """Close the kept-alive connection, if a call opened one."""
+        if self._session is not None:
+            self._session.close()

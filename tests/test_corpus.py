@@ -7,7 +7,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from claimlens.config import PipelineConfig
@@ -67,6 +67,33 @@ def test_load_corpus_missing_field(tmp_path):
         load_corpus(path)
     assert "p1" in str(err.value)
     assert "text" in str(err.value)
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize("name", ["doc_id", "title", "text"])
+@pytest.mark.parametrize(
+    "value", [_MISSING, "", "   ", "\u00a0", "\u3000\n", 5, None],
+    ids=["missing", "empty", "spaces", "nbsp", "ideographic_space", "int", "null"],
+)
+def test_load_corpus_names_the_line_doc_id_and_blank_or_mistyped_field(tmp_path, name, value):
+    bad = {"doc_id": "p2", "title": "two", "text": "Two."}
+    if value is _MISSING:
+        del bad[name]
+    else:
+        bad[name] = value
+    path = write_corpus(tmp_path, [{"doc_id": "p1", "title": "one", "text": "One."}, bad])
+    with pytest.raises(MissingField) as err:
+        load_corpus(path)
+    doc_id = bad.get("doc_id", "")
+    assert str(err.value) == f"record at line 2 (doc_id={doc_id!r}) is missing field {name!r}"
+
+
+def test_load_corpus_keeps_fields_with_surrounding_whitespace(tmp_path):
+    record = {"doc_id": " p1\u00a0", "title": "\u3000one", "text": "\tOne.\n"}
+    path = write_corpus(tmp_path, [record])
+    assert load_corpus(path) == [Document(" p1\u00a0", "\u3000one", "\tOne.\n")]
 
 
 def test_load_corpus_duplicate_doc_id(tmp_path):
@@ -279,8 +306,12 @@ def test_split_sentences_abbreviation_guard():
 
 # Terminals, closers, whitespace and the guarded cases: abbreviations, initials,
 # decimals, and bare "J"/"etc" that a later "!" or "?" must not guard.
+# Words of 7+ letters or digits skip the abbreviation walk; the shorter words and
+# those holding a period or another mark reach it.
 SPLITTER_PIECES = [".", "!", "?", '"', "'", ")", "]", " ", "  ", "\n", "\t",
-                   "e.g.", "Dr.", " J. ", "1.5", "word", "Alpha", "J", "etc"]
+                   "e.g.", "Dr.", " J. ", "1.5", "word", "Alpha", "J", "etc",
+                   "approx.", "Approx.", "U.S.", "etc..", "e.g.,", "Approximately",
+                   "seventh", "Kitchens", "2024123", "(approx", "\u0130"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -293,6 +324,7 @@ def test_split_sentences_reassembles_the_normalized_text(text):
 
 @settings(max_examples=300, deadline=None)
 @given(text=st.lists(st.sampled_from(SPLITTER_PIECES), max_size=40).map("".join))
+@example(text="Kitchens. approx. 5 U.S. Approx. 2024123. etc.. so e.g., (approx. Approximately.")
 def test_split_sentences_cuts_where_the_character_scan_does(text):
     assert split_sentences(text) == oracles.split_sentences(text)
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from claimlens.embedding import (
     Embedder,
     EmbeddingIndex,
     HashedBowEmbedder,
+    _tokens,
     normalize,
 )
 from claimlens.errors import (
@@ -510,3 +512,39 @@ def test_embed_matches_the_per_token_reference(batches, dim, seed):
         expected = _reference_rows(texts, dim, seed).tobytes()
         assert HashedBowEmbedder(dim=dim, seed=seed).embed(texts).tobytes() == expected
         assert warm.embed(texts).tobytes() == expected
+
+
+# Any code point, lone surrogates included, mixed with the characters whose
+# lowercase or encoding could fool a byte tokenizer: KELVIN SIGN (lowercases to
+# ASCII "k"), U+0130 (to "i" and a combining dot), sharp s, fullwidth digits.
+_ANY_TEXT = st.lists(
+    st.one_of(
+        st.text(st.characters(exclude_categories=())),
+        st.sampled_from(["\u212a", "\u0130", "\u00df", "\uff11\uff12", "\ud800", "\udfff",
+                         "K\u212aelvin", "x1 Y2", "\x00\x7f\x80", "\u0085\u2028"]),
+    ),
+    max_size=6,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_ANY_TEXT)
+@example(text="\u212a\u0130\u00df \uff11\uff12 \ud800ab\udfffc9")
+def test_byte_tokens_are_the_regex_runs_of_the_lowercased_text(text):
+    expected = [run.encode("ascii") for run in re.findall(r"[a-z0-9]+", text.lower())]
+    assert _tokens(text) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(_ANY_TEXT, min_size=1, max_size=6),
+       seed=st.integers(min_value=-(2**63), max_value=2**63 - 1))
+def test_embed_is_the_per_token_formula_on_any_text(texts, seed):
+    """A text with no token is hashed whole, and one holding a lone surrogate then
+    fails to encode in both."""
+    try:
+        expected = _reference_rows(texts, 64, seed).tobytes()
+    except UnicodeEncodeError:
+        with pytest.raises(UnicodeEncodeError):
+            HashedBowEmbedder(dim=64, seed=seed).embed(texts)
+        return
+    assert HashedBowEmbedder(dim=64, seed=seed).embed(texts).tobytes() == expected

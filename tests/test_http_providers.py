@@ -53,13 +53,25 @@ class StubHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def stub_server():
+class KeepAliveHandler(StubHandler):
+    """The stub over HTTP/1.1, which keeps a connection open between requests
+    and counts the connections it accepts."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 5  # an idle kept-alive connection ends its thread
+    connections = 0
+
+    def setup(self):
+        KeepAliveHandler.connections += 1
+        super().setup()
+
+
+def _serve(handler):
     StubHandler.requests_seen = []
     StubHandler.responses = {}
     StubHandler.fail_times = 0
     StubHandler.fail_status = 503
-    server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
@@ -68,6 +80,17 @@ def stub_server():
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
+
+
+@pytest.fixture
+def stub_server():
+    yield from _serve(StubHandler)
+
+
+@pytest.fixture
+def keep_alive_server():
+    KeepAliveHandler.connections = 0
+    yield from _serve(KeepAliveHandler)
 
 
 @pytest.fixture(autouse=True)
@@ -217,3 +240,20 @@ def test_timeout_raises_typed_error(kind, name):
         base_url = f"http://127.0.0.1:{silent.getsockname()[1]}"
         with pytest.raises(Timeout, match=f"^{name} endpoint timed out: {base_url}/"):
             _call(kind, base_url, timeout=0.05, max_attempts=2)
+
+
+@pytest.mark.parametrize("kind", ["chat", "embed"])
+def test_provider_calls_share_one_kept_alive_connection(keep_alive_server, kind):
+    StubHandler.responses["/chat"] = {"content": "{}"}
+    StubHandler.responses["/embed"] = {"vectors": [[1.0, 0.0]]}
+    if kind == "chat":
+        provider = HttpChatProvider(keep_alive_server + "/chat", model="m", api_key="")
+        replies = [provider.complete(TASKS["stance_detect"], "prompt", "hash") for _ in range(3)]
+    else:
+        provider = HttpEmbeddingProvider(keep_alive_server + "/embed", api_key="")
+        replies = [provider.embed(["text"]) for _ in range(3)]
+    connections = KeepAliveHandler.connections
+    provider.close()  # the open connection would warn when collected
+    assert replies in (["{}"] * 3, [[[1.0, 0.0]]] * 3)
+    assert len(StubHandler.requests_seen) == 3
+    assert connections == 1
