@@ -162,7 +162,7 @@ class SegmentStore(Mapping[str, Segment]):
     store line that short cannot hold a text of ``min_bytes`` characters.
     """
 
-    def __init__(self, path: str, ids: Sequence[str], min_bytes: int = 0):
+    def __init__(self, path: str, ids: Sequence[str], min_bytes: int):
         with reading(path, "segment store", "rb") as fh:
             data = fh.read()
         self.path = path
@@ -441,10 +441,9 @@ def choose_boundaries(rank: np.ndarray, config: PipelineConfig) -> list[int]:
     return [a for a, _ in segments[1:]]
 
 
-def segment_document(doc: Document, config: PipelineConfig | None = None) -> list[Segment]:
+def segment_document(doc: Document, config: PipelineConfig) -> list[Segment]:
     """Partition a document into topical segments that tile its sentences,
-    under the segmentation fields of ``config`` (default ``PipelineConfig()``)."""
-    config = config or PipelineConfig()
+    under the segmentation fields of ``config``."""
     sentences = sentences_of(doc)
     n = len(sentences)
     # No admissible cut: the segmenter would return the whole document, so

@@ -172,12 +172,11 @@ class EmbeddingIndex:
     """In-memory map of segment_id -> unit vector with exact top-k search.
 
     Vectors live in the first ``len(self)`` rows of one contiguous float64
-    matrix. ``capacity`` rows are reserved up front, so a caller that knows its
-    row count fills one matrix with no copy; a batch past the reservation
-    grows the matrix to twice its rows, or to the batch's end if that is more.
+    matrix of ``capacity`` rows, reserved up front and filled with no copy; a
+    batch past the reservation is a ``ValueError``.
     """
 
-    def __init__(self, dim: int, capacity: int = 0):
+    def __init__(self, dim: int, capacity: int):
         self.dim = dim
         self._ids: list[str] = []
         self._rows: dict[str, int] = {}
@@ -201,13 +200,10 @@ class EmbeddingIndex:
         if block.shape != (len(ids), self.dim):
             raise DimensionMismatch(f"vectors of shape {block.shape} for {len(ids)} ids")
         _unit_rows(block)
-        start = len(self._ids)
+        start, end = len(self._ids), len(self._ids) + len(ids)
+        if end > len(self._matrix):
+            raise ValueError(f"{end} rows overflow the {len(self._matrix)} reserved")
         self._register(ids)
-        end = len(self._ids)
-        if end > self._matrix.shape[0]:
-            grown = np.empty((max(end, 2 * self._matrix.shape[0]), self.dim))
-            grown[:start] = self._matrix[:start]
-            self._matrix = grown
         self._matrix[start:end] = block
 
     def _register(self, ids: Sequence[str]) -> None:
@@ -307,7 +303,7 @@ class EmbeddingIndex:
                 f"vectors.bin in {directory} is not the one its manifest records under "
                 "vectors sha256: re-run `claimlens ingest`"
             )
-        index = cls(dim)
+        index = cls(dim, capacity=0)
         try:
             index._register(ids)
             index._matrix = _unit_rows(raw.reshape(count, dim).astype(np.float64, copy=False))

@@ -54,10 +54,16 @@ class MetricReport:
         return asdict(self)
 
 
+_JUDGE_TAIL = (
+    " Provide a short rationale.\n"
+    'Your output should be in JSON format: {"score": ..., "rationale": "..."}'
+)
+
+
 def _judge(gateway: LlmGateway, text: str, allowed: list[int], context: str) -> int:
     instance = PromptInstance(
         task="eval_judge",
-        rendered_text=text,
+        rendered_text=text + _JUDGE_TAIL,
         expected_schema=score_schema(allowed),
         context=context,
     )
@@ -71,10 +77,9 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values)
 
 
-def _judged_ids(tree: AspectHierarchy) -> list[str]:
-    """Non-root nodes in path order; the root alone if it is all there is."""
-    ids = [nid for nid in tree.sorted_ids() if nid != tree.root]
-    return ids if ids else [tree.root]
+def _aspect_ids(tree: AspectHierarchy) -> list[str]:
+    """Non-root nodes in path order."""
+    return [nid for nid in tree.sorted_ids() if nid != tree.root]
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +89,13 @@ def _judged_ids(tree: AspectHierarchy) -> list[str]:
 
 def node_relevance(tree: AspectHierarchy, gateway: LlmGateway) -> tuple[float, dict[str, int]]:
     scores: dict[str, int] = {}
-    for node_id in _judged_ids(tree):
+    for node_id in _aspect_ids(tree) or [tree.root]:  # the root alone if it is all there is
         prompt = (
             f"Given the claim: {tree.claim}, decide whether this path from the "
             f"aspect tree is relevant to the analysis of the claim: "
             f"{tree.path_string(node_id)}.\n"
             "Score 1 if the aspect is relevant to evaluating the claim, 0 if "
-            "it is irrelevant. Provide a short rationale.\n"
-            'Your output should be in JSON format: {"score": ..., "rationale": "..."}'
+            "it is irrelevant."
         )
         scores[node_id] = _judge(gateway, prompt, [0, 1], f"relevance node={node_id}")
     return _mean(list(scores.values())), scores
@@ -99,7 +103,7 @@ def node_relevance(tree: AspectHierarchy, gateway: LlmGateway) -> tuple[float, d
 
 def path_granularity(tree: AspectHierarchy, gateway: LlmGateway) -> tuple[float, dict[str, int]]:
     scores: dict[str, int] = {}
-    node_ids = [nid for nid in tree.sorted_ids() if nid != tree.root]
+    node_ids = _aspect_ids(tree)
     if not node_ids:
         return 1.0, scores
     for node_id in node_ids:
@@ -107,9 +111,7 @@ def path_granularity(tree: AspectHierarchy, gateway: LlmGateway) -> tuple[float,
             f"Given the claim: {tree.claim}, decide whether this path from the "
             f"aspect tree has good granularity: {tree.path_string(node_id)}.\n"
             "Check whether each child node is a more specific subaspect of its "
-            "parent. Score 1 if the path is granular, 0 if not. Provide a short "
-            "rationale.\n"
-            'Your output should be in JSON format: {"score": ..., "rationale": "..."}'
+            "parent. Score 1 if the path is granular, 0 if not."
         )
         scores[node_id] = _judge(gateway, prompt, [0, 1], f"path node={node_id}")
     return _mean(list(scores.values())), scores
@@ -134,9 +136,7 @@ def sibling_granularity(
             f"aspects of parent aspect '{tree.node(node_id).label}' reflect the "
             f"same level of specificity relative to their parent: {labels}.\n"
             "Score 1 to 4: 1 = all at different levels, 2 = some at the same "
-            "level, 3 = most at the same level, 4 = all at the same level. "
-            "Provide a short rationale.\n"
-            'Your output should be in JSON format: {"score": ..., "rationale": "..."}'
+            "level, 3 = most at the same level, 4 = all at the same level."
         )
         scores[node_id] = _judge(gateway, prompt, [1, 2, 3, 4], f"siblings of={node_id}")
     if not scores:
@@ -145,8 +145,8 @@ def sibling_granularity(
 
 
 def uniqueness(tree: AspectHierarchy, gateway: LlmGateway) -> tuple[float, dict[str, int]]:
-    node_ids = [nid for nid in tree.sorted_ids() if nid != tree.root]
-    if len(tree.nodes) < 2:
+    node_ids = _aspect_ids(tree)
+    if not node_ids:
         return 1.0, {}
     outline = hierarchy_outline(tree)
     scores: dict[str, int] = {}
@@ -158,9 +158,7 @@ def uniqueness(tree: AspectHierarchy, gateway: LlmGateway) -> tuple[float, dict[
             f"aspect '{node.label}' (path: {tree.path_string(node_id)}) largely "
             "overlaps with or is almost equivalent to another node in this "
             f"hierarchy:\n{outline}\n"
-            "Score 1 if the aspect is unique, 0 if it overlaps. Provide a "
-            "short rationale.\n"
-            'Your output should be in JSON format: {"score": ..., "rationale": "..."}'
+            "Score 1 if the aspect is unique, 0 if it overlaps."
         )
         scores[node_id] = _judge(gateway, prompt, [0, 1], f"uniqueness node={node_id}")
     return _mean(list(scores.values())), scores
@@ -186,8 +184,7 @@ def segment_quality(
                 f"is relevant to both the claim and the aspect '{node.label}' "
                 f"(path: {tree.path_string(node_id)}).\n"
                 f"Segment: {segments[segment_id].text}\n"
-                "Score 1 if relevant, 0 if not. Provide a short rationale.\n"
-                'Your output should be in JSON format: {"score": ..., "rationale": "..."}'
+                "Score 1 if relevant, 0 if not."
             )
             votes.append(
                 _judge(gateway, prompt, [0, 1], f"segment={segment_id} node={node_id}")

@@ -194,6 +194,8 @@ class AspectHierarchy:
         """Check that every node hangs off the root by exactly one path of
         path-slug ids, with matching parent links and depths within
         ``max_depth``; raises ``CorruptArtifact`` naming the first fault."""
+        if self.nodes[self.root].parent is not None:
+            raise CorruptArtifact(f"root {self.root} names a parent")
         seen: set[str] = set()
         queue = deque([(self.root, 0)])
         while queue:
@@ -219,7 +221,7 @@ class AspectHierarchy:
         if seen != set(self.nodes):
             raise CorruptArtifact("tree is not connected")
 
-    def to_dict(self, config_fingerprint: str = "", partial: bool = False) -> dict[str, Any]:
+    def to_dict(self, config_fingerprint: str, partial: bool = False) -> dict[str, Any]:
         return {
             "claim": self.claim,
             "config_fingerprint": config_fingerprint,

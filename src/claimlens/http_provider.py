@@ -18,11 +18,12 @@ RETRY_BACKOFF_S = (0.5, 2.0)
 
 
 class HttpJsonProvider:
-    """Base of the HTTP providers; each sets the three class attributes."""
+    """Base of the HTTP providers; each sets the three string class attributes."""
 
     kind = ""  # names the endpoint in error messages
     api_key_env = ""  # environment variable read when no api_key is given
     reply_key = ""  # the key of the JSON reply that holds the result
+    reply_type: type = object  # a result of another type is a malformed reply
 
     def __init__(
         self,
@@ -61,7 +62,10 @@ class HttpJsonProvider:
                         f"{self.endpoint}"
                     )
                 resp.raise_for_status()
-                return resp.json()[self.reply_key]
+                reply = resp.json()[self.reply_key]
+                if not isinstance(reply, self.reply_type):
+                    raise TypeError(f"{self.reply_key} is not a {self.reply_type.__name__}")
+                return reply
             except (requests.RequestException, KeyError, TypeError, ValueError) as exc:
                 last_error = exc
         if isinstance(last_error, requests.Timeout):

@@ -19,7 +19,6 @@ fallbacks, so a full pipeline run can be replayed byte-identically offline.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -63,7 +62,7 @@ class PromptInstance:
     task: str
     rendered_text: str
     expected_schema: dict[str, Any]
-    context: str = ""  # human-readable locus for error messages
+    context: str  # human-readable locus for error messages
 
     def __post_init__(self) -> None:
         if self.task not in TASKS:
@@ -108,6 +107,7 @@ class HttpChatProvider(HttpJsonProvider):
     kind = "chat"
     api_key_env = "CLAIMLENS_CHAT_API_KEY"
     reply_key = "content"
+    reply_type = str
 
     def __init__(self, endpoint: str, model: str, api_key: str | None = None,
                  timeout: float = 60.0, max_attempts: int = 3):
@@ -127,17 +127,12 @@ class HttpChatProvider(HttpJsonProvider):
 class MockChatProvider:
     """Scripted provider for deterministic runs.
 
-    The script maps each task name to fixture responses keyed by the hash of
-    the originally rendered prompt, with an optional task-level ``default``.
-    A response may be a single string or a list of strings consumed in call
-    order (the last entry repeats), which lets tests script a malformed
-    answer followed by a valid one.
+    The script maps each task name to reply strings keyed by the hash of the
+    originally rendered prompt, with an optional task-level ``default`` string.
     """
 
     def __init__(self, script: dict[str, dict[str, Any]]):
         self.script = script
-        self._counts: dict[tuple[str, str], int] = {}
-        self._lock = threading.Lock()
 
     @classmethod
     def from_dir(cls, directory: str | Path) -> "MockChatProvider":
@@ -150,27 +145,19 @@ class MockChatProvider:
             entry = script[path.stem] = read_json(path, "mock transcript")
             if not isinstance(entry, dict) or not isinstance(entry.get("responses", {}), dict):
                 raise UnreadableFile(f"mock transcript {path} must map 'responses' to an object")
-            if [] in [entry.get("default"), *entry.get("responses", {}).values()]:
-                raise UnreadableFile(f"mock transcript {path} holds an empty response list")
+            replies = [entry.get("default", ""), *entry.get("responses", {}).values()]
+            if not all(isinstance(reply, str) for reply in replies):
+                raise UnreadableFile(f"mock transcript {path} holds a non-string response")
         return cls(script)
 
     def complete(self, task: LlmTask, prompt: str, base_hash: str) -> str:
         entry = self.script.get(task.name, {})
-        responses = entry.get("responses", {})
-        value = responses.get(base_hash, entry.get("default"))
+        value = entry.get("responses", {}).get(base_hash, entry.get("default"))
         if value is None:
             raise SchemaViolation(
                 f"mock transcript has no fixture for task {task.name!r} "
                 f"prompt hash {base_hash}"
             )
-        if isinstance(value, list):
-            with self._lock:
-                key = (task.name, base_hash)
-                n = self._counts.get(key, 0)
-                self._counts[key] = n + 1
-            value = value[min(n, len(value) - 1)]
-        if not isinstance(value, str):
-            value = json.dumps(value)
         return value
 
 
@@ -190,12 +177,12 @@ class LlmGateway:
     def __init__(
         self,
         provider: ChatProvider,
-        log: OperationLog | None = None,
+        log: OperationLog,
         temperatures: dict[str, float] | None = None,
         max_retries: int = 3,
     ):
         self.provider = provider
-        self.log = log if log is not None else OperationLog()
+        self.log = log
         self.temperatures = dict(temperatures or {})
         self.max_retries = max_retries
 
@@ -218,11 +205,8 @@ class LlmGateway:
                 raw = self.provider.complete(task, prompt, base_hash)
             except SchemaViolation as exc:
                 # Missing fixture in strict transcripts: annotate with locus.
-                message = str(exc)
-                if instance.context:
-                    message += f" ({instance.context})"
                 self._log_call(task, base_hash, attempt, "missing_fixture")
-                raise SchemaViolation(message) from exc
+                raise SchemaViolation(f"{exc} ({instance.context})") from exc
             try:
                 value = _parse_json(raw)
             except (ValueError, RecursionError) as exc:
@@ -235,10 +219,9 @@ class LlmGateway:
             self._log_call(task, base_hash, attempt, "ok")
             return value
         self._log_call(task, base_hash, self.max_retries, "schema_violation")
-        where = f" ({instance.context})" if instance.context else ""
         raise SchemaViolation(
             f"task {task.name!r} returned invalid output after "
-            f"{self.max_retries} retries: {error_text}{where}"
+            f"{self.max_retries} retries: {error_text} ({instance.context})"
         )
 
     def _log_call(self, task: LlmTask, base_hash: str, retries: int, status: str) -> None:

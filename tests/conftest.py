@@ -79,7 +79,7 @@ def small_config(tmp_path) -> PipelineConfig:
 
 def build_index(embedder: Embedder, segments: list[Segment]) -> EmbeddingIndex:
     vectors = embedder.embed_texts([s.text for s in segments])
-    index = EmbeddingIndex(dim=vectors[0].shape[0])
+    index = EmbeddingIndex(dim=vectors[0].shape[0], capacity=len(segments))
     index.add_batch([s.segment_id for s in segments], vectors)
     return index
 

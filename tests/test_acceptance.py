@@ -81,7 +81,7 @@ def _unit(rng: random.Random, dim: int) -> np.ndarray:
 def _instance(rng: random.Random, n_segments: int, dim: int = 6):
     ids = [f"s{i:04d}" for i in range(n_segments)]
     vectors = [_unit(rng, dim) for _ in range(n_segments)]
-    index = EmbeddingIndex(dim=dim)
+    index = EmbeddingIndex(dim=dim, capacity=n_segments)
     index.add_batch(ids, vectors)
     query = _unit(rng, dim)
 
@@ -373,7 +373,7 @@ def test_criterion_8_segmenter_boundary_oracle():
             doc = make_two_topic_doc(
                 f"tile{trial}", rng, first=rng.randint(1, 12), second=rng.randint(0, 12)
             )
-            segments = segment_document(doc)
+            segments = segment_document(doc, PipelineConfig())
             spans = [(s.start, s.end) for s in segments]
             assert spans[0][0] == 0
             for (_, b), (c, _) in zip(spans, spans[1:]):

@@ -98,11 +98,11 @@ class _HalfWritten(np.ndarray):
 
 
 def test_failed_index_save_keeps_the_old_index(tmp_path, monkeypatch):
-    old = EmbeddingIndex(dim=3)
+    old = EmbeddingIndex(dim=3, capacity=2)
     old.add_batch(["a", "b"], np.eye(3)[:2])
     old.save(str(tmp_path), {"config_fingerprint": "old"})
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    new = EmbeddingIndex(dim=3)
+    new = EmbeddingIndex(dim=3, capacity=3)
     new.add_batch(["c", "d", "e"], np.eye(3))
     real = np.ascontiguousarray
     monkeypatch.setattr(

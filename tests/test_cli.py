@@ -773,6 +773,7 @@ def _node(data, node_id):
         (lambda d: d.update(max_depth=1), "max_depth 1"),
         (lambda d: d["nodes"].remove(_node(d, "0")), "KeyError('0')"),
         (lambda d: _node(d, "0.2").update(parent="0.1"), "bad link 0 -> 0.2"),
+        (lambda d: _node(d, "0").update(parent="zzz"), "root 0 names a parent"),
         (lambda d: d.pop("nodes"), "'nodes'"),
         (lambda d: _node(d, "0.1").update(perspectives=[]), "node 0.1: perspectives"),
         (
@@ -799,6 +800,7 @@ def _node(data, node_id):
         "deeper_than_max",
         "no_root",
         "wrong_parent",
+        "root_with_parent",
         "no_nodes",
         "perspectives_list",
         "segment_ids_string",
@@ -863,13 +865,23 @@ def test_non_utf8_input_is_a_usage_error(tmp_path, capsys, target):
 
 @pytest.mark.parametrize(
     "content",
-    ["{oops", "[1, 2]", '{"responses": [1]}', '{"default": []}', '{"responses": {"h": []}}'],
+    [
+        "{oops",
+        "[1, 2]",
+        '{"responses": [1]}',
+        '{"default": []}',
+        '{"responses": {"h": []}}',
+        '{"default": {"aspects": []}}',
+        '{"responses": {"h": null}}',
+    ],
     ids=[
         "not_json",
         "not_an_object",
         "responses_not_an_object",
         "empty_default_list",
         "empty_response_list",
+        "object_default",
+        "null_response",
     ],
 )
 def test_malformed_mock_transcript_is_a_usage_error(

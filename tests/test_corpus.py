@@ -131,7 +131,7 @@ def test_load_corpus_missing_file(tmp_path):
 
 
 def test_segment_store_roundtrip(tmp_path):
-    segs = segment_document(make_two_topic_doc("p1", random.Random(5), first=7, second=6))
+    segs = segment_document(make_two_topic_doc("p1", random.Random(5), first=7, second=6), PipelineConfig())
     assert len(segs) > 1
     path = tmp_path / "segments.jsonl"
     write_segments(segs, str(path))
@@ -158,12 +158,12 @@ def test_write_segments_returns_the_sha256_of_the_bytes_written(tmp_path):
     path, segs = _store(tmp_path)
     digest = write_segments(segs, str(path))
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
-    assert SegmentStore(str(path), [s.segment_id for s in segs]).sha256 == digest
+    assert SegmentStore(str(path), [s.segment_id for s in segs], 0).sha256 == digest
 
 
 def test_segment_store_decodes_each_record_it_is_asked_for(tmp_path):
     path, segs = _store(tmp_path)
-    store = SegmentStore(str(path), [s.segment_id for s in segs])
+    store = SegmentStore(str(path), [s.segment_id for s in segs], 0)
     assert list(store) == [s.segment_id for s in segs] and len(store) == 4
     assert store["p2#0-2"] == segs[2] and "p2#0-2" in store and "p9#0-0" not in store
     assert dict(store) == {s.segment_id: s for s in segs}
@@ -193,7 +193,7 @@ def test_segment_store_refuses_ids_not_in_store_order(tmp_path, edit):
     path, segs = _store(tmp_path)
     message = "does not list the ids of segment store .* in store order"
     with pytest.raises(CorruptArtifact, match=message):
-        SegmentStore(str(path), edit([s.segment_id for s in segs]))
+        SegmentStore(str(path), edit([s.segment_id for s in segs]), 0)
 
 
 def _corrupt_line_3(path, edit):
@@ -231,7 +231,7 @@ CORRUPT_IDS = ["truncated_line", "no_text", "string_start", "bool_start", "bool_
 def test_segment_store_checks_a_record_when_it_is_looked_up(tmp_path, edit, error, message):
     path, segs = _store(tmp_path)
     _corrupt_line_3(path, edit)
-    store = SegmentStore(str(path), [s.segment_id for s in segs])
+    store = SegmentStore(str(path), [s.segment_id for s in segs], 0)
     assert store["p3#0-3"] == segs[3]
     with pytest.raises(error, match=f"segment store {path}: {message}"):
         store["p2#0-2"]
@@ -252,7 +252,7 @@ def test_read_segments_refuses_a_corrupt_record(tmp_path, edit, error, message):
 def test_segment_store_refuses_a_record_whose_id_is_repeated_under_another_value(tmp_path):
     path, segs = _store(tmp_path)
     _corrupt_line_3(path, lambda line: line[:-1] + ', "segment_id": "p0#0-0"}')
-    store = SegmentStore(str(path), [s.segment_id for s in segs])
+    store = SegmentStore(str(path), [s.segment_id for s in segs], 0)
     with pytest.raises(CorruptArtifact, match="line 3 holds 'p0#0-0', not 'p2#0-2'"):
         store["p2#0-2"]
 
@@ -284,7 +284,7 @@ def test_store_lines_are_json_dumps_and_decode_as_read_segments_reads_them(segme
         assert data == expected.encode("ascii")
         assert all(line.startswith(store_line_prefix(seg.segment_id).encode("ascii"))
                    for line, seg in zip(data.splitlines(), segments))
-        store = SegmentStore(path, [seg.segment_id for seg in segments])
+        store = SegmentStore(path, [seg.segment_id for seg in segments], 0)
         assert [store[seg.segment_id] for seg in segments] == read_segments(path) == segments
 
 
@@ -338,13 +338,13 @@ def test_split_sentences_whitespace_normalized():
 
 def test_segment_document_rejects_empty_document():
     with pytest.raises(EmptyDocument):
-        segment_document(Document("d", "t", "   "))
+        segment_document(Document("d", "t", "   "), PipelineConfig())
 
 
 def test_two_topic_document_splits_at_topic_shift():
     rng = random.Random(7)
     doc = make_two_topic_doc("d", rng, first=5, second=5)
-    segs = segment_document(doc)
+    segs = segment_document(doc, PipelineConfig())
     assert len(segs) == 2
     assert (segs[0].start, segs[0].end) == (0, 4)
     assert (segs[1].start, segs[1].end) == (5, 9)
@@ -357,13 +357,13 @@ def test_two_topic_document_splits_at_topic_shift():
 
 def test_single_sentence_document():
     doc = Document("d", "t", "Only one sentence here.")
-    segs = segment_document(doc)
+    segs = segment_document(doc, PipelineConfig())
     assert [(s.start, s.end) for s in segs] == [(0, 0)]
 
 
 def test_identical_sentences_stay_one_segment():
     doc = Document("d", "t", " ".join(["The same sentence again."] * 10))
-    segs = segment_document(doc)
+    segs = segment_document(doc, PipelineConfig())
     assert len(segs) == 1
     assert (segs[0].start, segs[0].end) == (0, 9)
 
@@ -460,7 +460,7 @@ def test_tiling_invariant_random_documents():
         vocab = TOPIC_A if trial % 2 else TOPIC_A + TOPIC_B
         text = " ".join(make_sentence(rng, vocab) for _ in range(n))
         doc = Document(f"d{trial}", "t", text)
-        _assert_tiling(doc, segment_document(doc))
+        _assert_tiling(doc, segment_document(doc, PipelineConfig()))
 
 
 SENTENCES = st.lists(st.sampled_from(TOPIC_A + TOPIC_B), min_size=1, max_size=8).map(

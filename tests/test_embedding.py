@@ -143,7 +143,7 @@ def test_seed_changes_layout():
 
 
 def _cosines(stored, query):
-    index = EmbeddingIndex(dim=len(query))
+    index = EmbeddingIndex(dim=len(query), capacity=len(stored))
     index.add_batch([f"s{i}" for i in range(len(stored))], stored)
     return index.similarities(np.asarray(query, dtype=np.float64)).tolist()
 
@@ -175,7 +175,7 @@ def _angled(c: float) -> np.ndarray:
 
 
 def test_top_k_known_similarities():
-    index = EmbeddingIndex(dim=2)
+    index = EmbeddingIndex(dim=2, capacity=3)
     index.add_batch(["s1"], [_angled(0.9)])
     index.add_batch(["s2"], [_angled(0.5)])
     index.add_batch(["s3"], [_angled(0.1)])
@@ -186,7 +186,7 @@ def test_top_k_known_similarities():
 
 
 def test_top_k_larger_than_index():
-    index = EmbeddingIndex(dim=2)
+    index = EmbeddingIndex(dim=2, capacity=2)
     index.add_batch(["s1"], [_angled(0.9)])
     index.add_batch(["s2"], [_angled(0.5)])
     got = index.top_k(np.array([1.0, 0.0]), 10)
@@ -194,7 +194,7 @@ def test_top_k_larger_than_index():
 
 
 def test_top_k_tie_broken_by_id():
-    index = EmbeddingIndex(dim=2)
+    index = EmbeddingIndex(dim=2, capacity=2)
     index.add_batch(["zz"], [_angled(0.5)])
     index.add_batch(["aa"], [_angled(0.5)])
     got = index.top_k(np.array([1.0, 0.0]), 2)
@@ -203,20 +203,20 @@ def test_top_k_tie_broken_by_id():
 
 def test_top_k_empty_index():
     with pytest.raises(EmptyIndex):
-        EmbeddingIndex(dim=2).top_k(np.array([1.0, 0.0]), 1)
+        EmbeddingIndex(dim=2, capacity=0).top_k(np.array([1.0, 0.0]), 1)
 
 
 def test_duplicate_id_rejected():
-    index = EmbeddingIndex(dim=2)
+    index = EmbeddingIndex(dim=2, capacity=2)
     index.add_batch(["s1"], [_angled(0.9)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'s1' indexed twice"):
         index.add_batch(["s1"], [_angled(0.5)])
 
 
 def test_top_k_matches_full_sort_oracle():
     rng = random.Random(42)
     rows = []
-    index = EmbeddingIndex(dim=16)
+    index = EmbeddingIndex(dim=16, capacity=10_000)
     for i in range(10_000):
         vec = np.array([rng.gauss(0, 1) for _ in range(16)])
         vec = vec / np.linalg.norm(vec)
@@ -242,8 +242,8 @@ def test_save_load_roundtrip_and_byte_identity(tmp_path, embedder):
     texts = [f"text number {i} about magnets {i % 7}" for i in range(150)]
     vectors = embedder.embed_texts(texts)
     ids = [f"s{i}" for i in range(150)]
-    index = EmbeddingIndex(dim=vectors[0].shape[0])
-    for start in range(0, 150, 64):  # batches that make the matrix grow
+    index = EmbeddingIndex(dim=vectors[0].shape[0], capacity=150)
+    for start in range(0, 150, 64):  # three batches into one reservation
         index.add_batch(ids[start : start + 64], vectors[start : start + 64])
 
     dir_a = tmp_path / "a"
@@ -266,32 +266,39 @@ def test_save_load_roundtrip_and_byte_identity(tmp_path, embedder):
     assert json.loads((dir_a / "index_manifest.json").read_text())["segment_ids"] == ids
 
 
-def test_add_batch_fills_a_reservation_in_place_and_grows_past_one(tmp_path, embedder):
+def test_add_batch_fills_a_reservation_in_place_and_refuses_a_batch_past_it(
+    tmp_path, embedder
+):
     texts = [f"field note {i} on basalt {i % 5}" for i in range(150)]
     vectors = embedder.embed_texts(texts)
     ids = [f"s{i}" for i in range(150)]
     saved = set()
-    # Batches end at rows 64, 128 and 150: a reservation of 100 is outgrown by the second.
-    for capacity, in_place in ((150, [True, True]), (100, [False, False]), (0, [False, False])):
+    for capacity in (150, 200):
         index = EmbeddingIndex(vectors.shape[1], capacity=capacity)
         first = index._matrix
-        kept = []
         for start in range(0, 150, 64):
             index.add_batch(ids[start : start + 64], vectors[start : start + 64])
-            kept.append(index._matrix is first)
-        assert kept == [capacity >= 64] + in_place
+            assert index._matrix is first
         assert index.ids == ids
         assert all(index.get(sid).tobytes() == vec.tobytes() for sid, vec in zip(ids, vectors))
         index.save(str(tmp_path / str(capacity)), {})
         saved.add((tmp_path / str(capacity) / "vectors.bin").read_bytes())
         saved.add((tmp_path / str(capacity) / "index_manifest.json").read_bytes())
     assert len(saved) == 2  # one vectors.bin and one manifest, whatever the reservation
+    # Batches end at rows 64 and 128: a reservation of 100 refuses the second whole.
+    index = EmbeddingIndex(vectors.shape[1], capacity=100)
+    index.add_batch(ids[:64], vectors[:64])
+    with pytest.raises(ValueError, match="128 rows overflow the 100 reserved"):
+        index.add_batch(ids[64:128], vectors[64:128])
+    assert index.ids == ids[:64]
+    index.add_batch(ids[64:100], vectors[64:100])  # none of the refused ids was registered
+    assert index.ids == ids[:100]
 
 
 def test_top_k_ties_straddling_kth_rank_come_by_id():
     # Rows 0-3 beat the tied block; ten identical rows, added in scrambled id
     # order, straddle every k from 5 to 13; two rows trail behind.
-    index = EmbeddingIndex(dim=2)
+    index = EmbeddingIndex(dim=2, capacity=16)
     for i in range(4):
         index.add_batch([f"top{i}"], [_angled(0.9 - 0.01 * i)])
     tied = [f"tie{i:02d}" for i in range(10)]
@@ -309,7 +316,7 @@ def test_top_k_ties_straddling_kth_rank_come_by_id():
 
 
 def test_top_k_all_rows_identical():
-    index = EmbeddingIndex(dim=2)
+    index = EmbeddingIndex(dim=2, capacity=5)
     ids = [f"s{i}" for i in (3, 1, 4, 0, 2)]
     index.add_batch(ids, [_angled(0.7)] * len(ids))
     for k in (1, 3, 5, 9):
@@ -318,7 +325,7 @@ def test_top_k_all_rows_identical():
 
 
 def test_query_dimension_mismatch_is_typed():
-    index = EmbeddingIndex(dim=2)
+    index = EmbeddingIndex(dim=2, capacity=1)
     index.add_batch(["s1"], [_angled(0.9)])
     with pytest.raises(DimensionMismatch):
         index.similarities(np.ones(3))
@@ -329,7 +336,7 @@ def test_query_dimension_mismatch_is_typed():
 
 
 def test_add_batch_with_bad_row_adds_nothing():
-    index = EmbeddingIndex(dim=2)
+    index = EmbeddingIndex(dim=2, capacity=3)
     index.add_batch(["s0"], [_angled(0.9)])
     with pytest.raises(DimensionMismatch):
         index.add_batch(["s1", "s2"], [_angled(0.5), np.ones(3)])
@@ -358,7 +365,7 @@ def _restamp_vectors(directory, raw):
 
 
 def test_load_renormalizes_only_rows_off_unit_length(tmp_path):
-    index = EmbeddingIndex(dim=2)
+    index = EmbeddingIndex(dim=2, capacity=2)
     index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
     index.save(str(tmp_path), {})
     raw = np.fromfile(tmp_path / "vectors.bin", dtype="<f8")
@@ -371,7 +378,7 @@ def test_load_renormalizes_only_rows_off_unit_length(tmp_path):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
 def test_load_rejects_a_row_with_a_non_finite_norm(tmp_path, value):
-    index = EmbeddingIndex(dim=2)
+    index = EmbeddingIndex(dim=2, capacity=2)
     index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
     index.save(str(tmp_path), {})
     raw = np.fromfile(tmp_path / "vectors.bin", dtype="<f8")
@@ -380,7 +387,7 @@ def test_load_rejects_a_row_with_a_non_finite_norm(tmp_path, value):
     with pytest.raises(CorruptArtifact, match="row 1 has a non-finite norm"):
         EmbeddingIndex.load(str(tmp_path))
     with pytest.raises(ValueError, match="row 0 has a non-finite norm"):
-        EmbeddingIndex(dim=2).add_batch(["b"], [raw[2:4]])
+        EmbeddingIndex(dim=2, capacity=1).add_batch(["b"], [raw[2:4]])
 
 
 def _edit_manifest(directory, edit):
@@ -391,7 +398,7 @@ def _edit_manifest(directory, edit):
 
 
 def test_save_records_the_sha256_of_the_vector_bytes(tmp_path):
-    index = EmbeddingIndex(dim=2)
+    index = EmbeddingIndex(dim=2, capacity=2)
     index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
     index.save(str(tmp_path), {"store_sha256": "0" * 64})
     manifest = json.loads((tmp_path / "index_manifest.json").read_text())
@@ -401,7 +408,7 @@ def test_save_records_the_sha256_of_the_vector_bytes(tmp_path):
 
 
 def test_load_views_the_one_buffer_it_read_as_the_matrix(tmp_path):
-    index = EmbeddingIndex(dim=2)
+    index = EmbeddingIndex(dim=2, capacity=2)
     index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
     index.save(str(tmp_path), {})
     loaded, _ = EmbeddingIndex.load(str(tmp_path))
@@ -420,7 +427,7 @@ def test_load_views_the_one_buffer_it_read_as_the_matrix(tmp_path):
     ids=["swapped_rows", "last_bit_flipped"],
 )
 def test_load_refuses_vectors_the_manifest_does_not_record(tmp_path, edit, message):
-    index = EmbeddingIndex(dim=2)
+    index = EmbeddingIndex(dim=2, capacity=2)
     index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
     index.save(str(tmp_path), {})
     raw = np.fromfile(tmp_path / "vectors.bin", dtype="<f8").reshape(2, 2)
@@ -431,7 +438,7 @@ def test_load_refuses_vectors_the_manifest_does_not_record(tmp_path, edit, messa
 
 
 def test_load_refuses_a_manifest_without_a_vectors_sha256(tmp_path):
-    index = EmbeddingIndex(dim=2)
+    index = EmbeddingIndex(dim=2, capacity=2)
     index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
     index.save(str(tmp_path), {})
     _edit_manifest(tmp_path, lambda m: m.pop("vectors_sha256"))
@@ -441,7 +448,7 @@ def test_load_refuses_a_manifest_without_a_vectors_sha256(tmp_path):
 
 
 def test_load_rejects_duplicate_ids_in_manifest(tmp_path):
-    index = EmbeddingIndex(dim=2)
+    index = EmbeddingIndex(dim=2, capacity=2)
     index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
     index.save(str(tmp_path), {})
     _edit_manifest(tmp_path, lambda m: m["segment_ids"].__setitem__(1, "a"))
@@ -450,7 +457,7 @@ def test_load_rejects_duplicate_ids_in_manifest(tmp_path):
 
 
 def test_load_rejects_manifest_id_count_mismatch(tmp_path):
-    index = EmbeddingIndex(dim=2)
+    index = EmbeddingIndex(dim=2, capacity=2)
     index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
     index.save(str(tmp_path), {})
     _edit_manifest(tmp_path, lambda m: m["segment_ids"].pop())

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from claimlens.errors import (
+    CorruptArtifact,
     EmptyAspectList,
     EmptyIndex,
     SchemaViolation,
@@ -156,7 +157,7 @@ def test_enrich_empty_index(env, embedder, small_config):
     _, _, segments, config = env
     gateway = LlmGateway(MockChatProvider(default_script()), log=OperationLog())
     builder = HierarchyBuilder(
-        gateway, embedder, EmbeddingIndex(dim=256), segments, config
+        gateway, embedder, EmbeddingIndex(dim=256, capacity=0), segments, config
     )
     tree = AspectHierarchy(CLAIM, 2)
     builder.discover_coarse_aspects(tree)
@@ -302,3 +303,11 @@ def test_path_helpers():
     other = tree.add_child("0", "efficacy", "d", [])
     assert tree.sibling_ids(child.node_id) == [other.node_id]
     assert tree.sibling_ids("0") == []
+
+
+def test_root_that_names_a_parent_is_refused():
+    # A root that is its own parent would loop path_labels forever.
+    data = json.loads((DATA_DIR / "golden" / "hierarchy_perspectives.json").read_text())
+    data["nodes"][0]["parent"] = "0"
+    with pytest.raises(CorruptArtifact, match="root 0 names a parent"):
+        AspectHierarchy.from_dict(data)

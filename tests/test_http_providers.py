@@ -157,6 +157,7 @@ def test_chat_provider_wire_format(stub_server):
         task="stance_detect",
         rendered_text="what stance is this",
         expected_schema={"type": "object", "required": ["stance"]},
+        context="stance",
     )
     assert gateway.complete_json(instance) == {"stance": "supports_claim"}
     seen = StubHandler.requests_seen[-1]
@@ -231,6 +232,25 @@ def test_malformed_body_is_retried_then_fails(stub_server, body):
     with pytest.raises(ProviderUnavailable, match="embedding endpoint failed after 2 attempts: "):
         provider.embed(["text"])
     assert len(StubHandler.requests_seen) == 2
+
+
+@pytest.mark.parametrize("content", [None, 7, {"score": 1}], ids=["null", "number", "object"])
+def test_chat_reply_whose_content_is_not_a_string_is_retried_then_exits_2(
+    stub_server, tmp_path, capsys, content
+):
+    StubHandler.responses["/chat"] = {"content": content}
+    data = json.loads((DATA_DIR / "golden" / "hierarchy.json").read_text())
+    for node in data["nodes"]:
+        node["attached_segments"] = []  # so evaluate needs no segment store
+    tree = tmp_path / "hierarchy.json"
+    tree.write_text(json.dumps(data))
+    argv = ["evaluate", "--claim", data["claim"], "--chat-endpoint", stub_server + "/chat",
+            "--out", str(tmp_path), str(tree)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "chat endpoint failed after 3 attempts: content is not a str" in err
+    assert "Traceback" not in err
+    assert len(StubHandler.requests_seen) == 3
 
 
 @pytest.mark.parametrize("kind, name", [("chat", "chat"), ("embed", "embedding")])

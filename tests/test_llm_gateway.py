@@ -81,7 +81,7 @@ def test_unknown_task():
     with pytest.raises(dataclasses.FrozenInstanceError):
         instance.task = "foo"
     with pytest.raises(UnknownTask):
-        PromptInstance(task="foo", rendered_text="x", expected_schema={})
+        PromptInstance(task="foo", rendered_text="x", expected_schema={}, context="test")
 
 
 # --- complete_json ---
@@ -94,9 +94,8 @@ def test_mock_round_trip():
 
 
 def test_retry_after_malformed_json():
-    gateway = gateway_with_default(
-        "coarse_aspects", ["this is not json", json.dumps(make_aspects())]
-    )
+    replies = iter(["this is not json", json.dumps(make_aspects())])
+    gateway = rule_gateway(lambda task, prompt: next(replies))
     got = gateway.complete_json(coarse_instance("claim text"))
     assert len(got["aspects"]) == 3
     record = [r for r in gateway.log.records if r["kind"] == "llm_call"][-1]
@@ -162,7 +161,8 @@ def test_code_fence_stripped():
 def test_rejects_extra_stance_label():
     gateway = gateway_with_default("stance_detect", json.dumps({"stance": "maybe"}))
     instance = PromptInstance(
-        task="stance_detect", rendered_text="judge this", expected_schema=STANCE_SCHEMA
+        task="stance_detect", rendered_text="judge this", expected_schema=STANCE_SCHEMA,
+        context="stance",
     )
     with pytest.raises(SchemaViolation):
         gateway.complete_json(instance)
@@ -222,9 +222,8 @@ def test_temperature_override():
 
 
 def test_max_retries_override_zero():
-    gateway = gateway_with_default(
-        "coarse_aspects", ["bad", json.dumps(make_aspects())], max_retries=0
-    )
+    replies = iter(["bad", json.dumps(make_aspects())])
+    gateway = rule_gateway(lambda task, prompt: next(replies), max_retries=0)
     with pytest.raises(SchemaViolation):
         gateway.complete_json(coarse_instance("claim"))
 
@@ -300,11 +299,12 @@ def test_retry_error_text_matches_jsonschema_validate(make_schema, bad):
     expected = f"schema violation: {reference.value.message}"
     gateway = rule_gateway(lambda task, prompt: json.dumps(bad), max_retries=1)
     instance = PromptInstance(
-        task="eval_judge", rendered_text="judge this", expected_schema=make_schema()
+        task="eval_judge", rendered_text="judge this", expected_schema=make_schema(),
+        context="judge",
     )
     with pytest.raises(SchemaViolation) as raised:
         gateway.complete_json(instance)
-    assert str(raised.value).endswith(f"after 1 retries: {expected}")
+    assert str(raised.value).endswith(f"after 1 retries: {expected} (judge)")
     retry_prompt = gateway.provider.calls[1][1]
     assert retry_prompt.startswith("judge this\n\nYour previous output was invalid: ")
     assert f"invalid: {expected}\n" in retry_prompt
@@ -440,7 +440,8 @@ def test_malformed_schema_raises_on_every_use():
     gateway = rule_gateway(lambda task, prompt: json.dumps({"answer": "Yes"}))
     for schema, keyword in MALFORMED_SCHEMAS:
         instance = PromptInstance(
-            task="relevance_judge", rendered_text="judge this", expected_schema=schema
+            task="relevance_judge", rendered_text="judge this", expected_schema=schema,
+            context="judge",
         )
         for _ in range(2):
             with pytest.raises(ValueError, match=re.escape(f"schema keyword {keyword!r}")):
@@ -463,7 +464,7 @@ def _mixed_instances():
         else:
             schema, task = STANCE_SCHEMA, "stance_detect"
         instances.append(
-            PromptInstance(task=task, rendered_text=f"prompt {i}", expected_schema=schema)
+            PromptInstance(task, f"prompt {i}", schema, f"prompt {i}")
         )
     return instances
 

@@ -178,7 +178,7 @@ def fixture_tree_env():
 
 def test_segment_with_single_branch_vocabulary_attaches_in_that_subtree(fixture_tree_env):
     tree, embedder, nodes = fixture_tree_env
-    index = EmbeddingIndex(dim=6)
+    index = EmbeddingIndex(dim=6, capacity=1)
     vec = 0.9 * basis(0) + 0.436 * basis(2)  # strongly alpha, leaf one flavored
     index.add_batch(["s1"], [vec / np.linalg.norm(vec)])
     got = classify_segments(["s1"], tree, embedder, index, relative_threshold=0.9)
@@ -195,7 +195,7 @@ def test_segment_with_single_branch_vocabulary_attaches_in_that_subtree(fixture_
 
 def test_segment_equally_similar_to_both_branches_attaches_twice(fixture_tree_env):
     tree, embedder, nodes = fixture_tree_env
-    index = EmbeddingIndex(dim=6)
+    index = EmbeddingIndex(dim=6, capacity=1)
     vec = basis(2) + basis(4)  # alpha leaf one + beta leaf one, nothing else
     index.add_batch(["s1"], [vec / np.linalg.norm(vec)])
     got = classify_segments(["s1"], tree, embedder, index, relative_threshold=0.9)
@@ -205,7 +205,7 @@ def test_segment_equally_similar_to_both_branches_attaches_twice(fixture_tree_en
 
 def test_empty_retained_set_attaches_nothing(fixture_tree_env):
     tree, embedder, _ = fixture_tree_env
-    index = EmbeddingIndex(dim=6)
+    index = EmbeddingIndex(dim=6, capacity=1)
     index.add_batch(["s1"], [basis(0)])
     got = classify_segments([], tree, embedder, index, relative_threshold=0.9)
     assert all(not segs for segs in got.values())
@@ -214,7 +214,7 @@ def test_empty_retained_set_attaches_nothing(fixture_tree_env):
 def test_rootonly_tree_attaches_at_root():
     tree = AspectHierarchy(CLAIM, 0)
     embedder = Embedder(DictEmbedderProvider({}, 4))
-    index = EmbeddingIndex(dim=4)
+    index = EmbeddingIndex(dim=4, capacity=1)
     index.add_batch(["s1"], [np.array([1.0, 0.0, 0.0, 0.0])])
     got = classify_segments(["s1"], tree, embedder, index, relative_threshold=0.9)
     assert got["0"] == ["s1"]

@@ -145,7 +145,7 @@ def _random_instance(rng, dim=8, max_segments=60):
     n = rng.randint(3, max_segments)
     ids = [f"s{i:04d}" for i in range(n)]
     vectors = [_random_unit(rng, dim) for _ in range(n)]
-    index = EmbeddingIndex(dim=dim)
+    index = EmbeddingIndex(dim=dim, capacity=n)
     index.add_batch(ids, vectors)
     query = _random_unit(rng, dim)
 
@@ -196,7 +196,7 @@ def test_segment_matching_target_only_ranks_first():
     # One segment aligned with every target query and orthogonal to the
     # sibling set; the others flipped. Brute force agrees it wins.
     dim = 4
-    index = EmbeddingIndex(dim=dim)
+    index = EmbeddingIndex(dim=dim, capacity=3)
     on_aspect = np.array([1.0, 0.0, 0.0, 0.0])
     off_aspect = np.array([0.0, 1.0, 0.0, 0.0])
     mixed = np.array([0.5, 0.5, 0.0, 0.0]) / np.linalg.norm([0.5, 0.5, 0.0, 0.0])
@@ -220,7 +220,7 @@ def test_constant_distractor_preserves_target_order():
     # ranking must equal the target-only ranking.
     rng = random.Random(7)
     dim = 5
-    index = EmbeddingIndex(dim=dim)
+    index = EmbeddingIndex(dim=dim, capacity=12)
     ids = []
     for i in range(12):
         raw = np.array([abs(rng.gauss(0, 1)) for _ in range(3)] + [0.0, 0.0])
@@ -241,7 +241,7 @@ def test_constant_distractor_preserves_target_order():
 
 def test_pool_larger_than_corpus_uses_whole_corpus():
     rng = random.Random(3)
-    index = EmbeddingIndex(dim=4)
+    index = EmbeddingIndex(dim=4, capacity=5)
     for i in range(5):
         index.add_batch([f"s{i}"], [_random_unit(rng, 4)])
     params = PipelineConfig(pool_size=50, k_segments=50)
