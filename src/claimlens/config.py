@@ -33,6 +33,11 @@ _NON_SEMANTIC_FIELDS = (
     "mock_dir",
 )
 
+# The widest embedding a config may ask for, above any embedding model's width.
+# A far wider one overflowed the hashed embedder's int64 row offsets, or asked
+# for an index matrix too large to allocate.
+MAX_EMBED_DIM = 2**16
+
 # Annotation -> types taken. A bool is refused; an int stays unconverted (same fingerprint).
 _TAKES = {"int": (int,), "float": (int, float), "str": (str,)}
 
@@ -111,6 +116,10 @@ class PipelineConfig:
         for name, value in counts.items():
             if value < 1:
                 raise UsageError(f"{name} must be >= 1, got {value}")
+        if self.embed_dim > MAX_EMBED_DIM:
+            raise UsageError(f"embed_dim must be <= {MAX_EMBED_DIM}, got {self.embed_dim}")
+        if not -(2**63) <= self.seed < 2**63:  # the hashed embedder keys on its 8 bytes
+            raise UsageError(f"seed must fit a signed 64-bit integer, got {self.seed}")
         for name in ("max_depth", "max_retries"):
             if getattr(self, name) < 0:
                 raise UsageError(f"{name} must be >= 0, got {getattr(self, name)}")

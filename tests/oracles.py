@@ -8,6 +8,7 @@ dual-route check.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import re
 import struct
@@ -146,6 +147,56 @@ def best_single_boundary(rank: list[list[float]], min_len: int) -> int | None:
             best_density = density
             best_cut = cut
     return best_cut
+
+
+def greedy_boundaries(
+    rank: list[list[float]], min_len: int, max_segments: int, min_gain: float
+) -> list[int]:
+    """The segmenter's greedy boundary search, one trial segmentation per cut.
+
+    Each step tries every admissible cut of every segment, in segment then
+    cut order, and keeps the first of the highest densities. The block sums
+    come from 2D prefix sums accumulated down the columns, then along the
+    rows; a trial's mass adds its segments' masses one by one in segment
+    order. Both are the order in which the segmenter adds the same floats, so
+    its boundaries must equal these exactly, ties included.
+    """
+    n = len(rank)
+    down = list(zip(*(itertools.accumulate(column) for column in zip(*rank))))
+    prefix = [[0.0] * (n + 1)] + [[0.0, *itertools.accumulate(row)] for row in down]
+
+    def inside(a: int, b: int) -> float:
+        return prefix[b + 1][b + 1] - prefix[a][b + 1] - prefix[b + 1][a] + prefix[a][a]
+
+    def density(segs: list[tuple[int, int]]) -> float:
+        mass = 0.0
+        for a, b in segs:
+            mass += inside(a, b)
+        return mass / sum((b - a + 1) ** 2 for a, b in segs)
+
+    segments = [(0, n - 1)]
+    current = density(segments)
+    while len(segments) < max_segments:
+        best: tuple[float, int, int] | None = None
+        for idx, (a, b) in enumerate(segments):
+            for cut in range(a + min_len, b - min_len + 2):
+                trial = segments[:idx] + [(a, cut - 1), (cut, b)] + segments[idx + 1 :]
+                d = density(trial)
+                if best is None or d > best[0]:
+                    best = (d, idx, cut)
+        if best is None:
+            break
+        d, idx, cut = best
+        if current > 0:
+            gain = (d - current) / current
+        else:
+            gain = math.inf if d > 0 else 0.0
+        if gain < min_gain:
+            break
+        a, b = segments[idx]
+        segments[idx : idx + 1] = [(a, cut - 1), (cut, b)]
+        current = d
+    return [a for a, _ in segments[1:]]
 
 
 # --- sentence splitting: the character-by-character scan ---

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from claimlens import cli, errors, http_provider
 from claimlens.cli import main
 from claimlens.config import PipelineConfig
+from claimlens.embedding import HashedBowEmbedder
 from claimlens.hierarchy import AspectHierarchy
 from claimlens.llm_gateway import MockChatProvider
 
@@ -685,6 +686,12 @@ BAD_CONFIG_VALUES = [
     ("epsilon", float("nan"), "epsilon must be a finite number, got nan"),
     ("temperatures", {"eval_judge": float("inf")},
      "temperatures['eval_judge'] must be a finite number, got inf"),
+    # Both once ended in a traceback inside the hashed embedder: an OverflowError
+    # in its row offsets and a struct.error packing its hash key.
+    ("embed_dim", 10**20, f"embed_dim must be <= 65536, got {10**20}"),
+    ("embed_dim", 2**16 + 1, "embed_dim must be <= 65536, got 65537"),
+    ("seed", 2**63, f"seed must fit a signed 64-bit integer, got {2**63}"),
+    ("seed", -(2**63) - 1, f"seed must fit a signed 64-bit integer, got {-(2**63) - 1}"),
 ]
 
 
@@ -698,6 +705,13 @@ def test_mistyped_config_value_is_a_usage_error(tmp_path, capsys, key, value, me
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_widest_embed_dim_and_extreme_seeds_are_accepted():
+    # Checked by validate alone: an index of 65536-wide rows is not built here.
+    for seed in (-(2**63), 2**63 - 1):
+        PipelineConfig(embed_dim=2**16, seed=seed).validate()
+        assert HashedBowEmbedder(dim=8, seed=seed).embed(["one two"]).shape == (1, 8)
 
 
 def test_float_field_keeps_an_int_unconverted():
@@ -906,7 +920,8 @@ DOC = {"doc_id": "p1", "title": "t", "text": "One sentence. Two sentences."}
     "records, message",
     [
         ([{**DOC, "title": "  "}], "line 1 (doc_id='p1') is missing field 'title'"),
-        ([DOC, {**DOC, "text": "Other text."}], "p1"),
+        ([DOC, {**DOC, "doc_id": "p2"}, {**DOC, "text": "Other text."}],
+         "corpus.jsonl: doc_id 'p1' at line 3 repeats the doc_id of line 1"),
         ([DOC, {**DOC, "doc_id": "p2", "text": "Alpha \ud800 beta."}],
          "line 2 is not valid JSON: it escapes a lone surrogate"),
         ([], "holds no documents"),

@@ -33,7 +33,7 @@ from claimlens.errors import (
     CorruptArtifact, DuplicateDocId, EmptyDocument, MissingField, UnreadableFile,
 )
 
-from .conftest import TOPIC_A, TOPIC_B, make_sentence, make_two_topic_doc
+from .conftest import DATA_DIR, TOPIC_A, TOPIC_B, make_sentence, make_two_topic_doc
 from . import oracles
 
 
@@ -386,14 +386,21 @@ def test_first_boundary_matches_oracle_on_random_two_topic_docs():
         assert segs[1].start == expected == first
 
 
+def _fixture_documents():
+    return load_corpus(str(DATA_DIR / "corpus.jsonl"))
+
+
+def _similarity_of(doc):
+    return _similarity_matrix([extract_terms(s) for s in sentences_of(doc)])
+
+
 def test_rank_transform_agrees_with_oracle():
-    rng = random.Random(3)
-    doc = make_two_topic_doc("d", rng)
-    counts = [dict(extract_terms(s)) for s in sentences_of(doc)]
-    sim = _similarity_matrix([extract_terms(s) for s in sentences_of(doc)])
-    for mask in (1, 3, 5, 11):
-        expected = oracles.rank_matrix(oracles.similarity_matrix(counts), mask)
-        assert _rank_transform(sim, mask).tolist() == expected
+    for doc in [make_two_topic_doc("d", random.Random(3)), *_fixture_documents()]:
+        counts = [dict(extract_terms(s)) for s in sentences_of(doc)]
+        sim = _similarity_of(doc)
+        for mask in (1, 3, 5, 11):
+            expected = oracles.rank_matrix(oracles.similarity_matrix(counts), mask)
+            assert _rank_transform(sim, mask).tolist() == expected
 
 
 def _graded_similarity(rng, n):
@@ -410,6 +417,81 @@ def test_rank_transform_exactly_equals_oracle(mask):
         rank = _rank_transform(np.array(sim), mask)
         assert rank.dtype == np.float64
         assert rank.tolist() == oracles.rank_matrix(sim, mask)
+
+
+def _long_paper(n, seed):
+    """A paper of ``n`` sentences in blocks of up to seven, each block on one of
+    three topics that share a few words, as the long-papers benchmark builds them."""
+    rng = random.Random(seed)
+    topics = [TOPIC_A, TOPIC_B, TOPIC_A[::2] + TOPIC_B[::2]]
+    shared = ["study", "trial", "result", "effect"]
+    sentences = []
+    while len(sentences) < n:
+        vocab = rng.choice(topics) + shared
+        sentences += [make_sentence(rng, vocab) for _ in range(min(7, n - len(sentences)))]
+    return Document("long", "a long paper", " ".join(sentences))
+
+
+def test_similarity_matrix_is_exactly_symmetric():
+    # The rank transform counts each mirrored pair of mask offsets once, which
+    # holds only for an exactly symmetric matrix.
+    long_paper = _long_paper(300, 21)
+    assert len(sentences_of(long_paper)) == 300
+    for doc in [*_fixture_documents(), long_paper]:
+        sim = _similarity_of(doc)
+        assert sim.shape == (len(sentences_of(doc)),) * 2
+        assert np.array_equal(sim, sim.T)
+
+
+def _grid_matrix(seed):
+    """A symmetric matrix on a grid of thirds to tenths, or its rank transform,
+    with size, grid and mask drawn from ``seed``. Most grids are not binary
+    fractions, so the order in which block masses are added can decide a tie."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 30)
+    levels = rng.choice([3, 5, 7, 8, 10])
+    values = [[rng.randint(0, levels) / levels for _ in range(n)] for _ in range(n)]
+    sim = [[max(values[i][j], values[j][i]) for j in range(n)] for i in range(n)]
+    return sim if seed % 2 else _rank_transform(np.array(sim), rng.choice([3, 5, 11])).tolist()
+
+
+# Every cut ties: a constant matrix, and two equal blocks whose cuts tie across segments.
+_TIED_MATRICES = [
+    [[0.0] * 12] * 12,
+    [[0.5] * 12] * 12,
+    [[float((i < 6) == (j < 6)) for j in range(12)] for i in range(12)],
+]
+# Seeds whose matrices, under a gain threshold of 0, change their boundaries
+# when a trial's mass is added in another order.
+_ORDER_SENSITIVE_SEEDS = [1449, 1875, 3512, 6940, 10733]
+
+
+@pytest.mark.parametrize(
+    "min_len, max_segments, min_gain",
+    [(1, 50, 0.0), (2, 50, 0.05), (2, 4, 0.0), (3, 8, 0.01), (4, 2, 0.2), (1, 3, 0.05)],
+)
+def test_choose_boundaries_equals_the_cut_by_cut_search(min_len, max_segments, min_gain):
+    config = PipelineConfig(
+        min_segment_sentences=min_len, max_segments_per_doc=max_segments,
+        min_density_gain=min_gain,
+    )
+    seeds = [*range(40), *_ORDER_SENSITIVE_SEEDS]
+    for rank in [*_TIED_MATRICES, *map(_grid_matrix, seeds)]:
+        expected = oracles.greedy_boundaries(rank, min_len, max_segments, min_gain)
+        assert choose_boundaries(np.array(rank), config) == expected
+
+
+def test_choose_boundaries_equals_the_cut_by_cut_search_on_fixture_documents():
+    configs = [PipelineConfig(), PipelineConfig(min_segment_sentences=1, min_density_gain=0.0)]
+    for doc in _fixture_documents():
+        sim = _similarity_of(doc)
+        for config in configs:
+            rank = _rank_transform(sim, config.rank_mask)
+            expected = oracles.greedy_boundaries(
+                rank.tolist(), config.min_segment_sentences, config.max_segments_per_doc,
+                config.min_density_gain,
+            )
+            assert choose_boundaries(rank, config) == expected
 
 
 @pytest.mark.parametrize(
