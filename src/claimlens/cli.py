@@ -7,14 +7,20 @@ built, and reads each file once. The hierarchy records the config fingerprint;
 the index records it too, with the embedder, the SHA-256 of the segment store
 it was built from and the SHA-256 of its own vectors.
 
+The command line is read by one small parser driven by the flag tables below
+(``_FLAG_FIELDS`` for the pipeline commands, ``_REPORT_FLAGS`` for ``report``):
+``claimlens <command> [--flag VALUE | --flag=VALUE]... [FILE...]``, flags
+spelled in full, each value converted to the table's type, the last repeat of a
+flag winning. The same tables give the ``--help`` text, and any malformed
+command line is a ``UsageError``. It loads neither argparse nor gettext, which
+every stage process would pay for at start-up.
+
 Exit codes: 0 success, 1 usage or input error, 2 provider failure,
 3 schema or contract violation.
 """
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
 import sys
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -73,21 +79,13 @@ _FLAG_FIELDS = [
 ]
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    for flag, dest, typ, help_text in _FLAG_FIELDS:
-        parser.add_argument(flag, dest=dest, type=typ, default=None, help=help_text)
-
-
-def resolve_config(args: argparse.Namespace) -> PipelineConfig:
+def resolve_config(flags: Mapping[str, object]) -> PipelineConfig:
+    """The config of a pipeline command: the defaults, then the ``--config`` file,
+    then ``flags`` (parsed values keyed by their ``_FLAG_FIELDS`` destination)."""
     merged = PipelineConfig().to_dict()
-    if getattr(args, "config", None):
-        merged.update(load_config_file(args.config))
-    field_names = {f.name for f in dataclasses.fields(PipelineConfig)}
-    for name in field_names:
-        value = getattr(args, name, None)
-        if value is not None:
-            merged[name] = value
+    if flags.get("config"):
+        merged.update(load_config_file(flags["config"]))
+    merged.update((name, value) for name, value in flags.items() if name != "config")
     config = PipelineConfig.from_dict(merged)
     config.validate()
     return config
@@ -407,57 +405,120 @@ def render_dot(tree: AspectHierarchy) -> str:
 # ---------------------------------------------------------------------------
 
 
-_PIPELINE_COMMANDS = ("ingest", "build", "perspectives", "evaluate")
+_PIPELINE_FLAGS = [("--config", "config", str, "JSON config file; flags override it"),
+                   *_FLAG_FIELDS]
+_REPORT_FLAGS = [
+    ("--format", "fmt", str, "markdown (default) or dot"),
+    ("--out-file", "out_file", str, "write the report here instead of to stdout"),
+]
+
+# command -> (help, its flags, the files it takes as usage text, fewest files, most files)
+_COMMANDS = {
+    "ingest": ("segment the corpus and build the index", _PIPELINE_FLAGS, "", 0, 0),
+    "build": ("construct the aspect hierarchy", _PIPELINE_FLAGS, "", 0, 0),
+    "perspectives": ("attach perspectives and consensus", _PIPELINE_FLAGS, "", 0, 0),
+    "evaluate": (
+        "metric report, or pairwise with 2 files", _PIPELINE_FLAGS, " HIERARCHY [HIERARCHY]", 1, 2
+    ),
+    "report": ("render a hierarchy", _REPORT_FLAGS, " HIERARCHY", 1, 1),
+}
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser. Every pipeline subcommand takes the config flags;
-    when ``command`` names one, only that subcommand gets them, since a run
-    parses no other."""
-    flagged = (command,) if command in _PIPELINE_COMMANDS else _PIPELINE_COMMANDS
-    parser = argparse.ArgumentParser(
-        prog="claimlens",
-        description="Deconstruct a claim into a corpus-grounded aspect hierarchy "
-        "with stance-partitioned perspectives.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def usage(command: str | None = None) -> str:
+    """The help text: every command, or one command and each of its flags."""
+    if command is None:
+        lines = [
+            "usage: claimlens <command> [--flag VALUE | --flag=VALUE]... [FILE...]",
+            "",
+            "Deconstruct a claim into a corpus-grounded aspect hierarchy "
+            "with stance-partitioned perspectives.",
+            "",
+            "commands:",
+            *(f"  {name:<14}{spec[0]}" for name, spec in _COMMANDS.items()),
+            "",
+            "`claimlens <command> --help` lists the flags of a command.",
+        ]
+    else:
+        help_text, flags, files = _COMMANDS[command][:3]
+        lines = [
+            f"usage: claimlens {command} [--flag VALUE | --flag=VALUE]...{files}",
+            "",
+            f"{help_text}; flags are spelled in full, and the last of a repeated flag wins.",
+            "",
+            "flags:",
+            *(f"  {f'{flag} {typ.__name__.upper()}':<32}{text}"
+              for flag, _, typ, text in flags),
+        ]
+    return "\n".join(lines) + "\n"
 
-    commands = {
-        "ingest": sub.add_parser("ingest", help="segment the corpus and build the index"),
-        "build": sub.add_parser("build", help="construct the aspect hierarchy"),
-        "perspectives": sub.add_parser("perspectives", help="attach perspectives and consensus"),
-        "evaluate": sub.add_parser("evaluate", help="metric report, or pairwise with 2 files"),
-    }
-    for name in flagged:
-        _add_config_flags(commands[name])
-    p_eval = commands["evaluate"]
-    p_eval.add_argument("hierarchies", nargs="+", help="hierarchy JSON file(s)")
 
-    p_report = sub.add_parser("report", help="render a hierarchy")
-    p_report.add_argument("hierarchy", help="hierarchy JSON file")
-    p_report.add_argument(
-        "--format", dest="fmt", default="markdown", help="markdown or dot"
-    )
-    p_report.add_argument("--out-file", dest="out_file", default=None)
-    return parser
+def parse_args(argv: Sequence[str]) -> tuple[str, dict[str, object], list[str]] | None:
+    """Split ``argv`` into its command, its flag values keyed by destination and
+    converted to the table's type (the last repeat wins), and its file arguments.
+
+    A flag takes the next argument as its value unless that argument begins with
+    ``--`` (``--flag=VALUE`` takes any value); ``--`` makes every later argument a
+    file. Prints the help and returns None on ``-h``/``--help``; raises
+    ``UsageError`` on any other malformed command line."""
+    if not argv:
+        raise errors.UsageError("no command given; run `claimlens --help` for the commands")
+    command = argv[0]
+    if command in ("-h", "--help"):
+        print(usage(), end="")
+        return None
+    if command not in _COMMANDS:
+        raise errors.UsageError(
+            f"unknown command {command!r}; the commands are {', '.join(_COMMANDS)}"
+        )
+    _, flags, _, fewest, most = _COMMANDS[command]
+    table = {flag: (dest, typ) for flag, dest, typ, _ in flags}
+    values: dict[str, object] = {}
+    files: list[str] = []
+    args = iter(argv[1:])
+    for arg in args:
+        if arg == "--":
+            files.extend(args)
+        elif arg in ("-h", "--help"):
+            print(usage(command), end="")
+            return None
+        elif arg.startswith("-") and arg != "-":
+            flag, has_value, value = arg.partition("=")
+            if flag not in table:
+                raise errors.UsageError(f"unknown flag {flag} for `claimlens {command}`")
+            if not has_value:
+                value = next(args, None)
+                if value is None or value.startswith("--"):
+                    raise errors.UsageError(f"flag {flag} needs a value")
+            dest, typ = table[flag]
+            try:
+                values[dest] = typ(value)
+            except ValueError:
+                raise errors.UsageError(
+                    f"flag {flag} takes {typ.__name__}, got {value!r}"
+                ) from None
+        else:
+            files.append(arg)
+    if not fewest <= len(files) <= most:
+        wanted = _COMMANDS[command][2].strip() or "no files"
+        raise errors.UsageError(f"`claimlens {command}` takes {wanted}, got {files}")
+    return command, values, files
 
 
 def run(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
-    if args.command == "report":
-        return cmd_report(args.hierarchy, args.fmt, args.out_file)
-    config = resolve_config(args)
-    if args.command == "ingest":
+    parsed = parse_args(sys.argv[1:] if argv is None else argv)
+    if parsed is None:  # the help was printed
+        return 0
+    command, flags, files = parsed
+    if command == "report":
+        return cmd_report(files[0], flags.get("fmt", "markdown"), flags.get("out_file"))
+    config = resolve_config(flags)
+    if command == "ingest":
         return cmd_ingest(config)
-    if args.command == "build":
+    if command == "build":
         return cmd_build(config)
-    if args.command == "perspectives":
+    if command == "perspectives":
         return cmd_perspectives(config)
-    if args.command == "evaluate":
-        return cmd_evaluate(config, args.hierarchies)
-    raise errors.UsageError(f"unknown command {args.command!r}")
+    return cmd_evaluate(config, files)
 
 
 def main(argv: list[str] | None = None) -> int:

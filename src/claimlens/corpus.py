@@ -86,7 +86,8 @@ def load_corpus(path: str) -> list[Document]:
                 value = record.get(name)
                 if not isinstance(value, str) or not value.strip():
                     raise MissingField(
-                        f"record at line {lineno} (doc_id={record.get('doc_id', '')!r}) "
+                        f"corpus file {path}: record at line {lineno} "
+                        f"(doc_id={record.get('doc_id', '')!r}) "
                         f"is missing field {name!r}"
                     )
         if doc_id in first_line:

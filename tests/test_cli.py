@@ -366,17 +366,127 @@ def test_segmenter_knobs_below_one_rejected(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
-def test_cli_import_does_not_load_requests():
+def _loaded_by_cli_import(modules) -> str:
+    """Which of ``modules`` a fresh ``import claimlens.cli`` loads, as printed."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    modules = ("requests", "jsonschema")
     probe = f"import sys, claimlens.cli; print([m in sys.modules for m in {modules!r}])"
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[False, False]"
+    return done.stdout.strip()
+
+
+def test_cli_import_does_not_load_requests():
+    assert _loaded_by_cli_import(("requests", "jsonschema")) == "[False, False]"
+
+
+def test_cli_import_does_not_load_argparse():
+    assert _loaded_by_cli_import(("argparse", "gettext")) == "[False, False]"
+
+
+def test_every_flag_sets_a_config_field():
+    fields = set(PipelineConfig().to_dict())
+    assert {dest for _, dest, _, _ in cli._FLAG_FIELDS} <= fields
+    assert len({flag for flag, _, _, _ in cli._FLAG_FIELDS}) == len(cli._FLAG_FIELDS)
+
+
+GOLDEN_TREE = str(GOLDEN / "hierarchy.json")
+
+BAD_COMMAND_LINES = {
+    "unknown_flag": (["build", "--nope", "3"], "unknown flag --nope for `claimlens build`"),
+    "abbreviated_flag": (["build", "--max-d", "3"], "unknown flag --max-d for `claimlens build`"),
+    "flag_of_another_command": (
+        ["report", GOLDEN_TREE, "--claim", "x"], "unknown flag --claim for `claimlens report`"
+    ),
+    "last_flag_without_value": (["build", "--claim"], "flag --claim needs a value"),
+    "flag_then_flag": (["build", "--claim", "--max-depth", "1"], "flag --claim needs a value"),
+    "int_flag_abc": (["build", "--max-depth", "abc"], "flag --max-depth takes int, got 'abc'"),
+    "int_flag_float": (["build", "--max-depth=2.5"], "flag --max-depth takes int, got '2.5'"),
+    "float_flag_x": (["ingest", "--beta", "x"], "flag --beta takes float, got 'x'"),
+    "unknown_command": (["nope"], "unknown command 'nope'"),
+    "flag_before_command": (["--claim", "x"], "unknown command '--claim'"),
+    "no_command": ([], "no command given"),
+    "ingest_file": (
+        ["ingest", "corpus.jsonl"], "`claimlens ingest` takes no files, got ['corpus.jsonl']"
+    ),
+    "build_file": (["build", GOLDEN_TREE], "`claimlens build` takes no files"),
+    "perspectives_file_after_dashes": (
+        ["perspectives", "--", "-h"], "`claimlens perspectives` takes no files, got ['-h']"
+    ),
+    "report_no_file": (["report"], "`claimlens report` takes HIERARCHY, got []"),
+    "report_two_files": (
+        ["report", GOLDEN_TREE, GOLDEN_TREE], "`claimlens report` takes HIERARCHY"
+    ),
+    "evaluate_no_file": (["evaluate"], "`claimlens evaluate` takes HIERARCHY [HIERARCHY], got []"),
+    "evaluate_three_files": (
+        ["evaluate", "a", "b", "c"], "`claimlens evaluate` takes HIERARCHY [HIERARCHY]"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message", list(BAD_COMMAND_LINES.values()), ids=list(BAD_COMMAND_LINES)
+)
+def test_malformed_command_line_exits_1(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def _config_of_build(monkeypatch, argv) -> PipelineConfig:
+    """The config that ``main(["build", *argv])`` hands to ``cmd_build``."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_build", lambda config: seen.append(config) or 0)
+    assert main(["build", *argv]) == 0
+    [config] = seen
+    return config
+
+
+def test_flag_equals_value_reads_as_flag_then_value(monkeypatch):
+    spaced = ["--claim", "a = b", "--seed", "-3", "--beta", "2", "--out", "o"]
+    joined = ["--claim=a = b", "--seed=-3", "--beta=2", "--out=o"]
+    config = _config_of_build(monkeypatch, spaced)
+    assert config == _config_of_build(monkeypatch, joined)
+    assert (config.claim, config.seed, config.beta, config.output_dir) == ("a = b", -3, 2.0, "o")
+    assert type(config.beta) is float
+
+
+def test_repeated_flag_keeps_its_last_value(monkeypatch):
+    config = _config_of_build(
+        monkeypatch, ["--max-depth", "5", "--seed=-3", "--max-depth=1", "--seed", "-4"]
+    )
+    assert (config.max_depth, config.seed) == (1, -4)
+
+
+def test_value_that_begins_with_dashes_needs_the_equals_form(monkeypatch):
+    assert _config_of_build(monkeypatch, ["--claim=--x", "--out", "-"]).claim == "--x"
+
+
+def test_help_lists_every_command_and_exits_0(capsys):
+    for argv in (["--help"], ["-h"]):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: claimlens <command>") and err == ""
+        for command in ("ingest", "build", "perspectives", "evaluate", "report"):
+            assert f"\n  {command} " in out
+
+
+@pytest.mark.parametrize("command", ["ingest", "build", "perspectives", "evaluate", "report"])
+def test_command_help_lists_every_flag_and_exits_0(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"usage: claimlens {command} ") and err == ""
+    flags = cli._REPORT_FLAGS if command == "report" else cli._PIPELINE_FLAGS
+    for flag, _, _, help_text in flags:
+        assert f"\n  {flag} " in out and help_text in out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_evaluate_log_records_every_judge_call(pipeline_run, tmp_path, monkeypatch):

@@ -87,7 +87,9 @@ def test_load_corpus_names_the_line_doc_id_and_blank_or_mistyped_field(tmp_path,
     with pytest.raises(MissingField) as err:
         load_corpus(path)
     doc_id = bad.get("doc_id", "")
-    assert str(err.value) == f"record at line 2 (doc_id={doc_id!r}) is missing field {name!r}"
+    assert str(err.value) == (
+        f"corpus file {path}: record at line 2 (doc_id={doc_id!r}) is missing field {name!r}"
+    )
 
 
 def test_load_corpus_keeps_fields_with_surrounding_whitespace(tmp_path):
