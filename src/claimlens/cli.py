@@ -232,7 +232,7 @@ def cmd_ingest(config: PipelineConfig) -> int:
     paths = Paths(config.output_dir)
     documents = corpus_mod.load_corpus(config.corpus_path)
     n_documents = len(documents)
-    segments = [seg for doc in documents for seg in corpus_mod.segment_document(doc, config)]
+    segments = [seg for segs in corpus_mod.segment_corpus(documents, config) for seg in segs]
     del documents  # the segments hold all ingest needs; free the corpus before the index
     store_sha256 = corpus_mod.write_segments(segments, str(paths.segments))
 

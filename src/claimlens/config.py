@@ -116,6 +116,9 @@ class PipelineConfig:
         for name, value in counts.items():
             if value < 1:
                 raise UsageError(f"{name} must be >= 1, got {value}")
+        # The mask is centred on its cell, so an even mask would act as the next odd one.
+        if self.rank_mask % 2 == 0:
+            raise UsageError(f"rank_mask must be odd, got {self.rank_mask}")
         if self.embed_dim > MAX_EMBED_DIM:
             raise UsageError(f"embed_dim must be <= {MAX_EMBED_DIM}, got {self.embed_dim}")
         if not -(2**63) <= self.seed < 2**63:  # the hashed embedder keys on its 8 bytes

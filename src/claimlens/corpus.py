@@ -9,8 +9,12 @@ transform with a square mask, and greedily inserts boundaries that maximize
 inside density, stopping once the relative density gain drops below a
 threshold. The similarity matrix is exactly symmetric, so the rank transform
 compares each mirrored pair of mask offsets, (di, dj) and (dj, di), once and
-counts the result with its transpose; the boundary search scores every cut
-of a segment in one array expression.
+counts the result with its transpose.
+
+Documents of equal sentence count are segmented as one stack: one rank
+transform and one boundary search, which scores every cut of every document
+in one array expression per insertion step, with the same result each
+document gets on its own.
 
 All functions here are pure: same document and parameters always produce the
 same segment list, so documents can be processed in parallel safely.
@@ -338,12 +342,15 @@ def extract_terms(text: str) -> Counter:
 # ---------------------------------------------------------------------------
 
 
-def _similarity_matrix(term_counts: list[Counter]) -> np.ndarray:
+def _similarity_matrix(term_counts: list[Counter], out: np.ndarray) -> np.ndarray:
+    """The sentence-pair cosine matrix of ``term_counts``, written into the
+    ``(n, n)`` array ``out`` (a slice of a stack), which is returned."""
     vocab: dict[str, int] = {}
     columns = [vocab.setdefault(term, len(vocab)) for counts in term_counts for term in counts]
     n = len(term_counts)
     if not vocab:
-        return np.zeros((n, n))
+        out[...] = 0.0
+        return out
     rows = np.repeat(np.arange(n), list(map(len, term_counts)))
     counts = np.fromiter(
         itertools.chain.from_iterable(c.values() for c in term_counts), float, len(columns)
@@ -360,46 +367,51 @@ def _similarity_matrix(term_counts: list[Counter]) -> np.ndarray:
     # triangle costs several times more). Then quantize in place so the strict
     # comparisons in the rank transform cannot flip on last-ulp differences
     # between BLAS implementations.
-    sim = np.minimum(product, product.T)
-    np.clip(sim, 0.0, 1.0, out=sim)
-    return np.round(sim, 9, out=sim)
+    np.minimum(product, product.T, out=out)
+    np.clip(out, 0.0, 1.0, out=out)
+    return np.round(out, 9, out=out)
 
 
-def _rank_transform(sim: np.ndarray, mask: int) -> np.ndarray:
-    """Replace each cell of the symmetric ``sim`` by the fraction of its mask
-    neighborhood it beats.
+def _rank_transform(sims: np.ndarray, mask: int) -> np.ndarray:
+    """Replace each cell of every symmetric matrix in the ``(B, n, n)`` stack
+    ``sims`` by the fraction of its mask neighborhood it beats.
 
     The square mask is clipped at matrix edges; the center cell is excluded
-    from the neighbor count. Each mask offset is one whole-matrix comparison
-    against a NaN-padded copy: NaN never compares below a cell, so offsets
-    that fall off the matrix count for nothing, and the clipped neighbor
-    count is ``span_i * span_j - 1`` with ``span`` the clipped window length.
-    Because ``sim`` and its padding are symmetric, the count for offset
-    (dj, di) is the transpose of the count for (di, dj): each mirrored pair of
-    offsets is compared once and counted with its transpose, and only the
-    offsets on the mask's diagonal count alone (65 comparisons instead of 120
-    for the default mask of 11).
+    from the neighbor count. Each mask offset is one whole-stack comparison
+    against a copy with every matrix NaN-padded on its own: NaN never compares
+    below a cell, so offsets that fall off a matrix count for nothing, and the
+    clipped neighbor count is ``span_i * span_j - 1`` with ``span`` the
+    clipped window length. Because each matrix and its padding are symmetric,
+    the count for offset (dj, di) is the transpose of the count for (di, dj):
+    each mirrored pair of offsets is compared once and counted with its
+    transpose, and only the offsets on the mask's diagonal count alone (65
+    comparisons instead of 120 for the default mask of 11). The counts are
+    integers, so each matrix's ranks are the ones it gets in a stack of one.
     """
-    n = sim.shape[0]
+    count, n = sims.shape[:2]
     radius = max(0, min(mask // 2, n - 1))
     width = 2 * radius + 1
-    padded = np.pad(sim, radius, constant_values=np.nan)
+    padded = np.full((count, n + 2 * radius, n + 2 * radius), np.nan)
+    padded[:, radius : radius + n, radius : radius + n] = sims
     # Counts and window sizes are at most width^2, which fits a small
     # unsigned type (uint8 for the default mask of 11); float64 counters
-    # would each take as much memory as the similarity matrix.
+    # would each take as much memory as the similarity matrices. Each
+    # comparison writes its booleans into a uint8 array, so adding it to a
+    # uint8 count needs no cast.
     small = np.min_scalar_type(width**2)
-    above = np.zeros((n, n), dtype=small)  # offsets above the mask's diagonal, di < dj
-    beaten = np.empty((n, n), dtype=bool)
+    above = np.zeros(sims.shape, dtype=small)  # offsets above the mask's diagonal, di < dj
+    beaten = np.empty(sims.shape, dtype=np.uint8)
+    hit = beaten.view(bool)
     for di in range(width):
         for dj in range(di + 1, width):
-            np.less(padded[di : di + n, dj : dj + n], sim, out=beaten)
+            np.less(padded[:, di : di + n, dj : dj + n], sims, out=hit)
             above += beaten
-    lower = above + above.T
+    lower = above + above.transpose(0, 2, 1)
     for d in range(width):
         if d != radius:
-            np.less(padded[d : d + n, d : d + n], sim, out=beaten)
+            np.less(padded[:, d : d + n, d : d + n], sims, out=hit)
             lower += beaten
-    del padded, beaten, above
+    del padded, beaten, hit, above
     idx = np.arange(n)
     span = (np.minimum(n, idx + radius + 1) - np.maximum(0, idx - radius)).astype(small)
     neighbors = span[:, None] * span[None, :] - 1
@@ -407,93 +419,149 @@ def _rank_transform(sim: np.ndarray, mask: int) -> np.ndarray:
     return lower / np.maximum(neighbors, 1)
 
 
-def _block_sums(rank: np.ndarray) -> np.ndarray:
-    """2D prefix sums so any diagonal block sum is O(1)."""
-    padded = np.zeros((rank.shape[0] + 1, rank.shape[1] + 1))
-    inner = padded[1:, 1:]
-    np.cumsum(rank, axis=0, out=inner)
-    np.cumsum(inner, axis=1, out=inner)
-    return padded
-
-
-def choose_boundaries(rank: np.ndarray, config: PipelineConfig) -> list[int]:
-    """Greedy divisive boundary placement maximizing inside density.
+def choose_boundaries(ranks: np.ndarray, config: PipelineConfig) -> list[list[int]]:
+    """Greedy divisive boundary placement maximizing inside density, run in
+    lockstep on every rank matrix of the ``(B, n, n)`` stack ``ranks``.
 
     Density is the total rank mass inside the diagonal segment blocks divided
     by their total area. Each step inserts the single boundary giving the
     largest density, the first such cut in segment and cut order on a tie;
     insertion stops when the relative gain falls below the threshold, no
-    admissible split remains, or the segment cap is reached. Returns the
-    sorted list of boundary start indices (excluding 0).
+    admissible split remains, or the segment cap is reached. Returns, per
+    matrix, the sorted list of boundary start indices (excluding 0).
 
-    All cuts of a segment are scored in one array expression. A trial's mass
-    adds its segments' masses one at a time, left to right in segment order,
-    so every density, and so every tie, is the one the trial segmentation
-    gives when scored on its own.
+    Every cut 1..n-1 lies in exactly one current segment, so one step scores
+    every cut of every matrix in one array expression, and cut order is
+    segment and cut order. A trial's mass is ``(mass_before + left) + right``,
+    then each later segment's mass is added one at a time, left to right in
+    segment order (a masked add, so a cut adds only the segments after its
+    own), so every density, and so every tie, is the one the trial
+    segmentation gives when scored on its own.
     """
-    n = rank.shape[0]
+    count, n = ranks.shape[:2]
     min_len = config.min_segment_sentences
-    prefix = _block_sums(rank)
-    corner = prefix.diagonal()  # corner[i] = prefix[i, i]
-
-    def inside(a, b):
-        """Rank mass of the square block [a..b] x [a..b]; ``a`` or ``b`` may be an array."""
-        return corner[b + 1] - prefix[a, b + 1] - prefix[b + 1, a] + corner[a]
-
-    segments: list[tuple[int, int]] = [(0, n - 1)]
-    masses = [float(inside(0, n - 1))]
-    current = masses[0] / (n * n)
-    while len(segments) < config.max_segments_per_doc:
-        best_density = None
-        best_split: tuple[int, int] | None = None
-        mass_before = 0.0
-        area = sum((b - a + 1) ** 2 for a, b in segments)
-        for idx, (a, b) in enumerate(segments):
-            cuts = np.arange(a + min_len, b - min_len + 2)
-            if cuts.size:
-                mass = mass_before + inside(a, cuts - 1) + inside(cuts, b)
-                for later in masses[idx + 1 :]:
-                    mass += later
-                trial_area = area - (b - a + 1) ** 2 + (cuts - a) ** 2 + (b + 1 - cuts) ** 2
-                density = mass / trial_area
-                k = int(density.argmax())
-                if best_density is None or density[k] > best_density:
-                    best_density = float(density[k])
-                    best_split = (idx, int(cuts[k]))
-            mass_before += masses[idx]
-        if best_split is None:
+    # 2D prefix sums per matrix, a cumsum along each axis, so any diagonal
+    # block sum is O(1).
+    size = n + 1
+    prefix = np.empty((count, size, size))
+    prefix[:, 0] = prefix[:, 1:, 0] = 0.0
+    inner = prefix[:, 1:, 1:]
+    np.add.accumulate(ranks, axis=1, out=inner)
+    np.add.accumulate(inner, axis=2, out=inner)
+    flat = prefix.reshape(-1)
+    rows = np.arange(count)
+    base = rows[:, None] * (size * size)  # where each matrix's prefix begins in ``flat``
+    cuts = np.arange(1, n)
+    cut_rows = base + cuts * size
+    at_cut = flat[cut_rows + cuts]  # corner[c] = prefix[c, c] for each cut c
+    # Per cut of each matrix: the first sentence of the segment holding it, one
+    # past its last, and its order among the segments.
+    starts = np.zeros((count, n - 1), dtype=np.intp)
+    stops = starts + n
+    order = np.zeros((count, n - 1), dtype=np.intp)
+    slots = min(config.max_segments_per_doc, n)
+    slot = np.arange(slots)
+    masses = np.zeros((count, slots))  # each segment's mass, in segment order
+    masses[:, 0] = prefix[:, n, n]  # one segment, the whole matrix
+    mass_before = np.zeros((count, slots))
+    area = np.full((count, 1), n * n)  # the segments' total area, an exact integer
+    current = masses[:, 0] / (n * n)
+    active = np.ones(count, dtype=bool)
+    for step in range(1, slots):  # ``step`` segments in every active matrix
+        before, after = cuts - starts, stops - cuts  # the lengths the cut leaves
+        admissible = (before >= min_len) & (after >= min_len)
+        # The rank mass of the block [a, z) x [a, z) is
+        # corner[z] - prefix[a, z] - prefix[z, a] + corner[a]; the cut leaves
+        # [start, cut) on its left and [cut, stop) on its right.
+        start_rows, stop_rows = base + starts * size, base + stops * size
+        left = (at_cut - flat[start_rows + cuts] - flat[cut_rows + starts]
+                + flat[start_rows + starts])
+        right = (flat[stop_rows + stops] - flat[cut_rows + stops] - flat[stop_rows + cuts]
+                 + at_cut)
+        np.add.accumulate(masses[:, : step - 1], axis=1, out=mass_before[:, 1:step])
+        mass = mass_before[rows[:, None], order] + left
+        mass += right
+        for later in range(1, step):
+            np.add(mass, masses[:, later, None], out=mass, where=order < later)
+        # (before + after)^2 becomes before^2 + after^2: the area falls by 2 * before * after.
+        density = mass / (area - 2 * before * after)
+        density[~admissible] = -np.inf
+        best_cut = density.argmax(axis=1)
+        at = (rows, best_cut)
+        best = density[at]
+        gain = np.divide(best - current, current, out=np.where(best > 0, np.inf, 0.0),
+                         where=current > 0)
+        active &= (best > -np.inf) & (gain >= config.min_density_gain)
+        if not active.any():
             break
-        if current > 0:
-            gain = (best_density - current) / current
-        else:
-            gain = float("inf") if best_density > 0 else 0.0
-        if gain < config.min_density_gain:
-            break
-        idx, cut = best_split
-        a, b = segments[idx]
-        segments[idx : idx + 1] = [(a, cut - 1), (cut, b)]
-        masses[idx : idx + 1] = [float(inside(a, cut - 1)), float(inside(cut, b))]
-        current = best_density
-    return [a for a, _ in segments[1:]]
+        # Split the chosen segment of each active matrix at its best cut.
+        live = active[:, None]
+        cut, split = best_cut[:, None] + 1, order[at][:, None]
+        held = live & (starts == starts[at][:, None])  # the cuts of the chosen segment
+        later = cuts >= cut
+        np.copyto(stops, cut, where=held & ~later)
+        np.copyto(starts, cut, where=held & later)
+        order += live & later
+        inserted = np.where(slot > split, masses[:, slot - 1], masses)
+        inserted[rows, split[:, 0]] = left[at]
+        inserted[rows, split[:, 0] + 1] = right[at]
+        np.copyto(masses, inserted, where=live)
+        area[active] -= 2 * (before[at] * after[at])[active, None]
+        current = np.where(active, best, current)
+    found: list[list[int]] = [[] for _ in range(count)]
+    matrix, column = np.nonzero(starts == cuts)  # the cuts that begin a segment
+    for row, boundary in zip(matrix.tolist(), cuts[column].tolist()):
+        found[row].append(boundary)
+    return found
+
+
+_STACK_CELLS = 1 << 16  # matrix cells per stack, so a document of 256 sentences or more goes alone
+
+
+def segment_corpus(documents: Sequence[Document], config: PipelineConfig) -> list[list[Segment]]:
+    """Partition each document into topical segments that tile its sentences,
+    under the segmentation fields of ``config``; one segment list per document.
+
+    Documents of equal sentence count are segmented as one stack of at most
+    ``_STACK_CELLS`` matrix cells: one rank transform and one boundary search
+    per stack, with the result each document gets on its own. A stack is
+    segmented as soon as it is full, so only the documents of unfilled stacks
+    wait with their sentences.
+    """
+    segmented: list[list[Segment]] = []
+    waiting: dict[int, list[tuple[int, list[str]]]] = {}  # by sentence count
+
+    def segment_stack(stack: list[tuple[int, list[str]]]) -> None:
+        n = len(stack[0][1])
+        sims = np.empty((len(stack), n, n))
+        for sim, (_, pieces) in zip(sims, stack):
+            _similarity_matrix([extract_terms(s) for s in pieces], sim)
+        ranks = _rank_transform(sims, config.rank_mask)
+        for (k, pieces), cuts in zip(stack, choose_boundaries(ranks, config)):
+            segmented[k] = [_make_segment(documents[k], pieces, a, b - 1)
+                            for a, b in itertools.pairwise([0, *cuts, len(pieces)])]
+
+    for k, doc in enumerate(documents):
+        pieces = sentences_of(doc)
+        n = len(pieces)
+        # No admissible cut: the segmenter would return the whole document, so
+        # skip the similarity and rank matrices altogether.
+        if n == 1 or n < 2 * config.min_segment_sentences or config.max_segments_per_doc < 2:
+            segmented.append([_make_segment(doc, pieces, 0, n - 1)])
+            continue
+        segmented.append([])
+        stack = waiting.setdefault(n, [])
+        stack.append((k, pieces))
+        if len(stack) >= max(1, _STACK_CELLS // (n * n)):
+            segment_stack(waiting.pop(n))
+    for stack in waiting.values():
+        segment_stack(stack)
+    return segmented
 
 
 def segment_document(doc: Document, config: PipelineConfig) -> list[Segment]:
-    """Partition a document into topical segments that tile its sentences,
-    under the segmentation fields of ``config``."""
-    sentences = sentences_of(doc)
-    n = len(sentences)
-    # No admissible cut: the segmenter would return the whole document, so
-    # skip the similarity and rank matrices altogether.
-    if n == 1 or n < 2 * config.min_segment_sentences or config.max_segments_per_doc < 2:
-        return [_make_segment(doc, sentences, 0, n - 1)]
-    sim = _similarity_matrix([extract_terms(s) for s in sentences])
-    rank = _rank_transform(sim, config.rank_mask)
-    boundaries = choose_boundaries(rank, config)
-    edges = [0] + boundaries + [n]
-    return [
-        _make_segment(doc, sentences, edges[i], edges[i + 1] - 1)
-        for i in range(len(edges) - 1)
-    ]
+    """Partition one document into topical segments: :func:`segment_corpus` of it."""
+    return segment_corpus([doc], config)[0]
 
 
 def _make_segment(

@@ -18,7 +18,7 @@ here too, beside the builder that reads the replies.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -64,10 +64,18 @@ class PerspectiveSet:
     def bucket(self, stance: str) -> StanceBucket:
         return getattr(self, stance)
 
+    def to_dict(self) -> dict[str, Any]:
+        """The stance -> bucket map, fields in order, lists copied."""
+        return {
+            stance: {"summary": b.summary, "segment_ids": list(b.segment_ids),
+                     "paper_ids": list(b.paper_ids)}
+            for stance, b in vars(self).items()
+        }
+
     @classmethod
     def from_dict(cls, data: Any) -> "PerspectiveSet":
-        """Parse a stance -> bucket map of the types ``asdict`` writes; every
-        key is optional. Anything else raises ``CorruptArtifact``."""
+        """Parse a stance -> bucket map of the types :meth:`to_dict` writes;
+        every key is optional. Anything else raises ``CorruptArtifact``."""
         if not (isinstance(data, dict) and set(data) <= set(STANCES)):
             raise CorruptArtifact("perspectives are not a stance map")
         out = cls()
@@ -97,7 +105,13 @@ class AspectNode:
     perspectives: PerspectiveSet | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        """The node's fields in order, lists copied, so the dict is a snapshot."""
+        data = dict(vars(self))
+        for key in ("keywords", "children", "attached_segments"):
+            data[key] = list(data[key])
+        if self.perspectives is not None:
+            data["perspectives"] = self.perspectives.to_dict()
+        return data
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "AspectNode":
@@ -461,7 +475,7 @@ class HierarchyBuilder:
             "rank",
             node_id=node_id,
             kept=len(ranked),
-            scores=[asdict(s) for s in ranked],
+            scores=[dict(vars(s)) for s in ranked],  # fields in order, all immutable
         )
         return ranked
 

@@ -366,6 +366,17 @@ def test_segmenter_knobs_below_one_rejected(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["4", "10"])
+def test_even_rank_mask_rejected(tmp_path, capsys, value):
+    # The mask is centred on its cell, so an even mask would silently act as
+    # the next odd one under another config fingerprint.
+    out = tmp_path / "out"
+    cfg = write_config_file(tmp_path, out)
+    assert run_stage(["ingest", "--config", cfg, "--rank-mask", value]) == 1
+    assert "rank_mask must be odd" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _loaded_by_cli_import(modules) -> str:
     """Which of ``modules`` a fresh ``import claimlens.cli`` loads, as printed."""
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from claimlens.config import PipelineConfig
 from claimlens.corpus import (
     _SEGMENT_FIELDS,
+    _STACK_CELLS,
     Document,
     Segment,
     SegmentStore,
@@ -23,6 +24,7 @@ from claimlens.corpus import (
     extract_terms,
     load_corpus,
     read_segments,
+    segment_corpus,
     segment_document,
     sentences_of,
     split_sentences,
@@ -393,7 +395,8 @@ def _fixture_documents():
 
 
 def _similarity_of(doc):
-    return _similarity_matrix([extract_terms(s) for s in sentences_of(doc)])
+    terms = [extract_terms(s) for s in sentences_of(doc)]
+    return _similarity_matrix(terms, np.empty((len(terms), len(terms))))
 
 
 def test_rank_transform_agrees_with_oracle():
@@ -402,7 +405,7 @@ def test_rank_transform_agrees_with_oracle():
         sim = _similarity_of(doc)
         for mask in (1, 3, 5, 11):
             expected = oracles.rank_matrix(oracles.similarity_matrix(counts), mask)
-            assert _rank_transform(sim, mask).tolist() == expected
+            assert _rank_transform(sim[None], mask)[0].tolist() == expected
 
 
 def _graded_similarity(rng, n):
@@ -413,12 +416,15 @@ def _graded_similarity(rng, n):
 
 @pytest.mark.parametrize("mask", [1, 3, 5, 11])
 def test_rank_transform_exactly_equals_oracle(mask):
+    # A stack of graded matrices per size: every slice is ranked as if alone.
     rng = random.Random(mask)
     for n in list(range(1, 41)) + [150]:
-        sim = _graded_similarity(rng, n)
-        rank = _rank_transform(np.array(sim), mask)
-        assert rank.dtype == np.float64
-        assert rank.tolist() == oracles.rank_matrix(sim, mask)
+        sims = [_graded_similarity(rng, n) for _ in range(3 if n < 150 else 1)]
+        ranks = _rank_transform(np.array(sims), mask)
+        assert ranks.dtype == np.float64
+        assert ranks.shape == (len(sims), n, n)
+        for sim, rank in zip(sims, ranks):
+            assert rank.tolist() == oracles.rank_matrix(sim, mask)
 
 
 def _long_paper(n, seed):
@@ -454,7 +460,9 @@ def _grid_matrix(seed):
     levels = rng.choice([3, 5, 7, 8, 10])
     values = [[rng.randint(0, levels) / levels for _ in range(n)] for _ in range(n)]
     sim = [[max(values[i][j], values[j][i]) for j in range(n)] for i in range(n)]
-    return sim if seed % 2 else _rank_transform(np.array(sim), rng.choice([3, 5, 11])).tolist()
+    if seed % 2:
+        return sim
+    return _rank_transform(np.array([sim]), rng.choice([3, 5, 11]))[0].tolist()
 
 
 # Every cut ties: a constant matrix, and two equal blocks whose cuts tie across segments.
@@ -477,10 +485,20 @@ def test_choose_boundaries_equals_the_cut_by_cut_search(min_len, max_segments, m
         min_segment_sentences=min_len, max_segments_per_doc=max_segments,
         min_density_gain=min_gain,
     )
+    # One stack per size: its matrices stop at different steps, and each must
+    # get the boundaries it gets on its own.
     seeds = [*range(40), *_ORDER_SENSITIVE_SEEDS]
+    stacks: dict[int, list] = {}
     for rank in [*_TIED_MATRICES, *map(_grid_matrix, seeds)]:
-        expected = oracles.greedy_boundaries(rank, min_len, max_segments, min_gain)
-        assert choose_boundaries(np.array(rank), config) == expected
+        stacks.setdefault(len(rank), []).append(rank)
+    uneven = 0
+    for ranks in stacks.values():
+        expected = [
+            oracles.greedy_boundaries(rank, min_len, max_segments, min_gain) for rank in ranks
+        ]
+        assert choose_boundaries(np.array(ranks), config) == expected
+        uneven += len(set(map(len, expected))) > 1
+    assert uneven > 0
 
 
 def test_choose_boundaries_equals_the_cut_by_cut_search_on_fixture_documents():
@@ -488,12 +506,31 @@ def test_choose_boundaries_equals_the_cut_by_cut_search_on_fixture_documents():
     for doc in _fixture_documents():
         sim = _similarity_of(doc)
         for config in configs:
-            rank = _rank_transform(sim, config.rank_mask)
+            ranks = _rank_transform(sim[None], config.rank_mask)
             expected = oracles.greedy_boundaries(
-                rank.tolist(), config.min_segment_sentences, config.max_segments_per_doc,
+                ranks[0].tolist(), config.min_segment_sentences, config.max_segments_per_doc,
                 config.min_density_gain,
             )
-            assert choose_boundaries(rank, config) == expected
+            assert choose_boundaries(ranks, config) == [expected]
+
+
+_CORPUS_CONFIGS = [PipelineConfig(), PipelineConfig(min_segment_sentences=1, min_density_gain=0.0)]
+
+
+@pytest.mark.parametrize("config", _CORPUS_CONFIGS)
+def test_segment_corpus_segments_each_document_as_alone(config):
+    docs = [*_fixture_documents(), *(_long_paper(n, n) for n in (150, 150, 200, 40))]
+    assert segment_corpus(docs, config) == [segment_document(doc, config) for doc in docs]
+
+
+@pytest.mark.parametrize("config", _CORPUS_CONFIGS)
+def test_segment_corpus_splits_a_length_past_one_stack(config):
+    docs = [Document(f"d{i}", "t", _long_paper(21, i).text) for i in range(300)]
+    assert {len(sentences_of(doc)) for doc in docs} == {21}
+    assert len(docs) * 21 * 21 > _STACK_CELLS
+    alone = [segment_document(doc, config) for doc in docs]
+    assert len(set(map(len, alone))) > 1
+    assert segment_corpus(docs, config) == alone
 
 
 @pytest.mark.parametrize(
@@ -514,8 +551,8 @@ def test_document_without_admissible_cut_is_one_segment(n, params):
     assert [(s.start, s.end) for s in segs] == [(0, n - 1)]
     assert segs[0].text == " ".join(sentences)
     # The short-circuit agrees with the full search on the full rank matrix.
-    sim = _similarity_matrix([extract_terms(s) for s in sentences])
-    assert choose_boundaries(_rank_transform(sim, params.rank_mask), params) == []
+    sim = _similarity_matrix([extract_terms(s) for s in sentences], np.empty((n, n)))
+    assert choose_boundaries(_rank_transform(sim[None], params.rank_mask), params) == [[]]
 
 
 @pytest.mark.parametrize("min_len", [2, 3, 5])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -290,6 +291,19 @@ def test_roundtrip_and_sorted_ids():
     clone = AspectHierarchy.from_dict(golden)
     assert all(isinstance(n.perspectives, PerspectiveSet) for n in clone.nodes.values())
     assert clone.to_dict(golden["config_fingerprint"]) == golden
+
+
+@pytest.mark.parametrize("golden", ["hierarchy.json", "hierarchy_perspectives.json"])
+def test_node_dict_is_asdict_in_field_order_and_a_snapshot(golden):
+    tree = AspectHierarchy.from_dict(json.loads((DATA_DIR / "golden" / golden).read_text()))
+    for node in tree.nodes.values():
+        data = node.to_dict()
+        assert json.dumps(data) == json.dumps(dataclasses.asdict(node))
+        data["keywords"].append("changed")
+        data["attached_segments"].clear()
+        if data["perspectives"] is not None:
+            data["perspectives"]["support"]["segment_ids"].append("changed")
+        assert json.dumps(node.to_dict()) == json.dumps(dataclasses.asdict(node))
 
 
 def test_path_helpers():
