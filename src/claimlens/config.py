@@ -38,6 +38,8 @@ _NON_SEMANTIC_FIELDS = (
 # for an index matrix too large to allocate.
 MAX_EMBED_DIM = 2**16
 
+MAX_RANK_MASK = 101
+
 # Annotation -> types taken. A bool is refused; an int stays unconverted (same fingerprint).
 _TAKES = {"int": (int,), "float": (int, float), "str": (str,)}
 
@@ -119,6 +121,8 @@ class PipelineConfig:
         # The mask is centred on its cell, so an even mask would act as the next odd one.
         if self.rank_mask % 2 == 0:
             raise UsageError(f"rank_mask must be odd, got {self.rank_mask}")
+        if self.rank_mask > MAX_RANK_MASK:
+            raise UsageError(f"rank_mask must be <= {MAX_RANK_MASK}, got {self.rank_mask}")
         if self.embed_dim > MAX_EMBED_DIM:
             raise UsageError(f"embed_dim must be <= {MAX_EMBED_DIM}, got {self.embed_dim}")
         if not -(2**63) <= self.seed < 2**63:  # the hashed embedder keys on its 8 bytes

@@ -7,7 +7,8 @@ Stages, in order:
 2. Segments long enough to judge are ranked by cosine to that representation
    and the relevance/irrelevance boundary rank is located by binary search on
    the local window's relevant fraction, caching every judgment so each
-   segment is judged at most once.
+   segment is judged at most once; a window stops being judged as soon as its
+   verdict can no longer change.
 3. Retained segments descend the hierarchy top-down: at each node the
    children within a relative similarity band of the best child are explored,
    and the segment attaches wherever descent terminates (possibly several
@@ -159,7 +160,8 @@ def relevance_boundary(count: int, judge: Callable[[int], bool], params: FilterP
     drops below delta is found by binary search. Returns ``count`` when no
     window is that sparse (everything relevant) and 0 when even the top
     window is (nothing relevant). Segments ranked below the returned value
-    are the retained set.
+    are the retained set. A window's ranks are judged in order only until its
+    verdict is settled, so every probe gets the full window's verdict.
     """
     if count == 0:
         return 0
@@ -167,8 +169,15 @@ def relevance_boundary(count: int, judge: Callable[[int], bool], params: FilterP
 
     def sparse(i: int) -> bool:
         lo, hi = max(0, i - n), min(count - 1, i + n)
-        relevant = sum(1 for j in range(lo, hi + 1) if judge(j))
-        return relevant / (hi - lo + 1) < params.delta
+        size, relevant = hi - lo + 1, 0
+        for j in range(lo, hi + 1):
+            # The full count lies between ``relevant`` and ``relevant`` plus the
+            # hi + 1 - j ranks left, so once both give one verdict it is final.
+            if relevant / size >= params.delta or (relevant + hi + 1 - j) / size < params.delta:
+                break
+            if judge(j):
+                relevant += 1
+        return relevant / size < params.delta
 
     lo, hi = 0, count
     while lo < hi:

@@ -89,6 +89,23 @@ def window_scan_boundary(
     return count
 
 
+def full_window_boundary(
+    count: int, relevant: Callable[[int], bool], delta: float, window: int
+) -> int:
+    """Binary search for the first sparse window, judging every rank of each
+    window it probes."""
+    lo, hi = 0, count
+    while lo < hi:
+        mid = (lo + hi) // 2
+        first, last = max(0, mid - window), min(count - 1, mid + window)
+        hits = sum(1 for j in range(first, last + 1) if relevant(j))
+        if hits / (last - first + 1) < delta:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 # --- segmentation: similarity, rank transform, single-boundary search ---
 
 

@@ -320,6 +320,10 @@ def test_relevance_judgment_economy_visible_in_stage_log(pipeline_run):
 
     bound = (2 * 10 + 1) * _math.ceil(_math.log2(record["candidates"]))
     assert record["fresh_calls"] <= bound
+    # Windows stop being judged once their verdict is settled: judging them
+    # whole asked 46 fresh calls and hit the cache 52 times for this boundary.
+    assert (record["candidates"], record["boundary"]) == (71, 71)
+    assert (record["fresh_calls"], record["cache_hits"]) == (34, 17)
     judge_calls = [
         r for r in records if r["kind"] == "llm_call" and r["task"] == "relevance_judge"
     ]
@@ -375,6 +379,11 @@ def test_even_rank_mask_rejected(tmp_path, capsys, value):
     assert run_stage(["ingest", "--config", cfg, "--rank-mask", value]) == 1
     assert "rank_mask must be odd" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_widest_rank_mask_is_accepted(tmp_path):
+    cfg = write_config_file(tmp_path, tmp_path / "out", rank_mask=101)
+    assert run_stage(["ingest", "--config", cfg]) == 0
 
 
 def _loaded_by_cli_import(modules) -> str:
@@ -813,6 +822,10 @@ BAD_CONFIG_VALUES = [
     ("embed_dim", 2**16 + 1, "embed_dim must be <= 65536, got 65537"),
     ("seed", 2**63, f"seed must fit a signed 64-bit integer, got {2**63}"),
     ("seed", -(2**63) - 1, f"seed must fit a signed 64-bit integer, got {-(2**63) - 1}"),
+    # The rank transform's cost grows with the square of the mask's width:
+    # about 12 s per 300-sentence document at 599.
+    ("rank_mask", 103, "rank_mask must be <= 101, got 103"),
+    ("rank_mask", 599, "rank_mask must be <= 101, got 599"),
 ]
 
 

@@ -140,6 +140,43 @@ def test_boundary_is_the_window_scan_on_any_monotone_profile(count, cutoff_fract
     assert got == oracles.window_scan_boundary(count, step_profile(cutoff), delta, window)
 
 
+@st.composite
+def judge_tables(draw):
+    """Relevance by rank: a monotone step, or any table of verdicts."""
+    count = draw(st.integers(min_value=0, max_value=300))
+    if draw(st.booleans()):
+        cutoff = draw(st.integers(min_value=0, max_value=count))
+        return [i < cutoff for i in range(count)]
+    return draw(st.lists(st.booleans(), min_size=count, max_size=count))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=judge_tables(), window=st.integers(min_value=1, max_value=15), data=st.data())
+def test_settled_windows_give_the_full_window_boundary_from_a_subset_of_its_judgments(
+    table, window, data
+):
+    """Stopping a window once its verdict is settled changes no probe's verdict,
+    so the search returns the boundary that judging whole windows gives, monotone
+    judge or not, and judges no rank that the whole-window search leaves alone."""
+    size = 2 * window + 1
+    delta = data.draw(st.one_of(
+        st.floats(min_value=0.01, max_value=0.99),
+        st.integers(min_value=1, max_value=size - 1).map(lambda k: k / size),  # ties
+    ))
+
+    def recording(judged):
+        def judge(i):
+            judged.add(i)
+            return table[i]
+        return judge
+
+    full_judged, judged = set(), set()
+    expected = oracles.full_window_boundary(len(table), recording(full_judged), delta, window)
+    params = FilterParams(delta=delta, window=window, min_chars=500)
+    assert relevance_boundary(len(table), functools.cache(recording(judged)), params) == expected
+    assert judged <= full_judged
+
+
 def test_judgment_economy_and_caching():
     params = FilterParams(delta=0.5, window=10, min_chars=500)
     count = 1500
