@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Regenerate the end-to-end test fixtures and frozen goldens.
 
-Two passes:
+Two passes, each running the shipped stage commands (ingest, build,
+perspectives, evaluate) on the fixture config:
 
-1. A reference run drives the full pipeline with a deterministic rule-based
-   chat provider wrapped in a recorder; every (task, prompt hash) -> response
-   pair lands in the transcript directory.
-2. The real CLI replays the run from that transcript and its artifacts are
-   frozen under tests/data/golden/.
+1. A reference run, whose gateway wraps a deterministic rule-based chat
+   provider in a recorder; every (task, prompt hash) -> response pair lands in
+   the transcript directory.
+2. A replay of that transcript through the shipped mock provider. Every file
+   the two passes write must match byte for byte; the replay's artifacts are
+   then frozen under tests/data/golden/.
 
 The generator asserts the properties the test suite relies on (stance
 variety, a paper appearing in both support and oppose buckets of one node,
@@ -30,13 +32,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT))
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from claimlens import corpus as corpus_mod
-from claimlens.cli import Paths, cmd_build, cmd_evaluate, cmd_ingest, cmd_perspectives, cmd_report
-from claimlens.embedding import Embedder, EmbeddingIndex, HashedBowEmbedder
-from claimlens.evaluation import evaluate_hierarchy
-from claimlens.hierarchy import HierarchyBuilder
-from claimlens.llm_gateway import LlmGateway, OperationLog
-from claimlens.perspective import FilterParams, discover_perspectives
+from claimlens import cli
+from claimlens.hierarchy import AspectHierarchy
+from claimlens.llm_gateway import LlmGateway
 from tests.fixture_config import make_fixture_config
 
 DATA_DIR = REPO_ROOT / "tests" / "data"
@@ -376,6 +374,18 @@ def check(condition: bool, message: str) -> None:
         raise SystemExit(f"fixture sanity check failed: {message}")
 
 
+def run_stages(out: Path) -> cli.Paths:
+    """Run ``ingest``, ``build``, ``perspectives`` and ``evaluate`` on the fixture
+    config, writing into ``out``."""
+    config = make_fixture_config(DATA_DIR, out)
+    paths = cli.Paths(str(out))
+    cli.cmd_ingest(config)
+    cli.cmd_build(config)
+    cli.cmd_perspectives(config)
+    cli.cmd_evaluate(config, [str(paths.perspectives)])
+    return paths
+
+
 def main() -> None:
     rng = random.Random(2024)
     DATA_DIR.mkdir(parents=True, exist_ok=True)
@@ -389,26 +399,14 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         # --- pass 1: reference run, recording the transcript ---
-        ref_out = Path(tmp) / "reference"
-        config = make_fixture_config(DATA_DIR, ref_out)
-        cmd_ingest(config)
-        paths = Paths(str(ref_out))
-        segments = {
-            s.segment_id: s for s in corpus_mod.read_segments(str(paths.segments))
-        }
-        index, _ = EmbeddingIndex.load(str(paths.root))
         recorder = RecordingProvider(rule_llm)
-        gateway = LlmGateway(recorder, log=OperationLog())
-        embedder = Embedder(HashedBowEmbedder(dim=config.embed_dim, seed=config.seed))
-
-        builder = HierarchyBuilder(gateway, embedder, index, segments, config)
-        tree = builder.build()
-        tree = discover_perspectives(
-            gateway, embedder, index, segments, tree,
-            FilterParams(config.delta, config.window, config.min_chars),
-            relative_threshold=config.classify_threshold,
-        )
-        evaluate_hierarchy(tree, gateway, segments)
+        shipped_gateway = cli.make_gateway
+        cli.make_gateway = lambda config, log: LlmGateway(recorder, log=log)
+        try:
+            reference = run_stages(Path(tmp) / "reference")
+        finally:
+            cli.make_gateway = shipped_gateway
+        tree = AspectHierarchy.from_dict(json.loads(reference.perspectives.read_text()))
 
         # --- sanity checks on the reference run ---
         check(len(tree.nodes) >= 15, f"tree too small: {len(tree.nodes)}")
@@ -453,25 +451,15 @@ def main() -> None:
         total = sum(len(p["responses"]) for p in recorder.script.values())
         print(f"transcript: {total} fixtures across {len(recorder.script)} tasks")
 
-        # --- pass 2: replay through the CLI and freeze goldens ---
-        replay_out = Path(tmp) / "replay"
-        replay_config = make_fixture_config(DATA_DIR, replay_out)
-        assert cmd_ingest(replay_config) == 0
-        assert cmd_build(replay_config) == 0
-        assert cmd_perspectives(replay_config) == 0
-        replay_paths = Paths(str(replay_out))
-        assert cmd_evaluate(replay_config, [str(replay_paths.perspectives)]) == 0
-        assert cmd_report(
-            str(replay_paths.perspectives), "markdown",
-            str(replay_paths.root / "report.md"),
-        ) == 0
-        assert cmd_report(
-            str(replay_paths.perspectives), "dot", str(replay_paths.root / "report.dot")
-        ) == 0
-
-        replay_tree_data = json.loads(replay_paths.perspectives.read_text())
-        ref_tree_data = tree.to_dict(replay_config.fingerprint())
-        check(replay_tree_data == ref_tree_data, "replay diverged from reference run")
+        # --- pass 2: replay through the same stages, compare, freeze goldens ---
+        replay = run_stages(Path(tmp) / "replay")
+        for path in sorted(reference.root.iterdir()):
+            check(
+                path.read_bytes() == (replay.root / path.name).read_bytes(),
+                f"replay diverged from reference run in {path.name}",
+            )
+        cli.cmd_report(str(replay.perspectives), "markdown", str(replay.root / "report.md"))
+        cli.cmd_report(str(replay.perspectives), "dot", str(replay.root / "report.dot"))
 
         if GOLDEN_DIR.exists():
             shutil.rmtree(GOLDEN_DIR)
@@ -485,7 +473,7 @@ def main() -> None:
             "report.md",
             "report.dot",
         ):
-            shutil.copyfile(replay_paths.root / name, GOLDEN_DIR / name)
+            shutil.copyfile(replay.root / name, GOLDEN_DIR / name)
         print(f"froze goldens under {GOLDEN_DIR}")
 
 

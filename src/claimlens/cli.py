@@ -312,8 +312,6 @@ def _write_consensus_table(tree: AspectHierarchy, path: Path) -> None:
 
 
 def cmd_evaluate(config: PipelineConfig, hierarchy_paths: list[str]) -> int:
-    if not 1 <= len(hierarchy_paths) <= 2:
-        raise errors.UsageError("evaluate takes one hierarchy file, or two for pairwise")
     paths = Paths(config.output_dir)
     trees, segments, _ = _stage_inputs("evaluate", hierarchy_paths, config)
     log = OperationLog()
@@ -359,22 +357,20 @@ def cmd_report(hierarchy_path: str, fmt: str, out: str | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _subtree_segments(tree: AspectHierarchy, node_id: str) -> int:
-    node = tree.node(node_id)
-    return len(node.attached_segments) + sum(
-        _subtree_segments(tree, child) for child in node.children
-    )
-
-
 def render_markdown(tree: AspectHierarchy) -> str:
     """Indented tree, one bullet per node at its depth, with segment and
     stance counts (own counts, subtree rollup in parentheses)."""
+    node_ids = tree.sorted_ids()
+    subtree: dict[str, int] = {}
+    for node_id in reversed(node_ids):  # children sort after their parent
+        node = tree.node(node_id)
+        subtree[node_id] = len(node.attached_segments) + sum(subtree[c] for c in node.children)
     lines = [f"# {tree.claim}", ""]
-    for node_id in tree.sorted_ids():
+    for node_id in node_ids:
         node = tree.node(node_id)
         parts = [f"segments: {len(node.attached_segments)}"]
         if node.children:
-            parts.append(f"subtree: {_subtree_segments(tree, node_id)}")
+            parts.append(f"subtree: {subtree[node_id]}")
         if node.perspectives is not None:
             papers = consensus_counts(node.perspectives).papers
             parts.append(f"papers s/n/o: {'/'.join(str(papers[s]) for s in STANCES)}")

@@ -4,8 +4,7 @@ A batch of vectors is one ``(n, dim)`` float64 matrix with unit-length rows,
 from the embedder through the index to ranking. Two providers are
 built in: an HTTP endpoint speaking ``{"texts": [...]} -> {"vectors": [...]}``
 and a deterministic local hashed bag-of-words embedder so the whole pipeline
-runs offline. The index is write-once / read-many; concurrent queries are
-safe.
+runs offline. The index is write-once / read-many.
 """
 
 from __future__ import annotations

@@ -83,12 +83,6 @@ class NoCoarseAspects(ClaimLensError):
     pass
 
 
-# --- evaluation ---
-
-class JudgeFailure(ProviderUnavailable):
-    pass
-
-
 # --- cli / reporting ---
 
 class UnknownFormat(UsageError):

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping, Sequence
 
 from .corpus import Segment
-from .errors import JudgeFailure, ProviderUnavailable, UsageError
+from .errors import UsageError
 from .hierarchy import AspectHierarchy
 from .llm_gateway import LlmGateway, PromptInstance
 
@@ -61,16 +61,9 @@ _JUDGE_TAIL = (
 
 
 def _judge(gateway: LlmGateway, text: str, allowed: list[int], context: str) -> int:
-    instance = PromptInstance(
-        task="eval_judge",
-        rendered_text=text + _JUDGE_TAIL,
-        expected_schema=score_schema(allowed),
-        context=context,
-    )
-    try:
-        return gateway.complete_json(instance)["score"]
-    except ProviderUnavailable as exc:
-        raise JudgeFailure(f"judge unavailable for {context}: {exc}") from exc
+    return gateway.complete_json(PromptInstance(
+        "eval_judge", text + _JUDGE_TAIL, score_schema(allowed), context
+    ))["score"]
 
 
 def _mean(values: list[float]) -> float:
@@ -262,16 +255,9 @@ def _pairwise_once(gateway: LlmGateway, first: AspectHierarchy, second: AspectHi
         "rationale.\n"
         'Your output should be in JSON format: {"winner": "...", "rationale": "..."}'
     )
-    instance = PromptInstance(
-        task="pairwise_judge",
-        rendered_text=prompt,
-        expected_schema=WINNER_SCHEMA,
-        context="pairwise",
-    )
-    try:
-        return gateway.complete_json(instance)["winner"]
-    except ProviderUnavailable as exc:
-        raise JudgeFailure(f"pairwise judge unavailable: {exc}") from exc
+    return gateway.complete_json(
+        PromptInstance("pairwise_judge", prompt, WINNER_SCHEMA, "pairwise")
+    )["winner"]
 
 
 def pairwise_compare(

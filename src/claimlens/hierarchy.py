@@ -253,6 +253,8 @@ class AspectHierarchy:
         try:
             if not isinstance(data["claim"], str):
                 raise CorruptArtifact("claim must be a string")
+            if not data["claim"]:
+                raise CorruptArtifact("claim is empty")
             tree = cls(data["claim"], data.get("max_depth", 0))
             tree.nodes = {}
             for node_data in data["nodes"]:

@@ -73,8 +73,3 @@ class HttpJsonProvider:
         raise ProviderUnavailable(
             f"{self.kind} endpoint failed after {self.max_attempts} attempts: {last_error}"
         )
-
-    def close(self) -> None:
-        """Close the kept-alive connection, if a call opened one."""
-        if self._session is not None:
-            self._session.close()

@@ -19,13 +19,12 @@ fallbacks, so a full pipeline run can be replayed byte-identically offline.
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterator, Protocol
 
 from .artifacts import parse_json, read_json
-from .errors import SchemaViolation, UnknownTask, UnreadableFile
+from .errors import ProviderUnavailable, SchemaViolation, UnknownTask, UnreadableFile
 from .http_provider import HttpJsonProvider
 
 # ---------------------------------------------------------------------------
@@ -85,11 +84,9 @@ class OperationLog:
 
     def __init__(self) -> None:
         self.records: list[dict[str, Any]] = []
-        self._lock = threading.Lock()
 
     def record(self, kind: str, **fields: Any) -> None:
-        with self._lock:
-            self.records.append({"kind": kind, **fields})
+        self.records.append({"kind": kind, **fields})
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +200,12 @@ class LlmGateway:
                 prompt += _RETRY_SUFFIX.format(error=error_text)
             try:
                 raw = self.provider.complete(task, prompt, base_hash)
-            except SchemaViolation as exc:
-                # Missing fixture in strict transcripts: annotate with locus.
-                self._log_call(task, base_hash, attempt, "missing_fixture")
-                raise SchemaViolation(f"{exc} ({instance.context})") from exc
+            except (SchemaViolation, ProviderUnavailable) as exc:
+                # A missing fixture in a strict transcript, or a provider that could
+                # not answer: the same error class, annotated with the locus.
+                if isinstance(exc, SchemaViolation):
+                    self._log_call(task, base_hash, attempt, "missing_fixture")
+                raise type(exc)(f"{exc} ({instance.context})") from exc
             try:
                 value = _parse_json(raw)
             except (ValueError, RecursionError) as exc:

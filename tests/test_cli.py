@@ -205,6 +205,22 @@ def test_report_markdown_indents_by_depth(capsys):
         assert f"\n{'  ' * node.depth}- **{node.label}**" in "\n" + out
 
 
+def test_report_renders_a_1500_level_chain(tmp_path, capsys):
+    tree = AspectHierarchy("a claim", 1500)
+    node = tree.node(tree.root)
+    for depth in range(1, 1501):
+        node = tree.add_child(node.node_id, f"level {depth}", "deeper", [])
+    node.attached_segments = ["d01#0"]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(tree.to_dict("fp")))
+    assert run_stage(["report", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    # The root rolls up the one segment at the bottom.
+    assert "\n- **a claim** [segments: 0; subtree: 1]\n" in out
+    assert f"\n{'  ' * 1500}- **level 1500** [segments: 1]\n" in out
+
+
 def test_report_dot_shape(capsys):
     assert run_stage(["report", str(GOLDEN / "hierarchy.json"), "--format", "dot"]) == 0
     out = capsys.readouterr().out
@@ -933,6 +949,7 @@ def _node(data, node_id):
         (lambda d: _node(d, "0.1").update(label=7), "node 0.1: label must be a string"),
         (lambda d: _node(d, "0.1").update(keywords=[1, 2]), "node 0.1: keywords must list"),
         (lambda d: d.update(claim=5), "claim must be a string"),
+        (lambda d: d.update(claim=""), "claim is empty"),
         (
             lambda d: _node(d, "0.1").update(attached_segments=[["x"]]),
             "node 0.1: attached_segments must list",
@@ -957,6 +974,7 @@ def _node(data, node_id):
         "label_number",
         "keywords_numbers",
         "claim_number",
+        "claim_empty",
         "attached_segments_nested",
     ],
 )
@@ -1095,7 +1113,25 @@ def test_refused_judge_endpoint_exits_2(ingested, tmp_path, capsys, monkeypatch)
     argv = ["evaluate", "--chat-endpoint", f"http://127.0.0.1:{port}/chat",
             "--out", str(out), str(GOLDEN / "hierarchy_perspectives.json")]
     assert run_stage(argv) == 2
-    assert capsys.readouterr().err.startswith("provider error: judge unavailable")
+    err = capsys.readouterr().err
+    assert err.startswith("provider error: chat endpoint failed after 3 attempts: ")
+    assert err.endswith(" (relevance node=0.1)\n")  # the first judgment names its node
+
+
+def test_build_provider_failure_names_its_aspect(ingested, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    shutil.copytree(ingested, out)
+    complete = MockChatProvider.complete
+
+    def refusing(self, task, prompt, base_hash):
+        if task.name == "keyword_extract":
+            raise errors.ProviderUnavailable("chat endpoint refused")
+        return complete(self, task, prompt, base_hash)
+
+    monkeypatch.setattr(MockChatProvider, "complete", refusing)
+    assert run_stage(["build", "--config", write_config_file(tmp_path, out)]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("provider error: chat endpoint refused (aspect='efficacy')\n")
 
 
 # Truncate at, overwrite from, or delete a run starting at an offset taken

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from claimlens.errors import JudgeFailure, SchemaViolation, UsageError
+from claimlens.errors import SchemaViolation, Timeout, UsageError
 from claimlens.evaluation import (
     evaluate_hierarchy,
     hierarchy_outline,
@@ -233,22 +233,20 @@ def test_report_reproducible():
     assert a == b
 
 
-def test_judge_failure_wraps_provider_errors():
-    gateway = LlmGateway(
-        MockChatProvider({}), log=OperationLog()
-    )  # no fixtures: SchemaViolation, passes through
-    with pytest.raises(SchemaViolation):
+def test_judge_errors_keep_their_class_and_name_their_locus():
+    gateway = LlmGateway(MockChatProvider({}), log=OperationLog())  # no fixtures
+    with pytest.raises(SchemaViolation, match=r" \(relevance node=0\.1\)$"):
         node_relevance(sample_tree(), gateway)
 
     class DownProvider:
         def complete(self, task, prompt, base_hash):
-            from claimlens.errors import ProviderUnavailable
-
-            raise ProviderUnavailable("down")
+            raise Timeout("down")
 
     gateway = LlmGateway(DownProvider(), log=OperationLog())
-    with pytest.raises(JudgeFailure):
+    with pytest.raises(Timeout, match=r"^down \(relevance node=0\.1\)$"):
         node_relevance(sample_tree(), gateway)
+    with pytest.raises(Timeout, match=r"^down \(pairwise\)$"):
+        pairwise_compare(sample_tree(), sample_tree(), gateway)
 
 
 # --- pairwise ---

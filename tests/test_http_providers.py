@@ -273,7 +273,7 @@ def test_provider_calls_share_one_kept_alive_connection(keep_alive_server, kind)
         provider = HttpEmbeddingProvider(keep_alive_server + "/embed", api_key="")
         replies = [provider.embed(["text"]) for _ in range(3)]
     connections = KeepAliveHandler.connections
-    provider.close()  # the open connection would warn when collected
+    provider._session.close()  # the open connection would warn when collected
     assert replies in (["{}"] * 3, [[[1.0, 0.0]]] * 3)
     assert len(StubHandler.requests_seen) == 3
     assert connections == 1

@@ -1,8 +1,6 @@
 import dataclasses
 import json
 import re
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import jsonschema
 import pytest
@@ -447,59 +445,3 @@ def test_malformed_schema_raises_on_every_use():
             with pytest.raises(ValueError, match=re.escape(f"schema keyword {keyword!r}")):
                 gateway.complete_json(instance)
     assert gateway.provider.calls == []
-
-
-def _mixed_instances():
-    """Prompts over many distinct schemas; every third one is answered badly
-    first, so the retry path runs too."""
-    instances = []
-    for i in range(60):
-        kind = i % 4
-        if kind == 0:
-            schema, task = keywords_schema(1, 2 + i % 7), "keyword_extract"
-        elif kind == 1:
-            schema, task = aspects_schema("aspects", 3 + i % 5), "coarse_aspects"
-        elif kind == 2:
-            schema, task = score_schema(range(i % 5 + 1)), "eval_judge"
-        else:
-            schema, task = STANCE_SCHEMA, "stance_detect"
-        instances.append(
-            PromptInstance(task, f"prompt {i}", schema, f"prompt {i}")
-        )
-    return instances
-
-
-def _mixed_response(task, prompt):
-    n = int(prompt.split()[1])
-    if n % 3 == 0 and "previous output was invalid" not in prompt:
-        return json.dumps({"unexpected": n})
-    return json.dumps(
-        {
-            "keyword_extract": {"keywords": [f"k{n}"]},
-            "coarse_aspects": {"aspects": [_aspect(label=f"a{n}")]},
-            "eval_judge": {"score": n % 5, "rationale": f"r{n}"},
-            "stance_detect": {"stance": "neutral_to_claim"},
-        }[task]
-    )
-
-
-def test_concurrent_calls_match_sequential():
-    instances = _mixed_instances()
-    sequential = rule_gateway(_mixed_response)
-    expected = [sequential.complete_json(instance) for instance in instances]
-    concurrent = rule_gateway(_mixed_response)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(concurrent.complete_json, i) for i in instances]
-            got = [future.result(timeout=60) for future in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == expected
-
-    def records(gateway):
-        return sorted(json.dumps(r, sort_keys=True) for r in gateway.log.records)
-
-    assert records(concurrent) == records(sequential)
-    assert sorted(concurrent.provider.calls) == sorted(sequential.provider.calls)
