@@ -290,8 +290,9 @@ def cmd_perspectives(config: PipelineConfig) -> int:
     write_json(paths.perspectives, tree.to_dict(config.fingerprint()))
     _write_consensus_table(tree, paths.consensus)
     write_jsonl(paths.perspectives_log, log.records)
-    attached = sum(len(tree.node(n).attached_segments) for n in tree.nodes)
-    if attached == 0:
+    if not tree.node(tree.root).children:
+        print("warning: the tree has no aspects, so no segment was judged", file=sys.stderr)
+    elif not any(tree.node(n).attached_segments for n in tree.nodes):
         print("warning: no segments survived relevance filtering", file=sys.stderr)
     print(f"perspectives at {paths.perspectives}; consensus table at {paths.consensus}")
     return 0

@@ -103,21 +103,11 @@ class PipelineConfig:
         for name, value in [*vars(self).items(), *temperatures.items()]:
             if isinstance(value, float) and not math.isfinite(value):  # NaN passes later checks
                 raise UsageError(f"{name} must be a finite number, got {value}")
-        counts = {
-            "k_aspects": self.k_aspects,
-            "k_subaspects": self.k_subaspects,
-            "k_keywords": self.k_keywords,
-            "pool_size": self.pool_size,
-            "k_segments": self.k_segments,
-            "window": self.window,
-            "embed_dim": self.embed_dim,
-            "rank_mask": self.rank_mask,
-            "min_segment_sentences": self.min_segment_sentences,
-            "max_segments_per_doc": self.max_segments_per_doc,
-        }
-        for name, value in counts.items():
-            if value < 1:
-                raise UsageError(f"{name} must be >= 1, got {value}")
+        for name in ("k_aspects", "k_subaspects", "k_keywords", "pool_size", "k_segments",
+                     "window", "embed_dim", "rank_mask", "min_segment_sentences",
+                     "max_segments_per_doc"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
         # The mask is centred on its cell, so an even mask would act as the next odd one.
         if self.rank_mask % 2 == 0:
             raise UsageError(f"rank_mask must be odd, got {self.rank_mask}")
@@ -132,6 +122,8 @@ class PipelineConfig:
                 raise UsageError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 < self.delta < 1.0:
             raise UsageError(f"delta must be in (0,1), got {self.delta}")
+        if not 0.0 <= self.classify_threshold <= 1.0:  # above 1 not even the best child passes
+            raise UsageError(f"classify_threshold must be in [0,1], got {self.classify_threshold}")
         if self.beta <= 0 or self.gamma <= 0:
             raise UsageError("beta and gamma must be positive")
         if self.epsilon <= 0:

@@ -94,10 +94,6 @@ class HttpEmbeddingProvider(HttpJsonProvider):
     api_key_env = "CLAIMLENS_EMBED_API_KEY"
     reply_key = "vectors"
 
-    def __init__(self, endpoint: str, model: str = "", api_key: str | None = None,
-                 timeout: float = 30.0, max_attempts: int = 3):
-        super().__init__(endpoint, model, api_key, timeout, max_attempts)
-
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
         payload: dict = {"texts": list(texts)}
         if self.model:

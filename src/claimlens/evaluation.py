@@ -16,29 +16,15 @@ from typing import Any, Mapping, Sequence
 from .corpus import Segment
 from .errors import UsageError
 from .hierarchy import AspectHierarchy
-from .llm_gateway import LlmGateway, PromptInstance
+from .llm_gateway import LlmGateway, PromptInstance, reply_schema
 
 VERDICTS = ("A_wins", "B_wins", "explicit_tie", "implicit_tie")
 
-WINNER_SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "required": ["winner"],
-    "properties": {
-        "winner": {"enum": ["A", "B", "tie"]},
-        "rationale": {"type": "string"},
-    },
-}
+WINNER_SCHEMA = reply_schema("winner", {"enum": ["A", "B", "tie"]}, rationale={"type": "string"})
 
 
 def score_schema(allowed: Sequence[int]) -> dict[str, Any]:
-    return {
-        "type": "object",
-        "required": ["score"],
-        "properties": {
-            "score": {"enum": list(allowed)},
-            "rationale": {"type": "string"},
-        },
-    }
+    return reply_schema("score", {"enum": list(allowed)}, rationale={"type": "string"})
 
 
 @dataclass

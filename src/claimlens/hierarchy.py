@@ -32,7 +32,7 @@ from .errors import (
     SchemaViolation,
     TooFewSubaspects,
 )
-from .llm_gateway import LlmGateway, PromptInstance
+from .llm_gateway import LlmGateway, PromptInstance, numbered_listing, reply_schema
 from .ranking import (
     ScoredSegment,
     keyword_query_text,
@@ -271,47 +271,25 @@ class AspectHierarchy:
 # ---------------------------------------------------------------------------
 
 
+_TEXT = {"type": "string", "minLength": 1}
+
+
+def _keyword_list(min_items: int, max_items: int) -> dict[str, Any]:
+    return {"type": "array", "items": _TEXT, "minItems": min_items, "maxItems": max_items}
+
+
 def aspects_schema(key: str, k_max: int) -> dict[str, Any]:
     """Up to ``k_max`` aspects under ``key``: ``aspects`` or ``subaspects``."""
-    return {
+    aspect = {
         "type": "object",
-        "required": [key],
-        "properties": {
-            key: {
-                "type": "array",
-                "maxItems": k_max,
-                "items": {
-                    "type": "object",
-                    "required": ["label", "description", "keywords"],
-                    "properties": {
-                        "label": {"type": "string", "minLength": 1},
-                        "description": {"type": "string", "minLength": 1},
-                        "keywords": {
-                            "type": "array",
-                            "items": {"type": "string", "minLength": 1},
-                            "minItems": 10,
-                            "maxItems": 10,
-                        },
-                    },
-                },
-            }
-        },
+        "required": ["label", "description", "keywords"],
+        "properties": {"label": _TEXT, "description": _TEXT, "keywords": _keyword_list(10, 10)},
     }
+    return reply_schema(key, {"type": "array", "maxItems": k_max, "items": aspect})
 
 
 def keywords_schema(min_items: int, max_items: int) -> dict[str, Any]:
-    return {
-        "type": "object",
-        "required": ["keywords"],
-        "properties": {
-            "keywords": {
-                "type": "array",
-                "items": {"type": "string", "minLength": 1},
-                "minItems": min_items,
-                "maxItems": max_items,
-            }
-        },
-    }
+    return reply_schema("keywords", _keyword_list(min_items, max_items))
 
 
 _COARSE_TEMPLATE = """\
@@ -390,8 +368,7 @@ class HierarchyBuilder:
 
     def _listing(self, segment_ids: Iterable[str]) -> str:
         """Numbered segment texts for a prompt."""
-        return "\n".join(f"[{i}] {self.segments[sid].text}"
-                         for i, sid in enumerate(segment_ids, 1))
+        return numbered_listing(self.segments[sid].text for sid in segment_ids)
 
     # --- coarse aspects ---
 

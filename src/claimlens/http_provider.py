@@ -24,19 +24,15 @@ class HttpJsonProvider:
     api_key_env = ""  # environment variable read when no api_key is given
     reply_key = ""  # the key of the JSON reply that holds the result
     reply_type: type = object  # a result of another type is a malformed reply
+    timeout = 30.0  # seconds per attempt unless the constructor is given one
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key: str | None,
-        timeout: float,
-        max_attempts: int,
-    ):
+    def __init__(self, endpoint: str, model: str = "", api_key: str | None = None,
+                 timeout: float | None = None, max_attempts: int = 3):
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(self.api_key_env, "")
-        self.timeout = timeout
+        if timeout is not None:
+            self.timeout = timeout
         self.max_attempts = max_attempts
         self._session: Any = None  # made by the first call
 

@@ -9,7 +9,9 @@ response schemas of their replies, and hands the gateway a
 :class:`PromptInstance`. Response schemas use eight JSON Schema keywords,
 which this module checks itself: each schema is checked before its prompt is
 sent, and a reply that breaks it is reported with the message the reference
-Draft 2020-12 validator picks as its best match.
+Draft 2020-12 validator picks as its best match. Every reply is a JSON object
+with one required key (:func:`reply_schema`), and every list of texts in a
+prompt is numbered the same way (:func:`numbered_listing`).
 
 Two providers ship with the package: a chat-completions-style HTTP provider
 and a scripted mock keyed by (task, prompt hash) with task-level default
@@ -21,7 +23,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterator, Protocol
+from typing import Any, Iterable, Iterator, Protocol
 
 from .artifacts import parse_json, read_json
 from .errors import ProviderUnavailable, SchemaViolation, UnknownTask, UnreadableFile
@@ -74,6 +76,17 @@ def prompt_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+def reply_schema(key: str, value: dict[str, Any], **optional: dict[str, Any]) -> dict[str, Any]:
+    """The schema of a reply: a JSON object that must hold ``key``, matching
+    ``value``, and may hold the ``optional`` keys, each matching its schema."""
+    return {"type": "object", "required": [key], "properties": {key: value, **optional}}
+
+
+def numbered_listing(texts: Iterable[str]) -> str:
+    """One ``[i] text`` line per text, counted from 1, for a prompt."""
+    return "\n".join(f"[{i}] {text}" for i, text in enumerate(texts, 1))
+
+
 # ---------------------------------------------------------------------------
 # Operation log
 # ---------------------------------------------------------------------------
@@ -105,10 +118,7 @@ class HttpChatProvider(HttpJsonProvider):
     api_key_env = "CLAIMLENS_CHAT_API_KEY"
     reply_key = "content"
     reply_type = str
-
-    def __init__(self, endpoint: str, model: str, api_key: str | None = None,
-                 timeout: float = 60.0, max_attempts: int = 3):
-        super().__init__(endpoint, model, api_key, timeout, max_attempts)
+    timeout = 60.0
 
     def complete(self, task: LlmTask, prompt: str, base_hash: str) -> str:
         return self._post(

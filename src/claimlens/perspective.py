@@ -12,7 +12,7 @@ Stages, in order:
 3. Retained segments descend the hierarchy top-down: at each node the
    children within a relative similarity band of the best child are explored,
    and the segment attaches wherever descent terminates (possibly several
-   leaves; the root if the tree has no aspects).
+   leaves). A tree with no aspects judges, retains and attaches nothing.
 4. Every attached (segment, node) pair gets a stance judgment; per node the
    non-irrelevant segments form disjoint support / neutral / oppose buckets,
    each summarized into a perspective. Paper ids come from segment
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,31 +34,19 @@ from .corpus import Segment
 from .embedding import Embedder, EmbeddingIndex, normalize
 from .errors import NoCoarseAspects
 from .hierarchy import STANCES, AspectHierarchy, PerspectiveSet
-from .llm_gateway import LlmGateway, PromptInstance
+from .llm_gateway import LlmGateway, PromptInstance, numbered_listing, reply_schema
 
 # ---------------------------------------------------------------------------
 # Prompts and reply schemas
 # ---------------------------------------------------------------------------
 
-YES_NO_SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "required": ["answer"],
-    "properties": {"answer": {"enum": ["Yes", "No"]}},
-}
+YES_NO_SCHEMA = reply_schema("answer", {"enum": ["Yes", "No"]})
 
 STANCE_LABELS = ("supports_claim", "neutral_to_claim", "opposes_claim", "irrelevant_to_claim")
 
-STANCE_SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "required": ["stance"],
-    "properties": {"stance": {"enum": list(STANCE_LABELS)}},
-}
+STANCE_SCHEMA = reply_schema("stance", {"enum": list(STANCE_LABELS)})
 
-SUMMARY_SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "required": ["summary"],
-    "properties": {"summary": {"type": "string"}},
-}
+SUMMARY_SCHEMA = reply_schema("summary", {"type": "string"})
 
 # zip stops before "irrelevant_to_claim", which maps to no stance.
 _STANCE_BY_LABEL = dict(zip(STANCE_LABELS, STANCES))
@@ -283,12 +271,11 @@ def summarize_perspectives(
         bucket.paper_ids = sorted({s.doc_id for s in segments})
         if not segments:
             continue
-        listing = "\n".join(f"[{i + 1}] {s.text}" for i, s in enumerate(segments))
         data = gateway.complete_json(PromptInstance(
             "perspective_summarize",
             _SUMMARY_TEMPLATE.format(
                 claim=tree.claim, aspect=node.label, description=node.description,
-                stance=stance, segments=listing,
+                stance=stance, segments=numbered_listing(s.text for s in segments),
             ),
             SUMMARY_SCHEMA, f"node={node_id}, stance={stance}",
         ))

@@ -316,12 +316,26 @@ def test_empty_retained_set_warns_but_succeeds(tmp_path, capsys):
     assert run_stage(["ingest", "--config", cfg]) == 0
     assert run_stage(["build", "--config", cfg]) == 0
     assert run_stage(["perspectives", "--config", cfg]) == 0
-    assert "warning" in capsys.readouterr().err
+    assert "warning: no segments survived relevance filtering" in capsys.readouterr().err
     data = json.loads((out / "hierarchy_perspectives.json").read_text())
     for node in data["nodes"]:
         assert node["attached_segments"] == []
         for stance in ("support", "neutral", "oppose"):
             assert node["perspectives"][stance]["segment_ids"] == []
+
+
+def test_root_only_tree_warns_that_it_has_no_aspects(tmp_path, capsys):
+    # Nothing is judged without aspects, so the filter is not what left the tree empty.
+    out = tmp_path / "out"
+    cfg = write_config_file(tmp_path, out, max_depth=0)
+    for stage in ("ingest", "build", "perspectives"):
+        assert run_stage([stage, "--config", cfg]) == 0
+    err = capsys.readouterr().err
+    assert "warning: the tree has no aspects, so no segment was judged" in err
+    assert "relevance filtering" not in err
+    assert (out / "perspectives_log.jsonl").read_text() == ""
+    data = json.loads((out / "hierarchy_perspectives.json").read_text())
+    assert [(n["node_id"], n["attached_segments"]) for n in data["nodes"]] == [("0", [])]
 
 
 def test_relevance_judgment_economy_visible_in_stage_log(pipeline_run):
@@ -375,14 +389,18 @@ def test_partial_tree_persisted_on_failure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag", ["--rank-mask", "--min-segment-sentences", "--max-segments-per-doc"]
+    "flag",
+    # The segmenter's three knobs and every other count that must be >= 1.
+    ["--rank-mask", "--min-segment-sentences", "--max-segments-per-doc", "--k-aspects",
+     "--k-subaspects", "--k-keywords", "--pool-size", "--k-segments", "--window",
+     "--embed-dim"],
 )
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_segmenter_knobs_below_one_rejected(tmp_path, capsys, flag, value):
     out = tmp_path / "out"
     cfg = write_config_file(tmp_path, out)
     assert run_stage(["ingest", "--config", cfg, flag, value]) == 1
-    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert f"{flag[2:].replace('-', '_')} must be >= 1, got {value}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -842,6 +860,9 @@ BAD_CONFIG_VALUES = [
     # about 12 s per 300-sentence document at 599.
     ("rank_mask", 103, "rank_mask must be <= 101, got 103"),
     ("rank_mask", 599, "rank_mask must be <= 101, got 599"),
+    # Above 1 not even the best child passes, so every perspective came out empty.
+    ("classify_threshold", 1.5, "classify_threshold must be in [0,1], got 1.5"),
+    ("classify_threshold", -0.5, "classify_threshold must be in [0,1], got -0.5"),
 ]
 
 
@@ -855,6 +876,12 @@ def test_mistyped_config_value_is_a_usage_error(tmp_path, capsys, key, value, me
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0])  # every child explored; only the best
+def test_classify_threshold_bounds_are_accepted(tmp_path, threshold):
+    cfg = write_config_file(tmp_path, tmp_path / "out", classify_threshold=threshold)
+    assert run_stage(["ingest", "--config", cfg]) == 0
 
 
 def test_widest_embed_dim_and_extreme_seeds_are_accepted():

@@ -7,9 +7,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 
 import pytest
+import requests
 
-from claimlens import http_provider
+from claimlens import cli, http_provider
 from claimlens.cli import main
+from claimlens.config import PipelineConfig
 from claimlens.embedding import Embedder, HttpEmbeddingProvider
 from claimlens.errors import ProviderUnavailable, Timeout, UnreadableFile
 from claimlens.llm_gateway import (
@@ -251,6 +253,29 @@ def test_chat_reply_whose_content_is_not_a_string_is_retried_then_exits_2(
     assert "chat endpoint failed after 3 attempts: content is not a str" in err
     assert "Traceback" not in err
     assert len(StubHandler.requests_seen) == 3
+
+
+@pytest.mark.parametrize("kind, timeout", [("chat", 60.0), ("embed", 30.0)])
+def test_providers_the_cli_builds_keep_their_defaults(kind, timeout):
+    # A chat reply is generated, so it gets twice an embedding's time per attempt.
+    config = PipelineConfig(chat_endpoint="http://stub/chat", embed_endpoint="http://stub/embed")
+    if kind == "chat":
+        provider = cli.make_gateway(config, OperationLog()).provider
+    else:
+        provider = cli.make_embedder(config).provider
+    timeouts = []
+
+    def post(url, json, headers, timeout):
+        timeouts.append(timeout)
+        raise requests.ConnectionError("refused")
+
+    provider._session = SimpleNamespace(post=post)
+    with pytest.raises(ProviderUnavailable, match="failed after 3 attempts"):
+        if kind == "chat":
+            provider.complete(TASKS["stance_detect"], "prompt", "hash")
+        else:
+            provider.embed(["text"])
+    assert timeouts == [timeout] * 3
 
 
 @pytest.mark.parametrize("kind, name", [("chat", "chat"), ("embed", "embedding")])
