@@ -8,7 +8,8 @@ Stages, in order:
    and the relevance/irrelevance boundary rank is located by binary search on
    the local window's relevant fraction, caching every judgment so each
    segment is judged at most once; a window stops being judged as soon as its
-   verdict can no longer change.
+   verdict can no longer change, and judges first the ranks later probes can
+   reuse.
 3. Retained segments descend the hierarchy top-down: at each node the
    children within a relative similarity band of the best child are explored,
    and the segment attaches wherever descent terminates (possibly several
@@ -148,21 +149,44 @@ def relevance_boundary(count: int, judge: Callable[[int], bool], params: FilterP
     drops below delta is found by binary search. Returns ``count`` when no
     window is that sparse (everything relevant) and 0 when even the top
     window is (nothing relevant). Segments ranked below the returned value
-    are the retained set. A window's ranks are judged in order only until its
-    verdict is settled, so every probe gets the full window's verdict.
-    """
-    if count == 0:
-        return 0
-    n = params.window
+    are the retained set.
 
-    def sparse(i: int) -> bool:
-        lo, hi = max(0, i - n), min(count - 1, i + n)
-        size, relevant = hi - lo + 1, 0
-        for j in range(lo, hi + 1):
+    A window is judged only until its verdict is settled, so every probe gets
+    the full window's verdict in any judging order. The order spends fresh
+    judgments where later probes can reuse them: first the ranks already
+    asked about (the caller's cache answers those), then the rest by their
+    expected reuse, the summed ``2**-level`` of the probes within the next
+    three levels of the search whose windows hold them, ties by rank.
+    """
+    n = params.window
+    asked: set[int] = set()
+
+    def window(i: int) -> range:
+        return range(max(0, i - n), min(count, i + n + 1))
+
+    def sparse(lo: int, mid: int, hi: int) -> bool:
+        later: list[tuple[range, float]] = []
+        spans = [(lo, mid), (mid + 1, hi)]
+        for level in (1, 2, 3):
+            deeper = []
+            for a, b in spans:
+                if a < b:
+                    probe = (a + b) // 2
+                    later.append((window(probe), 0.5**level))
+                    deeper += [(a, probe), (probe + 1, b)]
+            spans = deeper
+
+        def order(j: int) -> tuple[bool, float, int]:
+            return j not in asked, -sum(w for ranks, w in later if j in ranks), j
+
+        ranks = sorted(window(mid), key=order)
+        size, relevant = len(ranks), 0
+        for judged, j in enumerate(ranks):
             # The full count lies between ``relevant`` and ``relevant`` plus the
-            # hi + 1 - j ranks left, so once both give one verdict it is final.
-            if relevant / size >= params.delta or (relevant + hi + 1 - j) / size < params.delta:
+            # size - judged ranks left, so once both give one verdict it is final.
+            if relevant / size >= params.delta or (relevant + size - judged) / size < params.delta:
                 break
+            asked.add(j)
             if judge(j):
                 relevant += 1
         return relevant / size < params.delta
@@ -170,7 +194,7 @@ def relevance_boundary(count: int, judge: Callable[[int], bool], params: FilterP
     lo, hi = 0, count
     while lo < hi:
         mid = (lo + hi) // 2
-        if sparse(mid):
+        if sparse(lo, mid, hi):
             hi = mid
         else:
             lo = mid + 1

@@ -106,6 +106,30 @@ def full_window_boundary(
     return lo
 
 
+def rank_order_settled_boundary(
+    count: int, relevant: Callable[[int], bool], delta: float, window: int
+) -> tuple[int, set[int]]:
+    """Binary search that judges each probed window in rank order, left to
+    right, only until its verdict is settled. Returns the boundary and the set
+    of ranks it judged."""
+    judged: set[int] = set()
+    lo, hi = 0, count
+    while lo < hi:
+        mid = (lo + hi) // 2
+        first, last = max(0, mid - window), min(count - 1, mid + window)
+        size, hits = last - first + 1, 0
+        for j in range(first, last + 1):
+            if hits / size >= delta or (hits + last + 1 - j) / size < delta:
+                break
+            judged.add(j)
+            hits += relevant(j)
+        if hits / size < delta:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, judged
+
+
 # --- segmentation: similarity, rank transform, single-boundary search ---
 
 

@@ -177,6 +177,37 @@ def test_settled_windows_give_the_full_window_boundary_from_a_subset_of_its_judg
     assert judged <= full_judged
 
 
+def _fresh_judgments(table, delta, window):
+    judge = functools.cache(table.__getitem__)
+    boundary = relevance_boundary(len(table), judge, FilterParams(delta, window, 500))
+    return boundary, judge.cache_info().misses
+
+
+def test_reuse_order_judges_fewer_fresh_ranks_than_rank_order_when_all_relevant():
+    """Every rank relevant, as on the fixtures: judging each window where later
+    probes look asks 25 fresh ranks for the boundary that rank order asks 34 for."""
+    table = [True] * 71
+    expected, rank_order = oracles.rank_order_settled_boundary(71, table.__getitem__, 0.5, 10)
+    assert (expected, len(rank_order)) == (71, 34)
+    assert _fresh_judgments(table, 0.5, 10) == (71, 25)
+
+
+@pytest.mark.parametrize("count", [30, 71, 150, 400])
+def test_reuse_order_judges_fewer_fresh_ranks_over_every_step_cutoff(count):
+    """Summed over every cutoff of a monotone step, the reuse order asks fewer
+    fresh ranks than rank order, for the same boundaries."""
+    ours = theirs = 0
+    for cutoff in range(count + 1):
+        table = [i < cutoff for i in range(count)]
+        expected, rank_order = oracles.rank_order_settled_boundary(
+            count, table.__getitem__, 0.5, 10
+        )
+        boundary, fresh = _fresh_judgments(table, 0.5, 10)
+        assert boundary == expected
+        ours, theirs = ours + fresh, theirs + len(rank_order)
+    assert ours < theirs
+
+
 def test_judgment_economy_and_caching():
     params = FilterParams(delta=0.5, window=10, min_chars=500)
     count = 1500
