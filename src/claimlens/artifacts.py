@@ -1,7 +1,6 @@
 """The one place where stage files are read and written: every write replaces
-its file whole or leaves the old one as it was, every failure to write raises
-``UsageError`` (exit 1) naming the file, and every failure to read or decode a
-file raises ``UnreadableFile`` (exit 1) naming it."""
+its file whole or leaves the old one as it was, and every failure to write,
+read or decode a file raises ``UsageError`` (exit 1) naming the file."""
 
 from __future__ import annotations
 
@@ -12,7 +11,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any, BinaryIO, Iterable, Iterator
 
-from .errors import UnreadableFile, UsageError
+from .errors import UsageError
 
 
 @contextmanager
@@ -58,14 +57,14 @@ def write_jsonl(path: str | Path, records: Iterable[Any]) -> None:
 @contextmanager
 def reading(path: str | Path, what: str, mode: str = "r") -> Iterator[IO[Any]]:
     """``open(path, mode)``, UTF-8 in text mode; an ``OSError`` or a decoding error
-    raised inside becomes an ``UnreadableFile`` naming the file as ``what``."""
+    raised inside becomes a ``UsageError`` naming the file as ``what``."""
     try:
         with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
     except OSError as exc:
-        raise UnreadableFile(f"cannot read {what} {path}: {exc}") from exc
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise UnreadableFile(f"{what} {path} is not valid UTF-8: {exc}") from exc
+        raise UsageError(f"{what} {path} is not valid UTF-8: {exc}") from exc
 
 
 def parse_json(text: str) -> Any:
@@ -86,7 +85,7 @@ def _parse(text: str, what: str, path: str | Path, lineno: int | None = None) ->
         return parse_json(text)
     except (ValueError, RecursionError) as exc:
         where = f"{what} {path}" if lineno is None else f"{what} {path}: line {lineno}"
-        raise UnreadableFile(f"{where} is not valid JSON: {exc}") from exc
+        raise UsageError(f"{where} is not valid JSON: {exc}") from exc
 
 
 def decode_line(line: bytes | bytearray, what: str, path: str | Path, lineno: int) -> Any:
@@ -95,7 +94,7 @@ def decode_line(line: bytes | bytearray, what: str, path: str | Path, lineno: in
     try:
         text = line.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise UnreadableFile(f"{what} {path} is not valid UTF-8: {exc}") from exc
+        raise UsageError(f"{what} {path} is not valid UTF-8: {exc}") from exc
     return _parse(text, what, path, lineno)
 
 

@@ -139,7 +139,7 @@ def _check_stamp(found: dict, expected: dict[str, str], what: str, stage: str) -
     """Refuse an artifact whose recorded stamp differs from ``expected`` in any key."""
     for key, value in expected.items():
         if found.get(key) != value:
-            raise errors.FingerprintMismatch(
+            raise errors.ClaimLensError(
                 f"{what} was produced under {key.replace('_', ' ')} "
                 f"{found.get(key) or '(none)'}, current is {value or '(none)'}; "
                 f"re-run `claimlens {stage}`"
@@ -344,7 +344,7 @@ def cmd_report(hierarchy_path: str, fmt: str, out: str | None = None) -> int:
     elif fmt == "dot":
         rendered = render_dot(tree)
     else:
-        raise errors.UnknownFormat(f"unknown report format {fmt!r}")
+        raise errors.UsageError(f"unknown report format {fmt!r}")
     if out:
         write_text(out, rendered)
         print(f"report written to {out}")

@@ -36,9 +36,7 @@ import numpy as np
 
 from .artifacts import decode_line, read_jsonl, reading, replacing
 from .config import PipelineConfig
-from .errors import (
-    CorruptArtifact, DuplicateDocId, EmptyDocument, MissingField, UnreadableFile, UsageError,
-)
+from .errors import CorruptArtifact, UsageError
 
 # ---------------------------------------------------------------------------
 # Domain types
@@ -79,7 +77,7 @@ def load_corpus(path: str) -> list[Document]:
     first_line: dict[str, int] = {}
     for lineno, record in read_jsonl(path, "corpus file"):
         if not isinstance(record, dict):
-            raise UnreadableFile(f"corpus file {path}: line {lineno} is not a JSON object")
+            raise UsageError(f"corpus file {path}: line {lineno} is not a JSON object")
         doc_id, title, text = record.get("doc_id"), record.get("title"), record.get("text")
         # For a str, ``v and not v.isspace()`` is ``v.strip()`` without the copy; the
         # loop only names the first field that fails.
@@ -89,13 +87,13 @@ def load_corpus(path: str) -> list[Document]:
             for name in _REQUIRED_FIELDS:
                 value = record.get(name)
                 if not isinstance(value, str) or not value.strip():
-                    raise MissingField(
+                    raise UsageError(
                         f"corpus file {path}: record at line {lineno} "
                         f"(doc_id={record.get('doc_id', '')!r}) "
                         f"is missing field {name!r}"
                     )
         if doc_id in first_line:
-            raise DuplicateDocId(
+            raise UsageError(
                 f"corpus file {path}: doc_id {doc_id!r} at line {lineno} repeats "
                 f"the doc_id of line {first_line[doc_id]}"
             )
@@ -156,7 +154,7 @@ def _segment_of(rec: Any, lineno: int, path: str) -> Segment:
 
 def read_segments(path: str) -> list[Segment]:
     """Every segment of a store written by :func:`write_segments`. A line that does
-    not parse raises ``UnreadableFile``; a record with a missing or mistyped key
+    not parse raises ``UsageError``; a record with a missing or mistyped key
     raises ``CorruptArtifact``. Both name the line."""
     return [_segment_of(rec, lineno, path) for lineno, rec in read_jsonl(path, "segment store")]
 
@@ -276,7 +274,7 @@ def _guarded(text: str, dot: int) -> bool:
 def sentences_of(doc: Document) -> list[str]:
     pieces = split_sentences(doc.text)
     if not pieces:
-        raise EmptyDocument(f"document {doc.doc_id!r} has no sentences")
+        raise UsageError(f"document {doc.doc_id!r} has no sentences")
     return pieces
 
 

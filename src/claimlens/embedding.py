@@ -18,13 +18,7 @@ from typing import Any, Protocol, Sequence
 import numpy as np
 
 from .artifacts import read_json, reading, replacing, write_json
-from .errors import (
-    CorruptArtifact,
-    DimensionMismatch,
-    EmptyIndex,
-    ProviderUnavailable,
-    ZeroVector,
-)
+from .errors import ClaimLensError, CorruptArtifact, ProviderUnavailable
 from .http_provider import HttpJsonProvider
 
 _NORM_TOL = 1e-9
@@ -127,7 +121,7 @@ class Embedder:
         except (TypeError, ValueError) as exc:
             rows = raw if isinstance(raw, list) else []
             if len({len(row) for row in rows if isinstance(row, (list, np.ndarray))}) > 1:
-                raise DimensionMismatch("provider returned rows of different dims") from exc
+                raise ClaimLensError("provider returned rows of different dims") from exc
             raise ProviderUnavailable(f"provider returned a non-number: {exc}") from exc
         count = len(matrix) if matrix.ndim else 0
         if count != len(texts):
@@ -135,7 +129,7 @@ class Embedder:
                 f"provider returned {count} vectors for {len(texts)} texts"
             )
         if matrix.ndim != 2:
-            raise DimensionMismatch("provider returned a non-flat vector")
+            raise ClaimLensError("provider returned a non-flat vector")
         # numpy reads "1.5" and True as numbers, but a JSON reply holding them is malformed.
         for value in () if isinstance(raw, np.ndarray) else (v for row in raw for v in row):
             if isinstance(value, (str, bool)):
@@ -144,7 +138,7 @@ class Embedder:
             raise ProviderUnavailable("provider returned non-finite values")
         norms = np.linalg.norm(matrix, axis=1, keepdims=True)
         if not norms.all():
-            raise ZeroVector("cannot normalize a zero vector")
+            raise ClaimLensError("cannot normalize a zero vector")
         return matrix / norms
 
     def embed_one(self, text: str) -> np.ndarray:
@@ -154,7 +148,7 @@ class Embedder:
 def normalize(vec: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
-        raise ZeroVector("cannot normalize a zero vector")
+        raise ClaimLensError("cannot normalize a zero vector")
     return vec / norm
 
 
@@ -191,9 +185,9 @@ class EmbeddingIndex:
         try:
             block = np.array(vectors, dtype=np.float64)
         except ValueError as exc:
-            raise DimensionMismatch(f"vectors do not form one matrix: {exc}") from exc
+            raise ClaimLensError(f"vectors do not form one matrix: {exc}") from exc
         if block.shape != (len(ids), self.dim):
-            raise DimensionMismatch(f"vectors of shape {block.shape} for {len(ids)} ids")
+            raise ClaimLensError(f"vectors of shape {block.shape} for {len(ids)} ids")
         _unit_rows(block)
         start, end = len(self._ids), len(self._ids) + len(ids)
         if end > len(self._matrix):
@@ -220,10 +214,10 @@ class EmbeddingIndex:
     def similarities(self, query: np.ndarray) -> np.ndarray:
         """Cosine of the (unit) query against every stored vector, index order."""
         if len(self) == 0:
-            raise EmptyIndex("index holds no vectors")
+            raise ClaimLensError("index holds no vectors")
         q = np.asarray(query, dtype=np.float64)
         if q.shape != (self.dim,):
-            raise DimensionMismatch(
+            raise ClaimLensError(
                 f"query dim {q.shape} does not match index dim {self.dim}"
             )
         sims = self._dense() @ normalize(q)
@@ -269,9 +263,9 @@ class EmbeddingIndex:
     def load(cls, directory: str) -> tuple["EmbeddingIndex", dict[str, Any]]:
         """Read an index written by :meth:`save`, with its manifest. ``vectors.bin`` is
         read into one buffer, checked against ``vectors_sha256`` and viewed as the
-        matrix. An unreadable file raises ``UnreadableFile``; a malformed manifest or
+        matrix. An unreadable file raises ``UsageError``; a malformed manifest or
         vector, vectors that are not the ones the manifest records, or a disagreement
-        between them raises ``CorruptArtifact`` or ``DimensionMismatch``."""
+        between them raises ``CorruptArtifact`` or ``ClaimLensError``."""
         manifest = read_manifest(directory)
         dim, count, ids = manifest["dim"], manifest["count"], manifest["segment_ids"]
         expected = manifest.get("vectors_sha256")
@@ -281,13 +275,13 @@ class EmbeddingIndex:
                 "re-run `claimlens ingest`"
             )
         if len(ids) != count:
-            raise DimensionMismatch(
+            raise ClaimLensError(
                 f"index manifest lists {len(ids)} segment ids, expected {count}"
             )
         with reading(os.path.join(directory, "vectors.bin"), "index vectors", "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             if size != 8 * count * dim:
-                raise DimensionMismatch(
+                raise ClaimLensError(
                     f"vectors.bin holds {size} bytes, expected {8 * count * dim}: "
                     f"{count} rows of {dim} floats"
                 )

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the pipeline; the CLI's exit code follows it."""
+"""Exception hierarchy shared across the pipeline; the CLI's exit code follows it.
+
+One class per exit code, plus the two that a caller catches: ``SchemaViolation``
+(``LlmGateway.complete_json`` appends the locus to a provider's) and
+``CorruptArtifact`` (the stage input gate and the tree loader add the file or
+node it came from)."""
 
 from __future__ import annotations
 
@@ -11,86 +16,12 @@ class UsageError(ClaimLensError):
     """Bad invocation or input (exit 1): missing files, invalid flags, malformed corpus."""
 
 
-# --- corpus ---
-
-class UnreadableFile(UsageError):
-    pass
-
-
-class MissingField(UsageError):
-    pass
-
-
-class DuplicateDocId(UsageError):
-    pass
-
-
-class EmptyDocument(UsageError):
-    pass
-
-
-# --- embedding ---
-
 class ProviderUnavailable(ClaimLensError):
-    """An embedding or chat provider could not answer (exit 2)."""
-
-
-class Timeout(ProviderUnavailable):
-    pass
-
-
-class DimensionMismatch(ClaimLensError):
-    pass
-
-
-class ZeroVector(ClaimLensError):
-    pass
-
-
-class EmptyIndex(ClaimLensError):
-    pass
-
-
-# --- llm gateway ---
-
-class UnknownTask(ClaimLensError):
-    pass
+    """An embedding or chat provider could not answer or timed out (exit 2)."""
 
 
 class SchemaViolation(ClaimLensError):
-    pass
-
-
-# --- hierarchy ---
-
-class EmptyAspectList(ClaimLensError):
-    pass
-
-
-class TooFewSubaspects(ClaimLensError):
-    pass
-
-
-# --- ranking ---
-
-class EmptyKeywordSet(ClaimLensError):
-    pass
-
-
-# --- perspective ---
-
-class NoCoarseAspects(ClaimLensError):
-    pass
-
-
-# --- cli / reporting ---
-
-class UnknownFormat(UsageError):
-    pass
-
-
-class FingerprintMismatch(ClaimLensError):
-    """Artifacts produced under a different effective configuration."""
+    """An LLM reply that does not parse or does not match its task's schema."""
 
 
 class CorruptArtifact(ClaimLensError):

@@ -26,12 +26,7 @@ import numpy as np
 from .config import PipelineConfig
 from .corpus import Segment
 from .embedding import Embedder, EmbeddingIndex
-from .errors import (
-    CorruptArtifact,
-    EmptyAspectList,
-    SchemaViolation,
-    TooFewSubaspects,
-)
+from .errors import ClaimLensError, CorruptArtifact, SchemaViolation
 from .llm_gateway import LlmGateway, PromptInstance, numbered_listing, reply_schema
 from .ranking import (
     ScoredSegment,
@@ -247,9 +242,9 @@ class AspectHierarchy:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "AspectHierarchy":
         """Rebuild and :meth:`validate` a tree written by :meth:`to_dict`; a
-        missing or mistyped key (the root node's included), or a text field
-        that is not a string or a list of strings, raises ``CorruptArtifact``
-        too."""
+        missing or mistyped key (the root node's included), a text field that
+        is not a string or a list of strings, or a node id recorded twice raises
+        ``CorruptArtifact`` too."""
         try:
             if not isinstance(data["claim"], str):
                 raise CorruptArtifact("claim must be a string")
@@ -259,6 +254,8 @@ class AspectHierarchy:
             tree.nodes = {}
             for node_data in data["nodes"]:
                 node = AspectNode.from_dict(node_data)
+                if node.node_id in tree.nodes:
+                    raise CorruptArtifact(f"node {node.node_id} is recorded twice")
                 tree.nodes[node.node_id] = node
             tree.validate()
         except (KeyError, TypeError) as exc:
@@ -380,7 +377,7 @@ class HierarchyBuilder:
         ))
         aspects = data["aspects"]
         if not aspects:
-            raise EmptyAspectList(f"no coarse aspects returned for {tree.claim!r}")
+            raise ClaimLensError(f"no coarse aspects returned for {tree.claim!r}")
         created = [
             tree.add_child(tree.root, a["label"], a["description"], a["keywords"])
             for a in aspects
@@ -479,7 +476,7 @@ class HierarchyBuilder:
         ))
         subaspects = data["subaspects"]
         if len(subaspects) < 2:
-            raise TooFewSubaspects(
+            raise ClaimLensError(
                 f"node {node_id} produced {len(subaspects)} subaspects, need >= 2"
             )
         children = [

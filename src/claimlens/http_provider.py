@@ -11,7 +11,7 @@ import os
 import time
 from typing import Any
 
-from .errors import ProviderUnavailable, Timeout
+from .errors import ProviderUnavailable
 
 # Seconds slept before the second, third, ... attempt; the last entry repeats.
 RETRY_BACKOFF_S = (0.5, 2.0)
@@ -65,7 +65,7 @@ class HttpJsonProvider:
             except (requests.RequestException, KeyError, TypeError, ValueError) as exc:
                 last_error = exc
         if isinstance(last_error, requests.Timeout):
-            raise Timeout(f"{self.kind} endpoint timed out: {self.endpoint}")
+            raise ProviderUnavailable(f"{self.kind} endpoint timed out: {self.endpoint}")
         raise ProviderUnavailable(
             f"{self.kind} endpoint failed after {self.max_attempts} attempts: {last_error}"
         )

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Protocol
 
 from .artifacts import parse_json, read_json
-from .errors import ProviderUnavailable, SchemaViolation, UnknownTask, UnreadableFile
+from .errors import ClaimLensError, ProviderUnavailable, SchemaViolation, UsageError
 from .http_provider import HttpJsonProvider
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,7 @@ class PromptInstance:
 
     def __post_init__(self) -> None:
         if self.task not in TASKS:
-            raise UnknownTask(f"no such task: {self.task!r}")
+            raise ClaimLensError(f"no such task: {self.task!r}")
         if not self.rendered_text.strip():
             raise ValueError("rendered prompt is empty")
 
@@ -146,15 +146,15 @@ class MockChatProvider:
         """Load one ``<task>.json`` fixture file per task from a transcript dir."""
         directory = Path(directory)
         if not directory.is_dir():
-            raise UnreadableFile(f"mock transcript directory {directory} not found")
+            raise UsageError(f"mock transcript directory {directory} not found")
         script: dict[str, dict[str, Any]] = {}
         for path in sorted(directory.glob("*.json")):
             entry = script[path.stem] = read_json(path, "mock transcript")
             if not isinstance(entry, dict) or not isinstance(entry.get("responses", {}), dict):
-                raise UnreadableFile(f"mock transcript {path} must map 'responses' to an object")
+                raise UsageError(f"mock transcript {path} must map 'responses' to an object")
             replies = [entry.get("default", ""), *entry.get("responses", {}).values()]
             if not all(isinstance(reply, str) for reply in replies):
-                raise UnreadableFile(f"mock transcript {path} holds a non-string response")
+                raise UsageError(f"mock transcript {path} holds a non-string response")
         return cls(script)
 
     def complete(self, task: LlmTask, prompt: str, base_hash: str) -> str:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .corpus import Segment
 from .embedding import Embedder, EmbeddingIndex, normalize
-from .errors import NoCoarseAspects
+from .errors import ClaimLensError
 from .hierarchy import STANCES, AspectHierarchy, PerspectiveSet
 from .llm_gateway import LlmGateway, PromptInstance, numbered_listing, reply_schema
 
@@ -127,7 +127,7 @@ def claim_representation(
 ) -> np.ndarray:
     """Blend of the claim embedding and the mean coarse-aspect embedding."""
     if not coarse_labels:
-        raise NoCoarseAspects("claim representation needs at least one coarse aspect")
+        raise ClaimLensError("claim representation needs at least one coarse aspect")
     claim_vec = embedder.embed_one(claim)
     child_vecs = embedder.embed_texts(
         [coarse_query_text(label, claim) for label in coarse_labels]

@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .embedding import EmbeddingIndex
-from .errors import EmptyKeywordSet
+from .errors import ClaimLensError
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def batch_target_scores(segment_matrix: np.ndarray, keywords: np.ndarray) -> np.
     behave as rewards and the downstream ratio stays sign-stable.
     """
     if len(keywords) == 0:
-        raise EmptyKeywordSet("node has no keyword queries")
+        raise ClaimLensError("node has no keyword queries")
     sims = np.clip(segment_matrix @ keywords.T, 0.0, 1.0)
     return sims @ _zipf_weights(len(keywords))
 

@@ -1,7 +1,7 @@
 """The artifact contract: a write replaces its file whole or leaves the old one
 byte-identical with no temp file beside it, a failed write is a ``UsageError``
-naming the file, a new file gets the umask's mode, and every read failure is an
-``UnreadableFile`` naming the file."""
+naming the file, a new file gets the umask's mode, and every read failure is a
+``UsageError`` naming the file too."""
 
 import errno
 import io
@@ -19,7 +19,7 @@ from claimlens.artifacts import (
     read_json, read_jsonl, replacing, write_json, write_jsonl, write_text,
 )
 from claimlens.embedding import EmbeddingIndex
-from claimlens.errors import UnreadableFile, UsageError
+from claimlens.errors import UsageError
 
 
 class _DiskFull(io.FileIO):
@@ -172,7 +172,7 @@ def test_unreadable_jsonl_names_the_file(tmp_path, content, message):
     path = tmp_path / "segments.jsonl"
     if content is not None:
         path.write_bytes(content)
-    with pytest.raises(UnreadableFile) as info:
+    with pytest.raises(UsageError) as info:
         list(read_jsonl(path, "segment store"))
     assert message.format(path=path) in str(info.value)
 
@@ -187,7 +187,7 @@ def _per_line_parse(path):
                 continue
             try:
                 records.append((lineno, artifacts._parse(line, "segment store", path, lineno)))
-            except UnreadableFile as exc:
+            except UsageError as exc:
                 return records, str(exc)
     return records, None
 
@@ -197,7 +197,7 @@ def _streamed(path):
     try:
         for item in read_jsonl(path, "segment store"):
             records.append(item)
-    except UnreadableFile as exc:
+    except UsageError as exc:
         return records, str(exc)
     return records, None
 

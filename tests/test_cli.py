@@ -235,6 +235,42 @@ def test_report_dot_shape(capsys):
     assert out.count("->") == len(tree.nodes) - 1
 
 
+# The whole exit-code policy: every error class of the package, its code and its
+# stderr prefix.
+EXIT_POLICY = [
+    (errors.UsageError, 1, "error: "),
+    (errors.ProviderUnavailable, 2, "provider error: "),
+    (errors.ClaimLensError, 3, "contract violation: "),
+    (errors.SchemaViolation, 3, "contract violation: "),
+    (errors.CorruptArtifact, 3, "contract violation: "),
+]
+
+
+def _package_error_classes() -> set[type]:
+    found, stack = set(), [errors.ClaimLensError]
+    while stack:
+        cls = stack.pop()
+        if cls.__module__.startswith("claimlens"):  # not a test's own subclass
+            found.add(cls)
+        stack.extend(cls.__subclasses__())
+    return found
+
+
+@pytest.mark.parametrize("error, code, prefix", EXIT_POLICY,
+                         ids=[error.__name__ for error, _, _ in EXIT_POLICY])
+def test_each_error_class_has_one_exit_code_and_prefix(capsys, monkeypatch, error, code, prefix):
+    assert _package_error_classes() == {error for error, _, _ in EXIT_POLICY}
+
+    def failing(config):
+        raise error("it went wrong")
+
+    monkeypatch.setattr(cli, "cmd_build", failing)
+    assert main(["build", "--claim", "a claim"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{prefix}it went wrong\n"
+
+
 def test_missing_provider_is_usage_error(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     cfg = write_config_file(tmp_path, out, mock_dir="")
@@ -987,6 +1023,10 @@ def _node(data, node_id):
             lambda d: _node(d, "0.1").update(attached_segments=[["x"]]),
             "node 0.1: attached_segments must list",
         ),
+        (
+            lambda d: d["nodes"].append({**_node(d, "0.1"), "label": "another label"}),
+            "node 0.1 is recorded twice",
+        ),
     ],
     ids=[
         "no_label",
@@ -1009,6 +1049,7 @@ def _node(data, node_id):
         "claim_number",
         "claim_empty",
         "attached_segments_nested",
+        "repeated_node_id",
     ],
 )
 @pytest.mark.parametrize("command", ["report", "evaluate", "perspectives"])

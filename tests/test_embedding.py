@@ -16,13 +16,7 @@ from claimlens.embedding import (
     _tokens,
     normalize,
 )
-from claimlens.errors import (
-    CorruptArtifact,
-    DimensionMismatch,
-    EmptyIndex,
-    ProviderUnavailable,
-    ZeroVector,
-)
+from claimlens.errors import ClaimLensError, CorruptArtifact, ProviderUnavailable
 
 from . import oracles
 
@@ -58,7 +52,7 @@ def test_vectors_unit_norm(embedder):
 
 def test_mixed_dims_rejected():
     embedder = Embedder(ListProvider([[1.0, 0.0, 0.0], [1.0, 0.0]]))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ClaimLensError, match="^provider returned rows of different dims$"):
         embedder.embed_texts(["a", "b"])
 
 
@@ -77,24 +71,24 @@ class ReplyProvider:
 
 
 @pytest.mark.parametrize(
-    "reply, error",
+    "reply, error, match",
     [
-        ([[1.0, 0.0, 0.0], [1.0, 0.0]], DimensionMismatch),
-        ([[[1.0, 0.0]], [[0.0, 1.0]]], DimensionMismatch),
-        ([1.0, 0.0], DimensionMismatch),
-        ([[1.0, "abc"], [0.0, 1.0]], ProviderUnavailable),
-        ([[1.0, {"x": 1}], [0.0, 1.0]], ProviderUnavailable),
-        ([[1.0, [2.0]], [0.0, 1.0]], ProviderUnavailable),
-        ("abc", ProviderUnavailable),
-        (5, ProviderUnavailable),
-        ([[1.0, 0.0]], ProviderUnavailable),
-        ([[float("nan"), 1.0], [0.0, 1.0]], ProviderUnavailable),
-        ([[1.0, float("inf")], [0.0, 1.0]], ProviderUnavailable),
-        ([[None, 1.0], [0.0, 1.0]], ProviderUnavailable),
-        ([[0.0, 0.0], [0.0, 1.0]], ZeroVector),
-        ([["1.5", 2.0], [0.0, 1.0]], ProviderUnavailable),
-        ([[" 3 ", 4.0], [0.0, 1.0]], ProviderUnavailable),
-        ([[True, 1.0], [0.0, 1.0]], ProviderUnavailable),
+        ([[1.0, 0.0, 0.0], [1.0, 0.0]], ClaimLensError, "^provider returned rows of different dims"),
+        ([[[1.0, 0.0]], [[0.0, 1.0]]], ClaimLensError, "^provider returned a non-flat vector"),
+        ([1.0, 0.0], ClaimLensError, "^provider returned a non-flat vector"),
+        ([[1.0, "abc"], [0.0, 1.0]], ProviderUnavailable, "^provider returned a non-number"),
+        ([[1.0, {"x": 1}], [0.0, 1.0]], ProviderUnavailable, "^provider returned a non-number"),
+        ([[1.0, [2.0]], [0.0, 1.0]], ProviderUnavailable, "^provider returned a non-number"),
+        ("abc", ProviderUnavailable, "^provider returned a non-number"),
+        (5, ProviderUnavailable, "^provider returned 0 vectors for 2 texts"),
+        ([[1.0, 0.0]], ProviderUnavailable, "^provider returned 1 vectors for 2 texts"),
+        ([[float("nan"), 1.0], [0.0, 1.0]], ProviderUnavailable, "^provider returned non-finite values"),
+        ([[1.0, float("inf")], [0.0, 1.0]], ProviderUnavailable, "^provider returned non-finite values"),
+        ([[None, 1.0], [0.0, 1.0]], ProviderUnavailable, "^provider returned non-finite values"),
+        ([[0.0, 0.0], [0.0, 1.0]], ClaimLensError, "^cannot normalize a zero vector$"),
+        ([["1.5", 2.0], [0.0, 1.0]], ProviderUnavailable, "^provider returned a non-number: '1.5'"),
+        ([[" 3 ", 4.0], [0.0, 1.0]], ProviderUnavailable, "^provider returned a non-number: ' 3 '"),
+        ([[True, 1.0], [0.0, 1.0]], ProviderUnavailable, "^provider returned a non-number: True"),
     ],
     ids=[
         "ragged",
@@ -115,8 +109,8 @@ class ReplyProvider:
         "boolean",
     ],
 )
-def test_malformed_reply_is_a_typed_error(reply, error):
-    with pytest.raises(error):
+def test_malformed_reply_is_a_typed_error(reply, error, match):
+    with pytest.raises(error, match=match):
         Embedder(ReplyProvider(reply)).embed_texts(["a", "b"])
 
 
@@ -163,7 +157,7 @@ def test_cosine_antipodal():
 
 
 def test_cosine_zero_vector():
-    with pytest.raises(ZeroVector):
+    with pytest.raises(ClaimLensError, match="^cannot normalize a zero vector$"):
         _cosines([np.array([1.0, 0.0, 0.0])], np.zeros(3))
 
 
@@ -202,7 +196,7 @@ def test_top_k_tie_broken_by_id():
 
 
 def test_top_k_empty_index():
-    with pytest.raises(EmptyIndex):
+    with pytest.raises(ClaimLensError, match="^index holds no vectors$"):
         EmbeddingIndex(dim=2, capacity=0).top_k(np.array([1.0, 0.0]), 1)
 
 
@@ -327,28 +321,29 @@ def test_top_k_all_rows_identical():
 def test_query_dimension_mismatch_is_typed():
     index = EmbeddingIndex(dim=2, capacity=1)
     index.add_batch(["s1"], [_angled(0.9)])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ClaimLensError, match=r"^query dim \(3,\) does not match index dim 2$"):
         index.similarities(np.ones(3))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ClaimLensError, match=r"^query dim \(3,\) does not match index dim 2$"):
         index.top_k(np.ones(3), 1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ClaimLensError, match=r"^query dim \(2, 1\) does not match index dim 2$"):
         index.top_k(np.ones((2, 1)), 1)
 
 
 def test_add_batch_with_bad_row_adds_nothing():
     index = EmbeddingIndex(dim=2, capacity=3)
     index.add_batch(["s0"], [_angled(0.9)])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ClaimLensError, match="^vectors do not form one matrix: "):
         index.add_batch(["s1", "s2"], [_angled(0.5), np.ones(3)])
     with pytest.raises(ValueError):
         index.add_batch(["s3", "s3"], [_angled(0.5), _angled(0.4)])
-    with pytest.raises(ZeroVector):
+    with pytest.raises(ClaimLensError, match="^cannot normalize a zero vector$"):
         index.add_batch(["s4", "s5"], [_angled(0.5), np.zeros(2)])
-    with pytest.raises(DimensionMismatch):  # three ids, one vector
-        index.add_batch(["s6", "s7", "s8"], [_angled(0.5)])
-    with pytest.raises(DimensionMismatch):  # one 4-dim vector is not two 2-dim rows
+    with pytest.raises(ClaimLensError, match=r"^vectors of shape \(1, 2\) for 3 ids$"):
+        index.add_batch(["s6", "s7", "s8"], [_angled(0.5)])  # three ids, one vector
+    # One 4-dim vector is not two 2-dim rows, as a list or as a flat array.
+    with pytest.raises(ClaimLensError, match=r"^vectors of shape \(1, 4\) for 2 ids$"):
         index.add_batch(["s6", "s7"], [np.array([0.6, 0.8, 1.0, 0.0])])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ClaimLensError, match=r"^vectors of shape \(4,\) for 2 ids$"):
         index.add_batch(["s6", "s7"], np.array([0.6, 0.8, 1.0, 0.0]))
     assert index.ids == ["s0"]
     index.add_batch(["s1", "s2"], [_angled(0.5), np.array([3.0, 4.0])])
@@ -461,7 +456,7 @@ def test_load_rejects_manifest_id_count_mismatch(tmp_path):
     index.add_batch(["a", "b"], [_angled(0.3), _angled(0.8)])
     index.save(str(tmp_path), {})
     _edit_manifest(tmp_path, lambda m: m["segment_ids"].pop())
-    with pytest.raises(DimensionMismatch, match="lists 1 segment ids, expected 2"):
+    with pytest.raises(ClaimLensError, match="lists 1 segment ids, expected 2"):
         EmbeddingIndex.load(str(tmp_path))
 
 

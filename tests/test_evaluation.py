@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from claimlens.errors import SchemaViolation, Timeout, UsageError
+from claimlens.errors import ProviderUnavailable, SchemaViolation, UsageError
 from claimlens.evaluation import (
     evaluate_hierarchy,
     hierarchy_outline,
@@ -65,6 +65,12 @@ def test_node_relevance_root_only_tree_judges_root():
 
 
 # --- path granularity ---
+
+
+def test_path_granularity_root_only_tree_is_vacuous():
+    tree = AspectHierarchy(CLAIM, 0)
+    gateway = rule_gateway(lambda t, p: (_ for _ in ()).throw(AssertionError("no calls")))
+    assert path_granularity(tree, gateway) == (1.0, {})
 
 
 def test_path_granularity_all_good():
@@ -238,14 +244,17 @@ def test_judge_errors_keep_their_class_and_name_their_locus():
     with pytest.raises(SchemaViolation, match=r" \(relevance node=0\.1\)$"):
         node_relevance(sample_tree(), gateway)
 
+    class Down(ProviderUnavailable):
+        """A subclass no ``except`` names: the gateway must re-raise it as itself."""
+
     class DownProvider:
         def complete(self, task, prompt, base_hash):
-            raise Timeout("down")
+            raise Down("down")
 
     gateway = LlmGateway(DownProvider(), log=OperationLog())
-    with pytest.raises(Timeout, match=r"^down \(relevance node=0\.1\)$"):
+    with pytest.raises(Down, match=r"^down \(relevance node=0\.1\)$"):
         node_relevance(sample_tree(), gateway)
-    with pytest.raises(Timeout, match=r"^down \(pairwise\)$"):
+    with pytest.raises(Down, match=r"^down \(pairwise\)$"):
         pairwise_compare(sample_tree(), sample_tree(), gateway)
 
 

@@ -3,13 +3,7 @@ import json
 
 import pytest
 
-from claimlens.errors import (
-    CorruptArtifact,
-    EmptyAspectList,
-    EmptyIndex,
-    SchemaViolation,
-    TooFewSubaspects,
-)
+from claimlens.errors import ClaimLensError, CorruptArtifact, SchemaViolation
 from claimlens.hierarchy import AspectHierarchy, HierarchyBuilder, PerspectiveSet
 from claimlens.llm_gateway import LlmGateway, MockChatProvider, OperationLog
 
@@ -105,7 +99,7 @@ def test_zero_aspects_is_empty_aspect_list(env):
     script = default_script()
     script["coarse_aspects"] = {"default": json.dumps({"aspects": []})}
     builder = make_builder(env, script)
-    with pytest.raises(EmptyAspectList):
+    with pytest.raises(ClaimLensError, match=f"^no coarse aspects returned for {CLAIM!r}$"):
         builder.discover_coarse_aspects(AspectHierarchy(CLAIM, 2))
 
 
@@ -162,7 +156,7 @@ def test_enrich_empty_index(env, embedder, small_config):
     )
     tree = AspectHierarchy(CLAIM, 2)
     builder.discover_coarse_aspects(tree)
-    with pytest.raises(EmptyIndex):
+    with pytest.raises(ClaimLensError, match="^index holds no vectors$"):
         builder.enrich_keywords(tree, "0.1")
 
 
@@ -195,7 +189,7 @@ def test_single_subaspect_is_too_few(env):
     builder = make_builder(env, default_script(("only child",)))
     tree = _enriched_tree(builder)
     ranked = builder.rank_node_segments(tree, "0.1")
-    with pytest.raises(TooFewSubaspects):
+    with pytest.raises(ClaimLensError, match=r"^node 0\.1 produced 1 subaspects, need >= 2$"):
         builder.discover_subaspects(tree, "0.1", ranked)
 
 

@@ -13,7 +13,7 @@ from claimlens import cli, http_provider
 from claimlens.cli import main
 from claimlens.config import PipelineConfig
 from claimlens.embedding import Embedder, HttpEmbeddingProvider
-from claimlens.errors import ProviderUnavailable, Timeout, UnreadableFile
+from claimlens.errors import ProviderUnavailable, UsageError
 from claimlens.llm_gateway import (
     TASKS,
     HttpChatProvider,
@@ -178,7 +178,7 @@ def test_chat_provider_unreachable_endpoint():
 
 
 def test_mock_transcript_dir_must_exist(tmp_path):
-    with pytest.raises(UnreadableFile):
+    with pytest.raises(UsageError, match=r"^mock transcript directory .*missing not found$"):
         MockChatProvider.from_dir(tmp_path / "missing")
 
 
@@ -283,7 +283,7 @@ def test_timeout_raises_typed_error(kind, name):
     # A listening socket that never accepts: connections complete, no reply comes.
     with socket.create_server(("127.0.0.1", 0)) as silent:
         base_url = f"http://127.0.0.1:{silent.getsockname()[1]}"
-        with pytest.raises(Timeout, match=f"^{name} endpoint timed out: {base_url}/"):
+        with pytest.raises(ProviderUnavailable, match=f"^{name} endpoint timed out: {base_url}/"):
             _call(kind, base_url, timeout=0.05, max_attempts=2)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimlens.errors import SchemaViolation, UnknownTask
+from claimlens.errors import ClaimLensError, SchemaViolation
 from claimlens.evaluation import WINNER_SCHEMA, score_schema
 from claimlens.hierarchy import aspects_schema, keywords_schema
 from claimlens.llm_gateway import (
@@ -78,7 +78,7 @@ def test_unknown_task():
     instance = coarse_instance("claim text")
     with pytest.raises(dataclasses.FrozenInstanceError):
         instance.task = "foo"
-    with pytest.raises(UnknownTask):
+    with pytest.raises(ClaimLensError, match="^no such task: 'foo'$"):
         PromptInstance(task="foo", rendered_text="x", expected_schema={}, context="test")
 
 

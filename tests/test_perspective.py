@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from claimlens.corpus import Segment
 from claimlens.embedding import Embedder, EmbeddingIndex
-from claimlens.errors import NoCoarseAspects, SchemaViolation
+from claimlens.errors import ClaimLensError, SchemaViolation
 from claimlens.hierarchy import AspectHierarchy
 from claimlens.llm_gateway import LlmGateway, MockChatProvider, OperationLog
 from claimlens.perspective import (
@@ -73,7 +73,7 @@ def test_claim_representation_single_child():
 
 def test_claim_representation_no_children():
     embedder = Embedder(DictEmbedderProvider({}, 2))
-    with pytest.raises(NoCoarseAspects):
+    with pytest.raises(ClaimLensError, match="^claim representation needs at least one coarse aspect$"):
         claim_representation(CLAIM, [], embedder)
 
 
@@ -499,6 +499,18 @@ def test_discover_perspectives_all_irrelevant_leaves_empty_sets(perspective_env,
         for stance in ("support", "neutral", "oppose"):
             assert pset.bucket(stance).segment_ids == []
             assert pset.bucket(stance).summary == ""
+
+
+def test_segment_of_exactly_min_chars_is_a_candidate(perspective_env, embedder):
+    tree, segments, index = perspective_env
+    floor = len(SEGMENT_TEXTS["p1#1-1"])
+    kept = sorted(sid for sid, text in SEGMENT_TEXTS.items() if len(text) >= floor)
+    assert "p1#1-1" in kept and len(kept) < len(SEGMENT_TEXTS)
+    gateway = rule_gateway(perspective_rules)
+    params = FilterParams(delta=0.5, window=2, min_chars=floor)
+    discover_perspectives(gateway, embedder, index, segments, tree, params, relative_threshold=0.9)
+    [record] = [r for r in gateway.log.records if r["kind"] == "relevance_filter"]
+    assert record["candidates"] == len(kept)
 
 
 def test_min_chars_floor_excludes_short_segments(perspective_env, embedder):

@@ -6,7 +6,7 @@ import pytest
 
 from claimlens.config import PipelineConfig
 from claimlens.embedding import EmbeddingIndex
-from claimlens.errors import EmptyKeywordSet
+from claimlens.errors import ClaimLensError
 from claimlens.ranking import (
     batch_distractor_scores,
     batch_target_scores,
@@ -77,7 +77,7 @@ def test_target_score_clamps_negative_similarity():
 
 
 def test_target_score_empty_keywords():
-    with pytest.raises(EmptyKeywordSet):
+    with pytest.raises(ClaimLensError, match="^node has no keyword queries$"):
         batch_target_scores(E1[None], np.empty((0, 2)))
 
 
